@@ -4,7 +4,6 @@ reports."""
 
 import json
 import math
-import os
 import sys
 import time
 
@@ -12,7 +11,7 @@ import click
 import numpy as np
 
 from ._errors import FredK2Error, InputError, InvariantViolation
-from .fourier_loops import FourierLoop, loop_from_json
+from .fourier_loops import FourierLoop, loop_from_json, max_band
 from .toeplitz_calculus import DEFAULT_WINDOW
 from .invariants import (
     SteinbergSymbol,
@@ -20,13 +19,12 @@ from .invariants import (
     det_invariant_integral,
     det_invariant_operator,
     mult_character,
-    w0_representative,
+    _operator_route,
 )
 from . import group_homology as gh
 
 REPORT_SCHEMA = "fredk2-report/1"
 METHODS = ("closed", "integral", "operator")
-DEFAULT_MAX_BAND = 512
 
 
 class RunConfig:
@@ -46,8 +44,7 @@ class RunConfig:
         self.seed = seed
 
     def check_band(self, band: int):
-        cap = int(os.environ.get("FREDK2_MAX_BAND", str(DEFAULT_MAX_BAND)))
-        if band > cap:
+        if band > max_band():
             raise InputError("band exceeds FREDK2_MAX_BAND")
         if self.strict and self.window < 4 * band + 16:
             raise InputError("window too small for band")
@@ -174,11 +171,7 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
             elif name == "integral":
                 values[name] = det_invariant_integral(sym, grid=quadrature_order)
             else:
-                values[name] = det_invariant_operator(sym, window=cfg.window,
-                                                      strict=cfg.strict)
-                c = sym.v.log_part.scalar_mul(sym.u.winding).sub(
-                    sym.u.log_part.scalar_mul(sym.v.winding))
-                rep = w0_representative(c, cfg.window)
+                values[name], rep = _operator_route(sym, cfg.window, cfg.strict)
                 tails[name] = rep.tail_bound
                 redo = det_invariant_operator(sym, window=2 * cfg.window,
                                               strict=False)

@@ -370,10 +370,3 @@ def loop_log_from_json(data: dict) -> LoopLog:
         raise InputError("'winding' must be an integer")
     return LoopLog(data["winding"],
                    FourierLoop(_parse_coeff_list(data["log_coeffs"], "log_coeffs")))
-
-
-def parse_loop_json(data: dict) -> LoopLog:
-    """Accept either loop format and return the factored form."""
-    if isinstance(data, dict) and "winding" in data:
-        return loop_log_from_json(data)
-    return log_split(loop_from_json(data))

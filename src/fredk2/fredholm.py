@@ -186,9 +186,19 @@ def path_log_det(path, order: int = 64, tol: float = 1e-11,
     raise NumericalError("path determinant quadrature did not converge")
 
 
-def mult_commutator_det(u: ToeplitzOp, v: ToeplitzOp, strict: bool = True) -> complex:
-    """det(U V U⁻¹ V⁻¹) for invertibles of E with commuting symbols."""
-    w = u.mul(v).mul(u.inv().mul(v.inv()))
+def mult_commutator_det(u: ToeplitzOp, v: ToeplitzOp, strict: bool = True,
+                        u_inv: ToeplitzOp | None = None,
+                        v_inv: ToeplitzOp | None = None) -> complex:
+    """det(U V U⁻¹ V⁻¹) for invertibles of E with commuting symbols.
+
+    Inverses known exactly (e^{−T_a} for U = e^{T_a}) may be passed as
+    ``u_inv`` / ``v_inv``; otherwise they are computed with
+    ``ToeplitzOp.inv``."""
+    if u_inv is None:
+        u_inv = u.inv()
+    if v_inv is None:
+        v_inv = v.inv()
+    w = u.mul(v).mul(u_inv.mul(v_inv))
     if _unit_symbol_deviation(w) > UNIT_SYMBOL_TOL:
         raise InvariantViolation("multiplicative commutator has nonunit symbol")
     return det1p(w, strict=strict)

@@ -240,17 +240,26 @@ def det_invariant_operator(sym: SteinbergSymbol, window: int = DEFAULT_WINDOW,
     {u, v} = {z, z}^{nm} · {z, e^{nb−ma}} · {e^a, e^b}:
     the winding-winding part contributes (−1)^{nm}, the cross part the
     Fredholm determinant of w0_representative, and the winding-free part a
-    multiplicative commutator determinant of exponentials."""
+    multiplicative commutator determinant of exponentials, whose inverses
+    are the exact exponentials e^{−T_a}, e^{−T_b}."""
+    return _operator_route(sym, window, strict)[0]
+
+
+def _operator_route(sym: SteinbergSymbol, window: int, strict: bool):
+    """det_invariant_operator's value and the w0_representative it used."""
     n, a, m, b = _parts(sym)
     c = b.scalar_mul(n).sub(a.scalar_mul(m))
-    cross = det1p(w0_representative(c, window), strict=strict)
+    rep = w0_representative(c, window)
+    cross = det1p(rep, strict=strict)
     if a.is_zero() or b.is_zero():
         helton = 1.0 + 0j
     else:
         helton = mult_commutator_det(exp_op(toeplitz(a, window)),
                                      exp_op(toeplitz(b, window)),
-                                     strict=strict)
-    return _winding_sign(n, m) * cross * helton
+                                     strict=strict,
+                                     u_inv=exp_op(toeplitz(a.neg(), window)),
+                                     v_inv=exp_op(toeplitz(b.neg(), window)))
+    return _winding_sign(n, m) * cross * helton, rep
 
 
 def mult_character(sym: SteinbergSymbol) -> complex:

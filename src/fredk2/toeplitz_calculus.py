@@ -32,17 +32,24 @@ from ._errors import InputError, InvariantViolation, NumericalError
 from .fourier_loops import FourierLoop, pairing_integral, winding_number, zero_loop
 
 DEFAULT_WINDOW = 256
+# Symbols with at most this many coefficients (S, S*, 1, 0) are applied
+# to a block as shifted row or column slices rather than a dense product.
+FEW_COEFFS = 4
 
 
 def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> np.ndarray:
     """Dense section (φ_{j−k}), j < rows, k < cols."""
     if cols is None:
         cols = rows
-    out = np.zeros((rows, cols), dtype=complex)
+    if rows == 0 or cols == 0:
+        return np.zeros((rows, cols), dtype=complex)
+    # diag[d + cols − 1] = φ_d for every offset d = j − k in the section
+    diag = np.zeros(rows + cols - 1, dtype=complex)
     for k, c in symbol.coeffs.items():
-        idx = np.arange(max(0, k), min(rows, cols + k))
-        out[idx, idx - k] = c
-    return out
+        if -cols < k < rows:
+            diag[k + cols - 1] = c
+    windows = np.lib.stride_tricks.sliding_window_view(diag, cols)
+    return windows[:, ::-1].copy()
 
 
 class HankelWindow:
@@ -61,13 +68,19 @@ class HankelWindow:
         self.matrix = h
 
 
+def _norms(block: np.ndarray) -> tuple[float, float]:
+    """(‖·‖_F, cheap trace-norm bound sqrt(rank)·‖·‖_F) of a block."""
+    if block.size == 0:
+        return 0.0, 0.0
+    r = min(np.count_nonzero(block.any(axis=1)),
+            np.count_nonzero(block.any(axis=0)))
+    fro = float(np.linalg.norm(block))
+    return fro, math.sqrt(r) * fro
+
+
 def _nuclear_est(block: np.ndarray) -> float:
     """Cheap upper bound ‖·‖₁ ≤ sqrt(rank)·‖·‖_F."""
-    if block.size == 0:
-        return 0.0
-    r = min(np.count_nonzero(np.abs(block).sum(axis=1)),
-            np.count_nonzero(np.abs(block).sum(axis=0)))
-    return math.sqrt(max(r, 0)) * float(np.linalg.norm(block))
+    return _norms(block)[1]
 
 
 def _interior_spill_est(corr: np.ndarray, window: int, inner: int) -> float:
@@ -80,6 +93,19 @@ def _interior_spill_est(corr: np.ndarray, window: int, inner: int) -> float:
     w = min(window, inner)
     block[:w, :w] = 0
     return 2.0 * _nuclear_est(block)
+
+
+def _toeplitz_times(symbol: FourierLoop, block: np.ndarray, rows: int) -> np.ndarray:
+    """T_φ[:rows, :n] @ block for a block with n rows."""
+    n = block.shape[0]
+    if len(symbol.coeffs) > FEW_COEFFS:
+        return toeplitz_matrix(symbol, rows, n) @ block
+    out = np.zeros((rows, block.shape[1]), dtype=complex)
+    for k, c in symbol.coeffs.items():
+        lo, hi = max(0, k), min(rows, n + k)
+        if lo < hi:
+            out[lo:hi] += c * block[lo - k:hi - k]
+    return out
 
 
 class ToeplitzOp:
@@ -149,35 +175,45 @@ class ToeplitzOp:
 
     def mul(self, other: "ToeplitzOp") -> "ToeplitzOp":
         """Brown–Halmos product; correction exact on an extended window,
-        then truncated back with the discarded mass bounded."""
+        then truncated back with the discarded mass bounded.
+
+        Only nonzero blocks are multiplied: T_φ·C_y fills the first w
+        columns of the extended window, C_x·T_ψ its first w rows and
+        C_x·C_y the kept w×w corner."""
         w = max(self.window, other.window)
         x, y = self.resized(w), other.resized(w)
         phi, psi = x.symbol, y.symbol
+        cx, cy = x.correction, y.correction
+        x_live, y_live = cx.any(), cy.any()
         band = max(phi.band, psi.band)
         ext = w + band
 
         corr = np.zeros((ext, ext), dtype=complex)
-        hb = min(max(phi.band, psi.band, 1), ext)
+        hb = min(max(band, 1), ext)
         ha = HankelWindow(phi, hb).matrix
         hbt = HankelWindow(psi.reflect(), hb).matrix
         corr[:hb, :hb] -= ha @ hbt
+        if y_live and not phi.is_zero():
+            corr[:, :w] += _toeplitz_times(phi, cy, ext)
+        if x_live and not psi.is_zero():
+            # C_x·T_ψ = (T_ψ̃·C_xᵀ)ᵀ, as T_ψᵀ = T_ψ̃
+            corr[:w, :] += _toeplitz_times(psi.reflect(), cx.T, ext).T
+        if x_live and y_live:
+            corr[:w, :w] += cx @ cy
 
-        cx = np.zeros((ext, ext), dtype=complex)
-        cx[:w, :w] = x.correction
-        cy = np.zeros((ext, ext), dtype=complex)
-        cy[:w, :w] = y.correction
-        t_phi = toeplitz_matrix(phi, ext)
-        t_psi = toeplitz_matrix(psi, ext)
-        corr += t_phi @ cy + cx @ t_psi + cx @ cy
-
-        spill = corr.copy()
-        spill[:w, :w] = 0
-        discarded = _nuclear_est(spill)
-        tail = (x.tail_bound * y.op_norm_est() + x.op_norm_est() * y.tail_bound
+        kept = corr[:w, :w].copy()
+        corr[:w, :w] = 0
+        discarded = _nuclear_est(corr)
+        fx, nx = _norms(cx) if x_live else (0.0, 0.0)
+        fy, ny = _norms(cy) if y_live else (0.0, 0.0)
+        # op_norm_est of each factor, with the Frobenius norm read once
+        x_norm = phi.l1() + phi.tail + fx + x.tail_bound
+        y_norm = psi.l1() + psi.tail + fy + y.tail_bound
+        tail = (x.tail_bound * y_norm + x_norm * y.tail_bound
                 + discarded
-                + phi.tail * _nuclear_est(y.correction)
-                + _nuclear_est(x.correction) * psi.tail)
-        return ToeplitzOp(phi.mul(psi), corr[:w, :w], w, tail)
+                + phi.tail * ny
+                + nx * psi.tail)
+        return ToeplitzOp(phi.mul(psi), kept, w, tail)
 
     def inv(self) -> "ToeplitzOp":
         """Inverse in E (winding-zero nonvanishing symbol)."""

@@ -175,6 +175,30 @@ class TestMultCommutatorDet:
         v = exp_op(toeplitz(b, 64))
         assert abs(mult_commutator_det(u, v) * mult_commutator_det(v, u) - 1) < 1e-9
 
+    def test_exact_exponential_inverses_match_inv(self):
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            a, b = random_loop(rng), random_loop(rng)
+            u = exp_op(toeplitz(a, 64))
+            v = exp_op(toeplitz(b, 64))
+            via_inv = mult_commutator_det(u, v)
+            exact = mult_commutator_det(u, v, u_inv=exp_op(toeplitz(a.neg(), 64)),
+                                        v_inv=exp_op(toeplitz(b.neg(), 64)))
+            assert abs(exact - via_inv) <= 1e-10 * abs(via_inv)
+            assert abs(exact - cmath.exp(commutator_trace_closed(a, b))) < 1e-8
+
+    def test_exact_inverses_skip_numerical_inverse(self, monkeypatch):
+        a, b = FourierLoop({1: 0.1}), FourierLoop({-1: 0.1})
+        u, v = exp_op(toeplitz(a, 64)), exp_op(toeplitz(b, 64))
+        u_inv, v_inv = exp_op(toeplitz(a.neg(), 64)), exp_op(toeplitz(b.neg(), 64))
+
+        def no_inverse(self):
+            raise AssertionError("ToeplitzOp.inv called")
+
+        monkeypatch.setattr(ToeplitzOp, "inv", no_inverse)
+        val = mult_commutator_det(u, v, u_inv=u_inv, v_inv=v_inv)
+        assert abs(val - cmath.exp(-0.01)) < 1e-9
+
     def test_finite_matrix_blindness(self):
         # the same quantity computed on bare finite sections is exactly 1,
         # which is why corrections are tracked structurally

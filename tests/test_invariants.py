@@ -33,6 +33,7 @@ from fredk2.invariants import (
     w0_representative,
 )
 from fredk2.toeplitz_calculus import (
+    ToeplitzOp,
     commutator_trace_closed,
     coshift_op,
     exp_op,
@@ -251,6 +252,16 @@ class TestDetInvariant:
             want = cmath.exp(commutator_trace_closed(a, b))
             assert abs(det_invariant_operator(sym, window=w) - want) < 1e-8 * abs(want)
             assert abs(direct - want) < 1e-8 * abs(want)
+
+    def test_operator_route_uses_exact_inverses(self, monkeypatch):
+        def no_inverse(self):
+            raise AssertionError("ToeplitzOp.inv called")
+
+        monkeypatch.setattr(ToeplitzOp, "inv", no_inverse)
+        a, b = FourierLoop({1: 0.2, -2: 0.1}), FourierLoop({-1: 0.3})
+        sym = SteinbergSymbol(LoopLog(1, a), LoopLog(-2, b))
+        want = det_invariant_closed(sym)
+        assert abs(det_invariant_operator(sym, window=64) - want) < 1e-8 * abs(want)
 
 
 class TestMultCharacter:

@@ -6,6 +6,7 @@ import pytest
 from fredk2 import InputError, InvariantViolation, NumericalError
 from fredk2.fourier_loops import FourierLoop, pairing_integral
 from fredk2.toeplitz_calculus import (
+    FEW_COEFFS,
     HankelWindow,
     ToeplitzOp,
     coshift_op,
@@ -44,6 +45,23 @@ class TestConstruction:
     def test_window_must_dominate_band(self):
         with pytest.raises(InputError, match="window must dominate band"):
             toeplitz(FourierLoop({4: 1.0}), 8)
+
+    def test_toeplitz_matrix_matches_diagonal_loop(self):
+        def reference(symbol, rows, cols):
+            out = np.zeros((rows, cols), dtype=complex)
+            for k, c in symbol.coeffs.items():
+                idx = np.arange(max(0, k), min(rows, cols + k))
+                out[idx, idx - k] = c
+            return out
+
+        rng = np.random.default_rng(7)
+        for band in (0, 1, 5, 70):
+            sym = random_loop(rng, band=band)
+            for rows, cols in ((0, 3), (3, 0), (1, 1), (5, 9), (9, 5),
+                               (64, 64), (134, 64), (64, 134)):
+                got = toeplitz_matrix(sym, rows, cols)
+                assert np.array_equal(got, reference(sym, rows, cols))
+                assert got.flags.writeable
 
     def test_hankel_entries(self):
         h = HankelWindow(FourierLoop({1: 1.0, 3: 2.0}), 4).matrix
@@ -106,6 +124,111 @@ class TestMul:
         a, b = random_loop(rng), random_loop(rng)
         z = commutator(toeplitz(a, 64), toeplitz(b, 64))
         assert z.symbol.is_zero()
+
+
+def padded_brown_halmos(x, y):
+    """Reference Brown–Halmos product written out densely: corrections
+    zero-padded to the extended window w + band and full ext×ext Toeplitz
+    sections, with the discarded mass bounded by sqrt(rank)·‖·‖_F."""
+
+    def nuclear(block):
+        rank = min(np.count_nonzero(np.abs(block).sum(axis=1)),
+                   np.count_nonzero(np.abs(block).sum(axis=0)))
+        return math.sqrt(rank) * np.linalg.norm(block)
+
+    def op_norm(op):
+        return (op.symbol.l1() + op.symbol.tail
+                + np.linalg.norm(op.correction) + op.tail_bound)
+
+    w = max(x.window, y.window)
+    x, y = x.resized(w), y.resized(w)
+    phi, psi = x.symbol, y.symbol
+    ext = w + max(phi.band, psi.band)
+    hb = min(max(phi.band, psi.band, 1), ext)
+    corr = np.zeros((ext, ext), dtype=complex)
+    corr[:hb, :hb] -= (HankelWindow(phi, hb).matrix
+                       @ HankelWindow(psi.reflect(), hb).matrix)
+    cx = np.zeros((ext, ext), dtype=complex)
+    cx[:w, :w] = x.correction
+    cy = np.zeros((ext, ext), dtype=complex)
+    cy[:w, :w] = y.correction
+    corr += (toeplitz_matrix(phi, ext) @ cy + cx @ toeplitz_matrix(psi, ext)
+             + cx @ cy)
+    spill = corr.copy()
+    spill[:w, :w] = 0
+    tail = (x.tail_bound * op_norm(y) + op_norm(x) * y.tail_bound
+            + nuclear(spill)
+            + phi.tail * nuclear(y.correction)
+            + nuclear(x.correction) * psi.tail)
+    return corr[:w, :w], tail
+
+
+def _live(rng, sym, window, tail=1e-9):
+    corr = 0.1 * (rng.standard_normal((window, window))
+                  + 1j * rng.standard_normal((window, window)))
+    return ToeplitzOp(sym, corr, window, tail)
+
+
+def _p0(window):
+    return identity_op(window).sub(shift_op(window).mul(coshift_op(window)))
+
+
+def _mul_cases():
+    rng = np.random.default_rng(71)
+    tailed = FourierLoop(random_loop(rng, band=3).coeffs, tail=1e-10)
+    e = exp_op(toeplitz(random_loop(rng, band=3, scale=0.2), 64))
+    few = random_loop(rng, band=1)            # three coefficients
+    return {
+        "both_zero": (toeplitz(random_loop(rng, band=3), 64),
+                      ToeplitzOp(tailed, None, 64, 1e-8)),
+        "both_zero_shifts": (shift_op(64), coshift_op(64)),
+        "left_zero": (ToeplitzOp(tailed, None, 64, 1e-8), e),
+        "right_zero": (e, ToeplitzOp(tailed, None, 64, 1e-8)),
+        "left_zero_plain": (toeplitz(random_loop(rng, band=5), 64), e),
+        "both_live": (_live(rng, tailed, 64),
+                      _live(rng, FourierLoop(random_loop(rng).coeffs, tail=2e-10), 64)),
+        "p0_left": (_p0(64), e),
+        "p0_right": (e, _p0(64)),
+        "shift_left": (shift_op(64), e),
+        "shift_right": (e, shift_op(64)),
+        "coshift_left": (coshift_op(64), _live(rng, few, 64)),
+        "coshift_right": (_live(rng, few, 64), coshift_op(64)),
+        "few_coeffs_both": (_live(rng, few, 64), _live(rng, few, 64)),
+        "band_70": (_live(rng, random_loop(rng, band=70, scale=0.01), 64),
+                    _live(rng, random_loop(rng, band=2), 64)),
+        "band_70_right": (_live(rng, random_loop(rng, band=2), 64),
+                          _live(rng, random_loop(rng, band=70, scale=0.01), 64)),
+        "mixed_windows": (_live(rng, random_loop(rng, band=3), 32),
+                          _live(rng, random_loop(rng, band=4), 64)),
+        "mixed_windows_shrink": (_live(rng, random_loop(rng, band=3), 64),
+                                 _live(rng, few, 32)),
+    }
+
+
+MUL_CASES = _mul_cases()
+
+
+class TestMulBlocks:
+    """ToeplitzOp.mul multiplies only nonzero blocks; it must agree with the
+    padded dense Brown–Halmos product in correction and tail bound."""
+
+    @pytest.mark.parametrize("name", sorted(MUL_CASES))
+    def test_matches_padded_reference(self, name):
+        x, y = MUL_CASES[name]
+        corr, tail = padded_brown_halmos(x, y)
+        prod = x.mul(y)
+        assert prod.symbol.coeffs == x.symbol.mul(y.symbol).coeffs
+        assert np.abs(prod.correction - corr).max() <= 1e-12
+        assert abs(prod.tail_bound - tail) <= 1e-12 * max(tail, 1e-300)
+
+    def test_cases_cover_zero_and_few_coefficient_operands(self):
+        x, y = MUL_CASES["both_zero"]
+        assert not x.correction.any() and not y.correction.any()
+        assert MUL_CASES["p0_left"][0].symbol.is_zero()
+        assert MUL_CASES["band_70"][0].symbol.band == 70
+        assert MUL_CASES["band_70"][0].window == 64
+        assert (len(MUL_CASES["few_coeffs_both"][0].symbol.coeffs)
+                <= FEW_COEFFS < len(MUL_CASES["both_live"][1].symbol.coeffs))
 
 
 class TestTrace:
