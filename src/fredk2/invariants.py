@@ -31,7 +31,6 @@ from .toeplitz_calculus import (
     commutator,
     commutator_trace_closed,
     coshift_op,
-    exp_op,
     identity_op,
     mul,
     op_trace,
@@ -228,8 +227,7 @@ def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzO
     representative of the cross part {z, e^c}."""
     s = shift_op(window)
     st = coshift_op(window)
-    e_pos = exp_op(toeplitz(c, window))
-    e_neg = exp_op(toeplitz(c.neg(), window))
+    e_pos, e_neg = toeplitz(c, window).exp_pair()
     p0 = identity_op(window).sub(mul(s, st))
     return mul(mul(mul(s, e_pos), st), e_neg).add(mul(p0, e_neg))
 
@@ -254,11 +252,10 @@ def _operator_route(sym: SteinbergSymbol, window: int, strict: bool):
     if a.is_zero() or b.is_zero():
         helton = 1.0 + 0j
     else:
-        helton = mult_commutator_det(exp_op(toeplitz(a, window)),
-                                     exp_op(toeplitz(b, window)),
-                                     strict=strict,
-                                     u_inv=exp_op(toeplitz(a.neg(), window)),
-                                     v_inv=exp_op(toeplitz(b.neg(), window)))
+        ea, ea_inv = toeplitz(a, window).exp_pair()
+        eb, eb_inv = toeplitz(b, window).exp_pair()
+        helton = mult_commutator_det(ea, eb, strict=strict,
+                                     u_inv=ea_inv, v_inv=eb_inv)
     return _winding_sign(n, m) * cross * helton, rep
 
 
@@ -490,8 +487,7 @@ def _lift_z(pattern: str, window: int):
 
 
 def _lift_exp(pattern: str, c: FourierLoop, window: int):
-    e_pos = exp_op(toeplitz(c, window))
-    e_neg = exp_op(toeplitz(c.neg(), window))
+    e_pos, e_neg = toeplitz(c, window).exp_pair()
     one = identity_op(window)
     if pattern == "d12":
         fwd = Block3.diagonal(e_pos, e_neg, one, window)

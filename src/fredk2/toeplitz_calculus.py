@@ -95,6 +95,31 @@ def _interior_spill_est(corr: np.ndarray, window: int, inner: int) -> float:
     return 2.0 * _nuclear_est(block)
 
 
+def _from_section(sym: FourierLoop, section: np.ndarray, window: int,
+                  inner: int, tail: float) -> "ToeplitzOp":
+    """Operator with symbol ``sym`` read off a dense section of it: the
+    correction is the section minus T_sym, kept on the window, and the
+    tail adds the spill estimated on the first ``inner`` rows/columns,
+    the only part of the section that is read."""
+    inner = min(inner, section.shape[0])
+    corr = section[:inner, :inner] - toeplitz_matrix(sym, inner)
+    tail += _interior_spill_est(corr, window, inner)
+    return ToeplitzOp(sym, corr[:window, :window], window, tail)
+
+
+def _lu(section: np.ndarray):
+    """LU factors of a dense section; NumericalError if it is singular or
+    not finite."""
+    try:
+        lu, piv = scipy.linalg.lu_factor(section)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError("numerically singular") from exc
+    diag = np.abs(np.diag(lu))
+    if diag.min() <= 1e-14 * max(diag.max(), 1.0):
+        raise NumericalError("numerically singular")
+    return lu, piv
+
+
 def _toeplitz_times(symbol: FourierLoop, block: np.ndarray, rows: int) -> np.ndarray:
     """T_φ[:rows, :n] @ block for a block with n rows."""
     n = block.shape[0]
@@ -221,41 +246,44 @@ class ToeplitzOp:
             raise NumericalError("not invertible in E: index obstruction")
         psi = self.symbol.inv()
         w = self.window
-        n_check = w + self.symbol.band
-        sec = self.dense_section(n_check)
-        try:
-            lu, piv = scipy.linalg.lu_factor(sec)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NumericalError("numerically singular") from exc
-        diag = np.abs(np.diag(lu))
-        if diag.min() <= 1e-14 * max(diag.max(), 1.0):
-            raise NumericalError("numerically singular")
+        _lu(self.dense_section(w + self.symbol.band))
 
         # invert on an enlarged section so the boundary layer of the
         # finite-section inverse stays outside the kept window
         big = 2 * w + 2 * max(self.symbol.band, psi.band)
-        sec_big = self.dense_section(big)
         try:
-            inv_big = np.linalg.inv(sec_big)
+            inv_big = np.linalg.inv(self.dense_section(big))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("numerically singular") from exc
-        corr = inv_big - toeplitz_matrix(psi, big)
-        tail = _interior_spill_est(corr, w, (w + big) // 2) \
-            + self.tail_bound * float(np.linalg.norm(inv_big)) ** 2
-        return ToeplitzOp(psi, corr[:w, :w], w, tail)
+        return _from_section(psi, inv_big, w, (w + big) // 2,
+                             self.tail_bound * float(np.linalg.norm(inv_big)) ** 2)
 
     def exp(self) -> "ToeplitzOp":
         """e^{T_φ + C} as symbol e^φ plus correction, via dense scaling
         and squaring on a quarantined section."""
         sym = self.symbol.exp()
-        w = self.window
         quarantine = max(2 * sym.band, 32)
+        big = self.window + quarantine
+        return _from_section(sym, scipy.linalg.expm(self.dense_section(big)),
+                             self.window, self.window + quarantine // 2,
+                             self.tail_bound * math.exp(self.op_norm_est()))
+
+    def exp_pair(self) -> tuple["ToeplitzOp", "ToeplitzOp"]:
+        """(e^{T_φ + C}, e^{−(T_φ + C)}) from one quarantined section X:
+        the section of −(T_φ + C) is exactly −X, so e^{−X} is taken as the
+        inverse of e^X by one LU rather than by a second expm."""
+        sym, sym_neg = self.symbol.exp(), self.symbol.neg().exp()
+        w = self.window
+        quarantine = max(2 * max(sym.band, sym_neg.band), 32)
         big = w + quarantine
         exp_big = scipy.linalg.expm(self.dense_section(big))
-        corr = exp_big - toeplitz_matrix(sym, big)
-        tail = (_interior_spill_est(corr, w, w + quarantine // 2)
-                + self.tail_bound * math.exp(self.op_norm_est()))
-        return ToeplitzOp(sym, corr[:w, :w], w, tail)
+        inner = w + quarantine // 2
+        # only the first inner columns of e^{−X} are read
+        exp_neg_big = scipy.linalg.lu_solve(_lu(exp_big),
+                                            np.eye(big, inner, dtype=complex))
+        tail = self.tail_bound * math.exp(self.op_norm_est())
+        return (_from_section(sym, exp_big, w, inner, tail),
+                _from_section(sym_neg, exp_neg_big, w, inner, tail))
 
     # -- trace ----------------------------------------------------------
 

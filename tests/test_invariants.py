@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fredk2._errors import InputError, InvariantViolation
 from fredk2.cyclic_chains import CyclicChain, tau_cocycle
@@ -262,6 +263,38 @@ class TestDetInvariant:
         sym = SteinbergSymbol(LoopLog(1, a), LoopLog(-2, b))
         want = det_invariant_closed(sym)
         assert abs(det_invariant_operator(sym, window=64) - want) < 1e-8 * abs(want)
+
+    def test_operator_route_builds_each_pair_from_one_expm(self, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted_expm(x):
+            calls.append(x.shape)
+            return expm(x)
+
+        def no_exp(self):
+            raise AssertionError("ToeplitzOp.exp called")
+
+        monkeypatch.setattr(ToeplitzOp, "exp", no_exp)
+        monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+        a, b = FourierLoop({1: 0.2, -2: 0.1}), FourierLoop({-1: 0.3})
+        sym = SteinbergSymbol(LoopLog(1, a), LoopLog(-2, b))
+        # c = n·b − m·a = b + 2a is nonzero, so w0 and both Helton–Howe
+        # exponentials are built
+        assert not b.add(a.scalar_mul(2)).is_zero()
+        want = det_invariant_closed(sym)
+        assert abs(det_invariant_operator(sym, window=64) - want) < 1e-8 * abs(want)
+        assert len(calls) == 3
+
+    def test_h2_route_needs_no_single_exponential(self, monkeypatch):
+        def no_exp(self):
+            raise AssertionError("ToeplitzOp.exp called")
+
+        monkeypatch.setattr(ToeplitzOp, "exp", no_exp)
+        sym = SteinbergSymbol(LoopLog(1, FourierLoop({1: 0.2, -1: 0.1})),
+                              LoopLog(-1, FourierLoop({2: 0.15})))
+        dc = det_invariant_closed(sym)
+        assert abs(h2_representative_det(sym, window=48) - dc) < 1e-9 * abs(dc)
 
 
 class TestMultCharacter:

@@ -379,6 +379,68 @@ class TestInvExp:
         assert np.abs(dev).max() < 1e-10
 
 
+def _exp_pair_cases(window):
+    rng = np.random.default_rng(73)
+    a = random_loop(rng, band=6)
+    a = a.scalar_mul(4.0 / a.l1())
+    corr = np.zeros((window, window), dtype=complex)
+    corr[:16, :16] = 0.05 * (rng.standard_normal((16, 16))
+                             + 1j * rng.standard_normal((16, 16)))
+    return {
+        "pure_l1_4": toeplitz(a, window),
+        "zero_symbol": ToeplitzOp(FourierLoop({}), None, window),
+        "live_tailed": ToeplitzOp(random_loop(rng, band=3, scale=0.1), corr,
+                                  window, 1e-9),
+    }
+
+
+EXP_PAIR_CASES = [(w, name, x) for w in (64, 256)
+                  for name, x in _exp_pair_cases(w).items()]
+
+
+class TestExpPair:
+    """exp_pair builds e^{−X} as the LU inverse of e^X; it must agree with
+    two separate exponentials."""
+
+    @pytest.mark.parametrize("w,name,x", EXP_PAIR_CASES,
+                             ids=[f"{name}-w{w}" for w, name, _ in EXP_PAIR_CASES])
+    def test_matches_two_exponentials(self, w, name, x):
+        pair = x.exp_pair()
+        for got, want in zip(pair, (exp_op(x), exp_op(x.neg()))):
+            assert got.window == want.window == w
+            assert got.symbol.coeffs == want.symbol.coeffs
+            assert got.symbol.tail == want.symbol.tail
+            assert np.abs(got.correction - want.correction).max() <= 1e-13
+            assert 0.0 <= got.tail_bound < math.inf
+
+    def test_cases_cover_zero_and_live_operands(self):
+        cases = _exp_pair_cases(64)
+        assert abs(cases["pure_l1_4"].symbol.l1() - 4.0) < 1e-12
+        assert cases["pure_l1_4"].symbol.band == 6
+        assert cases["zero_symbol"].symbol.is_zero()
+        live = cases["live_tailed"]
+        assert live.correction.any() and live.tail_bound > 0
+        e_pos, e_neg = live.exp_pair()
+        assert e_pos.tail_bound > 0 and e_neg.tail_bound > 0
+
+    def test_pair_is_inverse(self):
+        x = _exp_pair_cases(64)["pure_l1_4"]
+        e_pos, e_neg = x.exp_pair()
+        resid = e_pos.mul(e_neg).sub(identity_op(64))
+        assert resid.symbol.l1() < 1e-12
+        assert np.abs(resid.correction).max() < 1e-10
+
+    # e^{800} overflows to a non-finite section, e^{−800} underflows to a
+    # singular one
+    @pytest.mark.parametrize("entry", [800.0, -800.0])
+    @pytest.mark.filterwarnings("ignore")
+    def test_bad_section_rejected(self, entry):
+        corr = np.zeros((16, 16), dtype=complex)
+        corr[0, 0] = entry
+        with pytest.raises(NumericalError, match="singular"):
+            ToeplitzOp(FourierLoop({}), corr, 16).exp_pair()
+
+
 class TestSerialization:
     def test_dump_roundtrip_fields(self):
         x = shift_op(8).mul(coshift_op(8))
