@@ -35,6 +35,11 @@ DEFAULT_WINDOW = 256
 # Symbols with at most this many coefficients (S, S*, 1, 0) are applied
 # to a block as shifted row or column slices rather than a dense product.
 FEW_COEFFS = 4
+# Largest 1-norm condition number of e^X at which exp_pair inverts e^X by
+# LU: the inverse's error grows like cond(e^X)·ε, and up to 1e3 it stays
+# within about 1e-13 relative and its interior-spill tail within a factor
+# of ten of a second expm's.
+EXP_PAIR_MAX_COND = 1e3
 
 
 def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> np.ndarray:
@@ -107,17 +112,11 @@ def _from_section(sym: FourierLoop, section: np.ndarray, window: int,
     return ToeplitzOp(sym, corr[:window, :window], window, tail)
 
 
-def _lu(section: np.ndarray):
-    """LU factors of a dense section; NumericalError if it is singular or
-    not finite."""
-    try:
-        lu, piv = scipy.linalg.lu_factor(section)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError("numerically singular") from exc
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-14 * max(diag.max(), 1.0):
-        raise NumericalError("numerically singular")
-    return lu, piv
+def _finite(section: np.ndarray) -> np.ndarray:
+    """The section itself; NumericalError if it has overflowed."""
+    if not np.isfinite(section).all():
+        raise NumericalError("exponential overflows")
+    return section
 
 
 def _toeplitz_times(symbol: FourierLoop, block: np.ndarray, rows: int) -> np.ndarray:
@@ -246,7 +245,13 @@ class ToeplitzOp:
             raise NumericalError("not invertible in E: index obstruction")
         psi = self.symbol.inv()
         w = self.window
-        _lu(self.dense_section(w + self.symbol.band))
+        try:
+            lu, _ = scipy.linalg.lu_factor(self.dense_section(w + self.symbol.band))
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise NumericalError("numerically singular") from exc
+        diag = np.abs(np.diag(lu))
+        if diag.min() <= 1e-14 * max(diag.max(), 1.0):
+            raise NumericalError("numerically singular")
 
         # invert on an enlarged section so the boundary layer of the
         # finite-section inverse stays outside the kept window
@@ -269,18 +274,26 @@ class ToeplitzOp:
                              self.tail_bound * math.exp(self.op_norm_est()))
 
     def exp_pair(self) -> tuple["ToeplitzOp", "ToeplitzOp"]:
-        """(e^{T_φ + C}, e^{−(T_φ + C)}) from one quarantined section X:
-        the section of −(T_φ + C) is exactly −X, so e^{−X} is taken as the
-        inverse of e^X by one LU rather than by a second expm."""
+        """(e^{T_φ + C}, e^{−(T_φ + C)}) from one quarantined section X.
+        The section of −(T_φ + C) is exactly −X, so e^{−X} is the inverse
+        of e^X: it is taken by one LU of e^X while e^X is well conditioned
+        (EXP_PAIR_MAX_COND), and by a second expm past that."""
         sym, sym_neg = self.symbol.exp(), self.symbol.neg().exp()
         w = self.window
         quarantine = max(2 * max(sym.band, sym_neg.band), 32)
         big = w + quarantine
-        exp_big = scipy.linalg.expm(self.dense_section(big))
         inner = w + quarantine // 2
-        # only the first inner columns of e^{−X} are read
-        exp_neg_big = scipy.linalg.lu_solve(_lu(exp_big),
-                                            np.eye(big, inner, dtype=complex))
+        section = self.dense_section(big)
+        exp_big = _finite(scipy.linalg.expm(section))
+        lu, piv = scipy.linalg.lu_factor(exp_big, check_finite=False)
+        gecon, = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))
+        rcond, _ = gecon(lu, np.abs(exp_big).sum(axis=0).max())
+        if rcond * EXP_PAIR_MAX_COND >= 1.0:
+            # only the first inner columns of e^{−X} are read
+            exp_neg_big = scipy.linalg.lu_solve(
+                (lu, piv), np.eye(big, inner, dtype=complex), check_finite=False)
+        else:
+            exp_neg_big = _finite(scipy.linalg.expm(-section))
         tail = self.tail_bound * math.exp(self.op_norm_est())
         return (_from_section(sym, exp_big, w, inner, tail),
                 _from_section(sym_neg, exp_neg_big, w, inner, tail))

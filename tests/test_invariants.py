@@ -286,6 +286,21 @@ class TestDetInvariant:
         assert abs(det_invariant_operator(sym, window=64) - want) < 1e-8 * abs(want)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("sym", [
+        # alpha = 10·z, beta = z^15: c = −15·ln 10, e^{T_c} = 1e-15·I
+        SteinbergSymbol(LoopLog(1, FourierLoop({0: math.log(10.0)})),
+                        LoopLog(15, zero_loop())),
+        SteinbergSymbol(LoopLog(1, zero_loop()), LoopLog(0, FourierLoop({0: -34.5}))),
+        # l1 8, real part spanning [−8, 4.5]: e^{T_c} is ill conditioned
+        SteinbergSymbol(LoopLog(1, zero_loop()),
+                        LoopLog(0, FourierLoop({-2: 2.0, -1: 2.0, 1: 2.0, 2: 2.0}))),
+        SteinbergSymbol(LoopLog(0, FourierLoop({-1: 4j, 1: 4.0})),
+                        LoopLog(0, FourierLoop({1: 0.2}))),
+    ], ids=["constant_c_1e-15", "constant_c_-34.5", "cross_l1_8", "helton_howe_l1_8"])
+    def test_operator_route_at_large_exponents(self, sym):
+        want = det_invariant_closed(sym)
+        assert abs(det_invariant_operator(sym, window=64) - want) < 1e-8 * abs(want)
+
     def test_h2_route_needs_no_single_exponential(self, monkeypatch):
         def no_exp(self):
             raise AssertionError("ToeplitzOp.exp called")
