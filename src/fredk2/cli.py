@@ -268,13 +268,13 @@ def _sample_cycles(hom, samples, rng):
     boundary of a random 3-chain, mirroring the exactness argument."""
     target = hom.target
     basis = gh.cycle_basis(target, 2)
+    cells = gh._all_cells(target, 3)
     cycles = []
     for _ in range(samples):
         cyc = gh.GroupChain(target, 2)
         for chain in basis:
             cyc = cyc.add(chain.scale(int(rng.integers(-2, 3))))
         extra = gh.GroupChain(target, 3)
-        cells = gh._all_cells(target, 3)
         for _ in range(3):
             cell = cells[int(rng.integers(len(cells)))]
             extra.add_cell(cell, int(rng.integers(-2, 3)))

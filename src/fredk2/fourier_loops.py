@@ -193,10 +193,15 @@ def fit_grid_values(values: np.ndarray) -> FourierLoop:
     roundoff of order eps·max|values| at every frequency, and keeping
     that junk would inflate the band to the whole spectrum.
     """
+    return _fit_spectrum(values, np.abs(values).max())
+
+
+def _fit_spectrum(values: np.ndarray, scale: float) -> FourierLoop:
+    """``fit_grid_values`` with the roundoff cutoff 8·eps·scale."""
     n = len(values)
     spec = np.fft.fft(values) / n
     cap = max_band()
-    cutoff = max(COEFF_CUTOFF, 8 * np.finfo(float).eps * np.abs(values).max())
+    cutoff = max(COEFF_CUTOFF, 8 * np.finfo(float).eps * scale)
     out = {}
     dropped = [0.0]
     for k in range(-(n // 2), n // 2):
@@ -275,7 +280,10 @@ def log_split(loop: FourierLoop) -> "LoopLog":
     steps = _phase_steps(g)
     phase = np.angle(g[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
     a_vals = np.log(np.abs(g)) + 1j * phase
-    a = fit_grid_values(a_vals)
+    # log|g| and arg g carry absolute roundoff of about eps whatever their
+    # size, so the cutoff's scale is floored at 1: for g = zⁿ the values are
+    # roundoff alone and would otherwise fill the whole spectrum.
+    a = _fit_spectrum(a_vals, max(1.0, np.abs(a_vals).max()))
     result = LoopLog(n_wind, a)
     recon = result.reconstruct().eval_grid(GRID)
     err = np.abs(recon - loop.eval_grid(GRID)).max()

@@ -10,10 +10,17 @@ phi: G -> H with a set-theoretic section t:
   * the boundary / section map sending a 2-cycle x over H to the class
     f_phi(x) in ker(phi) modulo commutators [g, k].
 
+H_n is read off the boundary D_{n+1}, built sparse from the multiplication
+table: its +-1 pivots are eliminated exactly (Dumas-Saunders-Villard) and
+only the small residual goes through the Smith normal form.  The bar
+complex is the unnormalized one throughout.
+
 All arithmetic is exact (python ints).  Groups are given by index tables;
 elements are indices 0..order-1.
 """
 
+import heapq
+import itertools
 import json
 
 import numpy as np
@@ -288,20 +295,19 @@ class GroupHom:
         """Image chain phi_*: apply the map to every tuple coordinate."""
         if chain.group is not self.source:
             raise InputError("chain group does not match homomorphism source")
-        out = GroupChain(self.target, chain.degree)
-        for cell, z in chain.coeffs.items():
-            out.add_cell(tuple(self.mapping[g] for g in cell), z)
-        return out
+        m = self.mapping
+        return _summed_chain(self.target, chain.degree,
+                             ((tuple(m[g] for g in cell), z)
+                              for cell, z in chain.coeffs.items()))
 
     def lift(self, chain):
         """Section lift t_*: apply the section to every tuple coordinate."""
         if chain.group is not self.target:
             raise InputError("chain group does not match homomorphism target")
         sec = self.section_table()
-        out = GroupChain(self.source, chain.degree)
-        for cell, z in chain.coeffs.items():
-            out.add_cell(tuple(sec[h] for h in cell), z)
-        return out
+        return _summed_chain(self.source, chain.degree,
+                             ((tuple(sec[h] for h in cell), z)
+                              for cell, z in chain.coeffs.items()))
 
     def to_json(self):
         data = {"map": self.mapping}
@@ -354,16 +360,14 @@ class GroupChain:
     def add(self, other):
         if other.group is not self.group or other.degree != self.degree:
             raise InputError("chain mismatch in addition")
-        out = GroupChain(self.group, self.degree, self.coeffs)
-        for cell, z in other.coeffs.items():
-            out.add_cell(cell, z)
-        return out
+        return _summed_chain(self.group, self.degree,
+                             itertools.chain(self.coeffs.items(), other.coeffs.items()))
 
     def scale(self, z):
-        out = GroupChain(self.group, self.degree)
-        for cell, c in self.coeffs.items():
-            out.add_cell(cell, z * c)
-        return out
+        if not isinstance(z, int):
+            raise InputError("chain coefficients must be integers")
+        return _summed_chain(self.group, self.degree,
+                             ((cell, z * c) for cell, c in self.coeffs.items()))
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -391,6 +395,31 @@ class GroupChain:
         return "GroupChain(deg=%d: %s)" % (self.degree, " ".join(parts) or "0")
 
 
+def _summed_chain(group, degree, terms):
+    """Chain summing (cell, coefficient) terms whose cells are already known
+    to be valid (taken from a checked chain, the group table or a checked
+    hom), so nothing is re-checked.  Zero sums are dropped."""
+    sums = {}
+    get = sums.get
+    for cell, z in terms:
+        sums[cell] = get(cell, 0) + z
+    out = GroupChain(group, degree)
+    out.coeffs = {cell: z for cell, z in sums.items() if z}
+    return out
+
+
+def _bar_terms(cell, mul):
+    """(face, sign) terms of the bar boundary of one cell,
+    d(g_1,...,g_n) = (g_2,...,g_n) + sum_i (-1)^i (g_1,...,g_i g_{i+1},...,g_n)
+    + (-1)^n (g_1,...,g_{n-1}), with mul(a, b) the product."""
+    yield cell[1:], 1
+    sgn = 1
+    for i in range(len(cell) - 1):
+        sgn = -sgn
+        yield cell[:i] + (mul(cell[i], cell[i + 1]),) + cell[i + 2:], sgn
+    yield cell[:-1], -sgn
+
+
 def bar_boundary(chain):
     """Bar-complex boundary d(g_1,...,g_n) =
     (g_2,...,g_n) + sum_i (-1)^i (g_1,...,g_i g_{i+1},...,g_n)
@@ -398,20 +427,10 @@ def bar_boundary(chain):
     """
     if chain.degree == 0:
         raise InputError("degree-0 chains have no boundary")
-    out = GroupChain(chain.group, chain.degree - 1)
-    if chain.degree == 1:
-        return out
     op = chain.group.op
-    n = chain.degree
-    for cell, z in chain.coeffs.items():
-        out.add_cell(cell[1:], z)
-        sgn = 1
-        for i in range(n - 1):
-            sgn = -sgn
-            merged = cell[:i] + (op(cell[i], cell[i + 1]),) + cell[i + 2:]
-            out.add_cell(merged, sgn * z)
-        out.add_cell(cell[:-1], -sgn * z)
-    return out
+    return _summed_chain(chain.group, chain.degree - 1,
+                         ((face, sgn * z) for cell, z in chain.coeffs.items()
+                          for face, sgn in _bar_terms(cell, op)))
 
 
 def _all_cells(group, degree):
@@ -421,18 +440,94 @@ def _all_cells(group, degree):
     return cells
 
 
-def boundary_matrix(group, degree):
-    """Matrix of the bar boundary C_degree -> C_{degree-1} in the lexicographic
-    cell basis, as a numpy object array of python ints."""
+def _boundary_columns(group, degree):
+    """Columns of the bar boundary C_degree -> C_{degree-1} as sparse dicts
+    {row: coefficient} over the lexicographic cell bases, with those bases."""
     rows = _all_cells(group, degree - 1)
     cols = _all_cells(group, degree)
     index = {c: i for i, c in enumerate(rows)}
+    columns = []
+    for cell in cols:
+        col = {}
+        for face, sgn in _bar_terms(cell, group.op):
+            i = index[face]
+            col[i] = col.get(i, 0) + sgn
+        columns.append({i: z for i, z in col.items() if z})
+    return columns, rows, cols
+
+
+def boundary_matrix(group, degree):
+    """Matrix of the bar boundary C_degree -> C_{degree-1} in the lexicographic
+    cell basis, as a numpy object array of python ints."""
+    columns, rows, cols = _boundary_columns(group, degree)
     mat = np.zeros((len(rows), len(cols)), dtype=object)
-    for j, cell in enumerate(cols):
-        b = bar_boundary(GroupChain(group, degree, {cell: 1}))
-        for c, z in b.coeffs.items():
-            mat[index[c], j] += z
+    for j, col in enumerate(columns):
+        for i, z in col.items():
+            mat[i, j] = z
     return mat, rows, cols
+
+
+def _reduced_boundary(group, degree):
+    """The bar boundary D = D_degree with its +-1 pivots eliminated exactly.
+
+    A pivot D[r, c] = +-1 is cleared from the rest of row r by column
+    operations; then Z^rows / im D = Z^(rows - r) / im D', with D' the
+    matrix left without row r and column c.  The pivot is taken from the
+    shortest live column (a heap with lazy re-push) and in it from the
+    shortest row, to limit fill-in.  Columns that repeat another up to
+    sign are dropped from the residual; the column lattice is unchanged.
+
+    Returns (pivots, residual, cells): the number of pivots, the residual
+    as a dense object array, and the (degree-1)-cells labelling its rows.
+    """
+    columns, faces, _cells = _boundary_columns(group, degree)
+    rows = [set() for _ in faces]
+    for j, col in enumerate(columns):
+        for i in col:
+            rows[i].add(j)
+    heap = [(len(col), j) for j, col in enumerate(columns) if col]
+    heapq.heapify(heap)
+    pivot_rows = set()
+    while heap:
+        size, j = heapq.heappop(heap)
+        col = columns[j]
+        if size != len(col):
+            continue  # stale: the column changed and was pushed again
+        units = [i for i, z in col.items() if z in (1, -1)]
+        if not units:
+            continue  # parked; an update that changes it pushes it again
+        r = min(units, key=lambda i: (len(rows[i]), i))
+        p = col[r]
+        for k in sorted(rows[r] - {j}):
+            other = columns[k]
+            f = other[r] * p
+            for i, z in col.items():
+                v = other.get(i, 0) - f * z
+                if v:
+                    other[i] = v
+                    rows[i].add(k)
+                else:
+                    del other[i]
+                    rows[i].discard(k)
+            heapq.heappush(heap, (len(other), k))
+        for i in col:
+            rows[i].discard(j)
+        columns[j] = {}
+        pivot_rows.add(r)
+    kept = [i for i in range(len(faces)) if i not in pivot_rows]
+    position = {i: a for a, i in enumerate(kept)}
+    unique = {}
+    for col in columns:
+        if col:
+            key = tuple(sorted(col.items()))
+            if key[0][1] < 0:
+                key = tuple((i, -z) for i, z in key)
+            unique.setdefault(key, None)
+    residual = np.zeros((len(kept), len(unique)), dtype=object)
+    for j, key in enumerate(unique):
+        for i, z in key:
+            residual[position[i], j] = z
+    return len(pivot_rows), residual, [faces[i] for i in kept]
 
 
 def smith_normal_form(mat):
@@ -543,22 +638,6 @@ def snf_divisors(S):
     return out
 
 
-def _solve_integer(K, B):
-    """Exact solution X of K X = B for K whose columns span a direct summand
-    of the ambient lattice.  Raises if B is not in the column span."""
-    S, U, V, _Uinv, _Vinv = smith_normal_form(K)
-    k = K.shape[1]
-    divisors = snf_divisors(S)
-    if len(divisors) != k or any(d != 1 for d in divisors):
-        raise InvariantViolation("kernel basis is not a direct summand")
-    # S = U K V with unit divisors:  K X = B  <=>  (V^{-1} X)_i = (U B)_i
-    # for i < k, and the remaining rows of U B must vanish.
-    T = U.dot(B)
-    if any(T[i, j] != 0 for i in range(k, K.shape[0]) for j in range(B.shape[1])):
-        raise InvariantViolation("boundary image escapes the kernel lattice")
-    return V.dot(T[:k, :])
-
-
 class HomologyResult:
     """Rank, torsion invariants and (for torsion) an explicit generating cycle."""
 
@@ -592,59 +671,42 @@ def homology(group, degree):
         raise InputError("group too large for degree")
     if degree == 0:
         return HomologyResult(group, 0, 1, [], None, [])
-    if degree == 1:
-        # the degree-1 boundary is the zero map, so cycles are all of C_1
-        # and H_1 is presented by the degree-2 boundary directly
-        D2, _, _cells2 = boundary_matrix(group, 2)
-        S2, _U2, _V2, Uinv2, _Vinv2 = smith_normal_form(D2)
-        divisors = snf_divisors(S2)
-        rank = group.order - len(divisors)
-        torsion = [d for d in divisors if d > 1]
-        generator = None
-        if torsion:
-            jt = divisors.index(torsion[0])
-            generator = _vector_to_chain(group, 1, Uinv2[:, jt])
-        return HomologyResult(group, 1, rank, torsion, generator, divisors)
-    # degree == 2: cycles from the kernel basis of D_2, relations from D_3
-    D2, _, _cells2 = boundary_matrix(group, 2)
-    S, _U, V, _Uinv, _Vinv = smith_normal_form(D2)
-    r = len(snf_divisors(S))
-    kernel_basis = np.array(V[:, r:], dtype=object)
-    kdim = kernel_basis.shape[1]
-    D3, _, _cells3 = boundary_matrix(group, 3)
-    X = _solve_integer(kernel_basis, D3)
-    SX, _UX, _VX, UinvX, _VinvX = smith_normal_form(X)
-    divisors = snf_divisors(SX)
-    rank = kdim - len(divisors)
+    # H_n = ker D_n / im D_{n+1}.  ker D_n is a direct summand of C_n
+    # containing im D_{n+1}, so coker D_{n+1} = C_n / ker D_n (+) H_n and
+    # D_{n+1} has the divisors of any presentation of H_n.  A torsion class
+    # u of coker D_{n+1} is a cycle: d u in im D_{n+1} gives d D_n u = 0.
+    pivots, residual, cells = _reduced_boundary(group, degree + 1)
+    S, _U, _V, Uinv, _Vinv = smith_normal_form(residual)
+    reduced = snf_divisors(S)
+    divisors = [1] * pivots + reduced
+    rank = group.order ** degree - _boundary_rank(group, degree) - len(divisors)
     torsion = [d for d in divisors if d > 1]
     generator = None
     if torsion:
-        jt = divisors.index(torsion[0])
-        vec = kernel_basis.dot(UinvX[:, jt])
-        generator = _vector_to_chain(group, 2, vec)
-    return HomologyResult(group, 2, rank, torsion, generator, divisors)
+        jt = reduced.index(torsion[0])
+        generator = _vector_to_chain(group, degree, cells, Uinv[:, jt])
+    return HomologyResult(group, degree, rank, torsion, generator, divisors)
 
 
-def _vector_to_chain(group, degree, vec):
-    cells = _all_cells(group, degree)
-    out = GroupChain(group, degree)
-    for i, cell in enumerate(cells):
-        if vec[i]:
-            out.add_cell(cell, int(vec[i]))
-    return out
+def _boundary_rank(group, degree):
+    pivots, residual, _cells = _reduced_boundary(group, degree)
+    return pivots + len(snf_divisors(smith_normal_form(residual)[0]))
+
+
+def _vector_to_chain(group, degree, cells, vec):
+    return _summed_chain(group, degree,
+                         ((cell, int(z)) for cell, z in zip(cells, vec) if z))
 
 
 def cycle_basis(group, degree):
     """Integer basis of the degree-cycles, as a list of GroupChain."""
     if group.order ** degree > MAX_BAR_CELLS:
         raise InputError("group too large for degree")
-    D, _, _cols = boundary_matrix(group, degree)
+    D, _, cells = boundary_matrix(group, degree)
     S, _U, V, _Uinv, _Vinv = smith_normal_form(D)
     r = len(snf_divisors(S))
-    basis = []
-    for j in range(r, V.shape[1]):
-        basis.append(_vector_to_chain(group, degree, V[:, j]))
-    return basis
+    return [_vector_to_chain(group, degree, cells, V[:, j])
+            for j in range(r, V.shape[1])]
 
 
 class KernelQuotient:

@@ -41,6 +41,7 @@ from .toeplitz_calculus import (
 )
 from .fredholm import det1p, mult_commutator_det
 from .cyclic_chains import Block2, CyclicChain
+from .group_homology import _bar_terms
 
 TWO_PI = 2.0 * math.pi
 
@@ -386,13 +387,8 @@ class LabelChain:
             raise InputError("degree-0 chains have no boundary")
         out = LabelChain(self.degree - 1)
         for cell, co in self.coeffs.items():
-            out.add_cell(cell[1:], co)
-            sign = -1
-            for i in range(len(cell) - 1):
-                merged = cell[:i] + (cell[i].mul(cell[i + 1]),) + cell[i + 2:]
-                out.add_cell(merged, sign * co)
-                sign = -sign
-            out.add_cell(cell[:-1], sign * co)
+            for face, sign in _bar_terms(cell, lambda a, b: a.mul(b)):
+                out.add_cell(face, sign * co)
         return out
 
 

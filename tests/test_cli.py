@@ -65,6 +65,17 @@ class TestSymbolCommand:
             assert abs(report["values"][method][0] - want) < 1e-8
         assert report["discrepancies"]["closed_vs_operator"] < 1e-8
 
+    def test_pure_power_loop(self, runner, tmp_path):
+        # {z², z} = {z, z}² = 1
+        z2 = write_loop(tmp_path / "z2.json", FourierLoop({2: 1.0}))
+        res = runner.invoke(main, ["symbol", z2, z_file(tmp_path), "--window", "64"])
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        for method in ("closed", "integral", "operator"):
+            re_part, im_part = report["values"][method]
+            assert abs(re_part - 1.0) < 1e-8 and abs(im_part) < 1e-8
+        assert report["within_tolerance"] is True
+
     def test_single_method_no_discrepancies(self, runner, tmp_path):
         zf = z_file(tmp_path)
         res = runner.invoke(main, ["symbol", zf, zf, "--method", "closed"])

@@ -117,6 +117,14 @@ class TestLogSplit:
             theta = 2 * np.pi * np.arange(512) / 512
             assert np.abs(recon.eval(theta) - loop.eval(theta)).max() < 1e-10
 
+    @pytest.mark.parametrize("k", [2, 5, 15, -3])
+    def test_pure_power(self, k):
+        # the log part is roundoff alone and must not fill the spectrum
+        ll = log_split(z_loop(k))
+        assert ll.winding == k
+        assert ll.log_part.band <= 1
+        assert ll.log_part.l1() + ll.log_part.tail < 1e-12
+
     def test_branch_at_zero(self):
         # a0 with large imaginary part comes back shifted into (-π, π]
         a = FourierLoop({0: 4.0j})

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from fredk2 import group_homology
 from fredk2._errors import InputError, InvariantViolation
 from fredk2.group_homology import (
     CokerChain,
@@ -464,3 +467,154 @@ class TestMainEquality:
         rhs = psi(coker_representative(boundary_to_relative(gen, hom), hom))
         assert lhs == rhs == 1
         assert hom.source.labels[lhs] == "-1"
+
+
+def _product(*factors):
+    group = factors[0]
+    for other in factors[1:]:
+        group = FiniteGroup.direct_product(group, other)
+    return group
+
+
+def _z(n):
+    return FiniteGroup.cyclic(n)
+
+
+def _quaternion16():
+    """<a, b | a^8, b^2 = a^4, b a b^-1 = a^-1>; index k is a^k, 8 + k is a^k b."""
+    def mul(x, y):
+        i, j = x % 8, y % 8
+        if x < 8:
+            return (i + j) % 8 + (8 if y >= 8 else 0)
+        return (i - j + (4 if y >= 8 else 0)) % 8 + (0 if y >= 8 else 8)
+    return FiniteGroup([[mul(x, y) for y in range(16)] for x in range(16)], name="Q16")
+
+
+# One group of each isomorphism type of order <= 8.
+SMALL_GROUPS = {
+    "Z1": lambda: _z(1),
+    "Z2": lambda: _z(2),
+    "Z3": lambda: _z(3),
+    "Z4": lambda: _z(4),
+    "Z2xZ2": lambda: _product(_z(2), _z(2)),
+    "Z5": lambda: _z(5),
+    "Z6": lambda: _z(6),
+    "S3": lambda: FiniteGroup.dihedral(3),
+    "Z7": lambda: _z(7),
+    "Z8": lambda: _z(8),
+    "Z2xZ4": lambda: _product(_z(2), _z(4)),
+    "Z2^3": lambda: _product(_z(2), _z(2), _z(2)),
+    "D4": lambda: FiniteGroup.dihedral(4),
+    "Q8": lambda: FiniteGroup.quaternion(),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_snf(name, degree):
+    """Dense Smith form of the bar boundary D_degree: (U, divisors)."""
+    D, _, _ = boundary_matrix(SMALL_GROUPS[name](), degree)
+    S, U, _V, _Uinv, _Vinv = smith_normal_form(D)
+    return U, snf_divisors(S)
+
+
+def _in_image(name, degree, vec):
+    """Whether an integer vector over the (degree-1)-cells lies in im D_degree."""
+    U, divisors = _dense_snf(name, degree)
+    w = U.dot(np.array(vec, dtype=object))
+    return (all(w[i] % d == 0 for i, d in enumerate(divisors))
+            and all(w[i] == 0 for i in range(len(divisors), len(w))))
+
+
+def _cell_vector(group, degree, chain):
+    return [chain.coeffs.get(c, 0) for c in group_homology._all_cells(group, degree)]
+
+
+class TestSparseHomology:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_matches_dense_reference(self, name, degree):
+        group = SMALL_GROUPS[name]()
+        divisors = _dense_snf(name, degree + 1)[1]
+        rank_in = len(_dense_snf(name, degree)[1]) if degree == 2 else 0
+        h = homology(group, degree)
+        assert h.presentation_divisors == divisors
+        assert h.torsion == [d for d in divisors if d > 1]
+        assert h.rank == group.order ** degree - rank_in - len(divisors)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_generator_has_exact_order(self, name, degree):
+        group = SMALL_GROUPS[name]()
+        h = homology(group, degree)
+        if not h.torsion:
+            assert h.generator is None
+            return
+        gen = h.generator
+        assert bar_boundary(gen).is_zero()
+        d = h.torsion[0]
+        vec = _cell_vector(group, degree, gen)
+        assert _in_image(name, degree + 1, [d * z for z in vec])
+        for p in sympy.primefactors(d):
+            assert not _in_image(name, degree + 1, [d // p * z for z in vec])
+
+    @pytest.mark.parametrize("make, torsion", [
+        (lambda: FiniteGroup.dihedral(6), [2]),
+        (lambda: _product(_z(2), _z(6)), [2]),
+        (lambda: _product(_z(2), _z(8)), [2]),
+        (lambda: _product(_z(2), FiniteGroup.dihedral(4)), [2, 2, 2]),
+        (lambda: _product(_z(4), _z(4)), [4]),
+        (lambda: FiniteGroup.dihedral(8), [2]),
+        (lambda: _product(_z(2), _z(2), _z(2), _z(2)), [2] * 6),
+        (_quaternion16, []),
+    ], ids=["D6", "Z2xZ6", "Z2xZ8", "Z2xD4", "Z4xZ4", "D8", "Z2^4", "Q16"])
+    def test_schur_multipliers_order_12_and_16(self, make, torsion):
+        h = homology(make(), 2)
+        assert h.rank == 0 and h.torsion == torsion
+        if torsion:
+            assert bar_boundary(h.generator).is_zero()
+            assert not h.generator.is_zero()
+        else:
+            assert h.generator is None
+
+    def test_size_guard_raises_before_building(self, monkeypatch):
+        def no_boundary(*_args):
+            raise AssertionError("boundary built past the size guard")
+
+        monkeypatch.setattr(group_homology, "_bar_terms", no_boundary)
+        with pytest.raises(InputError, match="group too large for degree"):
+            homology(FiniteGroup.cyclic(17), 2)
+        with pytest.raises(InputError, match="group too large for degree"):
+            homology(FiniteGroup.cyclic(65), 1)
+
+    def test_boundary_matrix_matches_bar_boundary(self):
+        s3 = FiniteGroup.dihedral(3)
+        D, rows, cols = boundary_matrix(s3, 3)
+        index = {c: i for i, c in enumerate(rows)}
+        for j, cell in enumerate(cols):
+            col = [0] * len(rows)
+            for face, z in bar_boundary(GroupChain(s3, 3, {cell: 1})).coeffs.items():
+                col[index[face]] = z
+            assert list(D[:, j]) == col
+
+
+class TestChainArithmeticChecks:
+    def test_scale_rejects_non_integers(self):
+        c = GroupChain(FiniteGroup.cyclic(3), 1, {(1,): 2})
+        with pytest.raises(InputError, match="integers"):
+            c.scale(0.5)
+        assert c.scale(0).is_zero()
+        assert c.scale(-3).coeffs == {(1,): -6}
+
+    def test_add_rejects_mismatch(self):
+        z3 = FiniteGroup.cyclic(3)
+        with pytest.raises(InputError, match="mismatch"):
+            GroupChain(z3, 1).add(GroupChain(z3, 2))
+        with pytest.raises(InputError, match="mismatch"):
+            GroupChain(z3, 1).add(GroupChain(FiniteGroup.cyclic(3), 1))
+
+    def test_results_drop_cancelled_cells(self):
+        hom = builtin_catalog()["Z4->Z2"]
+        c = GroupChain(hom.source, 1, {(1,): 1, (3,): -1, (2,): 4})
+        assert hom.push(c).coeffs == {(0,): 4}
+        assert hom.lift(hom.push(c)).coeffs == {(0,): 4}
+        assert c.add(c.scale(-1)).coeffs == {}

@@ -82,6 +82,11 @@ class TestSteinbergSymbol:
         assert alpha.sub(sym.u.reconstruct()).l1() < 1e-12
         assert beta.sub(sym.v.reconstruct()).l1() < 1e-12
 
+    def test_from_loops_pure_powers(self):
+        sym = SteinbergSymbol.from_loops(FourierLoop({2: 1.0}), FourierLoop({1: 1.0}))
+        assert (sym.u.winding, sym.v.winding) == (2, 1)
+        assert abs(det_invariant_closed(sym) - 1.0) < 1e-12
+
     def test_swap(self):
         sym = SteinbergSymbol(LoopLog(1, zero_loop()), LoopLog(2, FourierLoop({1: 0.1})))
         sw = sym.swap()
