@@ -5,7 +5,9 @@ boundary dN whose zeroth face is right-translated back to the base point,
 the logarithm gamma_log sending a simplex to a cyclic chain, the cyclic
 operators b and t with the symmetrization projector, the odd cocycles
 tau_{2p-1} on 2x2 block algebras, and the relative logarithm tilde_gamma
-of a pair of paths whose pointwise difference is trace class.
+of a pair of paths whose pointwise difference is trace class.  BlockOp is
+the one n x n block element type, for the 2x2 algebras here and the 3x3
+stabilized lifts in invariants.
 
 Degree-0 chains are formal sums of group elements; the boundary of a
 1-simplex is -sigma(0) + sigma(1)sigma(1)^{-1}, which vanishes for based
@@ -21,9 +23,10 @@ against that convention.
 import math
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from ._errors import InputError, InvariantViolation, NumericalError
+from .fredholm import endpoint_check, gl_adaptive, gl_nodes, gl_sum
+from .toeplitz_calculus import zero_op
 
 LINE_ORDER = 32
 LINE_MAX_ORDER = 512
@@ -32,11 +35,6 @@ TRI_MAX_ORDER = 128
 LINE_TOL = 1e-11
 TRI_TOL = 1e-9
 CHAIN_TOL = 1e-10
-
-
-def _gl_unit(order):
-    x, w = roots_legendre(order)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _is_mat(x):
@@ -308,52 +306,9 @@ def cyclic_b(c):
     return CyclicChain(q - 1, out)
 
 
-def _line_matrix_integral(fn, tol=LINE_TOL):
-    """Adaptive Gauss-Legendre integral of a matrix-valued function on
-    [0, 1]."""
-
-    def at_order(order):
-        nodes, weights = _gl_unit(order)
-        total = None
-        for t, w in zip(nodes, weights):
-            piece = w * fn(float(t))
-            total = piece if total is None else total + piece
-        return total
-
-    prev = at_order(LINE_ORDER)
-    order = 2 * LINE_ORDER
-    while order <= LINE_MAX_ORDER:
-        cur = at_order(order)
-        if np.linalg.norm(cur - prev) <= tol * max(1.0, np.linalg.norm(cur)):
-            return cur
-        prev = cur
-        order *= 2
-    raise NumericalError("path quadrature did not converge")
-
-
-def _logderiv_factory(sigma):
-    def logderiv(t):
-        f = sigma.at(t)
-        fp = sigma.partial(1, t)
-        try:
-            return np.linalg.solve(f.T, fp.T).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular simplex value at a quadrature node") from exc
-    return logderiv
-
-
-def _path_endpoint_check(sigma, integral_trace):
-    # exp(tr integral of sigma' sigma^{-1}) = det sigma(1)/det sigma(0) on
-    # any path inside the invertibles; a crossing can cancel in symmetric
-    # quadrature yet break this identity.
-    s0, la0 = np.linalg.slogdet(sigma.at(0.0))
-    s1, la1 = np.linalg.slogdet(sigma.at(1.0))
-    if s0 == 0 or s1 == 0 or not (np.isfinite(la0) and np.isfinite(la1)):
-        raise NumericalError("path leaves invertibles")
-    if abs(integral_trace.real - (la1 - la0)) > 1e-6 * max(1.0, abs(la1 - la0)):
-        raise NumericalError("path leaves invertibles")
-    if abs(np.exp(1j * integral_trace.imag) - s1 / s0) > 1e-6:
-        raise NumericalError("path leaves invertibles")
+def _line_integral(fn):
+    """Adaptive Gauss-Legendre integral of fn on [0, 1]."""
+    return gl_adaptive(lambda o: gl_sum(fn, o), LINE_ORDER, LINE_MAX_ORDER, LINE_TOL)
 
 
 def gamma_log(sigma, tol=TRI_TOL):
@@ -382,13 +337,20 @@ def gamma_log(sigma, tol=TRI_TOL):
         raise InputError("logarithm is defined for dense matrix simplices")
 
     if sigma.n == 1:
-        logderiv = _logderiv_factory(sigma)
-        integral = _line_matrix_integral(logderiv)
-        _path_endpoint_check(sigma, complex(np.trace(integral)))
+        def logderiv(t):
+            f, fp = sigma.at(t), sigma.partial(1, t)
+            try:
+                return np.linalg.solve(f.T, fp.T).T
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    "singular simplex value at a quadrature node") from exc
+
+        integral = _line_integral(logderiv)
+        endpoint_check(sigma.at(0.0), sigma.at(1.0), complex(np.trace(integral)))
         return CyclicChain(0, [(1.0, (-integral,))])
 
     def triangle_chain(order):
-        nodes, weights = _gl_unit(order)
+        nodes, weights = gl_nodes(order)
         terms = []
         for u, wu in zip(nodes, weights):
             for v, wv in zip(nodes, weights):
@@ -407,54 +369,94 @@ def gamma_log(sigma, tol=TRI_TOL):
                 terms.append((-0.5 * w, (b, a)))
         return CyclicChain(1, terms)
 
-    prev = triangle_chain(TRI_ORDER)
-    prev_mat = prev.materialize()
-    order = 2 * TRI_ORDER
-    while order <= TRI_MAX_ORDER:
-        cur = triangle_chain(order)
-        cur_mat = cur.materialize()
-        if np.linalg.norm(cur_mat - prev_mat) <= tol * max(1.0, np.linalg.norm(cur_mat)):
-            return cur
-        prev, prev_mat = cur, cur_mat
-        order *= 2
-    raise NumericalError("triangle quadrature did not converge")
+    return gl_adaptive(triangle_chain, TRI_ORDER, TRI_MAX_ORDER, tol,
+                       measure=CyclicChain.materialize)
 
 
-class Block2:
-    """2x2 block element over dense matrices or windowed operators."""
+class BlockOp:
+    """n x n block element over dense matrices or windowed Toeplitz
+    operators, built from its rows of blocks; block(i, j) is 1-based.
 
-    def __init__(self, b11, b12, b21, b22):
-        self._b = ((b11, b12), (b21, b22))
+    Optionally carries a companion operator ``first`` whose difference from
+    the (1,1) block is trace class; the membership holds by construction
+    because the difference has zero symbol, which is validated here.
+    Products, sums and multiples keep ``first`` when every operand has one.
+    """
+
+    __slots__ = ("rows", "first")
+
+    def __init__(self, rows, first=None):
+        rows = tuple(tuple(r) for r in rows)
+        if not rows or any(len(r) != len(rows) for r in rows):
+            raise InputError("block matrix must be square")
+        if first is not None and not first.symbol.sub(rows[0][0].symbol).is_zero():
+            raise InvariantViolation("pair defect has nonzero symbol")
+        self.rows = rows
+        self.first = first
+
+    @classmethod
+    def diagonal(cls, *args):
+        """diagonal(d1, ..., dn, window): diag(d1, ..., dn) of windowed
+        operators, with zero blocks of the given window."""
+        *entries, window = args
+        z = zero_op(window)
+        return cls([[d if i == j else z for j in range(len(entries))]
+                    for i, d in enumerate(entries)])
+
+    @property
+    def window(self):
+        return max(b.window for r in self.rows for b in r)
 
     def block(self, i, j):
-        return self._b[i - 1][j - 1]
+        return self.rows[i - 1][j - 1]
+
+    def _firsts(self, other, op):
+        if self.first is None or other.first is None:
+            return None
+        return op(self.first, other.first)
+
+    def _blockwise(self, other, op):
+        return BlockOp([[op(a, b) for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.rows, other.rows)],
+                       self._firsts(other, op))
 
     def mul(self, other):
         rows = []
-        for i in (1, 2):
+        for ra in self.rows:
             row = []
-            for j in (1, 2):
-                s = _e_add(_e_mul(self.block(i, 1), other.block(1, j)),
-                           _e_mul(self.block(i, 2), other.block(2, j)))
-                row.append(s)
+            for j in range(len(other.rows)):
+                acc = None
+                for a, rb in zip(ra, other.rows):
+                    term = _e_mul(a, rb[j])
+                    acc = term if acc is None else _e_add(acc, term)
+                row.append(acc)
             rows.append(row)
-        return Block2(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
+        return BlockOp(rows, self._firsts(other, _e_mul))
 
     def add(self, other):
-        return Block2(*[_e_add(self.block(i, j), other.block(i, j))
-                        for i in (1, 2) for j in (1, 2)])
+        return self._blockwise(other, _e_add)
 
     def sub(self, other):
-        return Block2(*[_e_sub(self.block(i, j), other.block(i, j))
-                        for i in (1, 2) for j in (1, 2)])
+        return self._blockwise(other, _e_sub)
 
     def scalar_mul(self, c):
-        return Block2(*[_e_scale(c, self.block(i, j))
-                        for i in (1, 2) for j in (1, 2)])
+        return BlockOp([[_e_scale(c, b) for b in r] for r in self.rows],
+                       None if self.first is None else _e_scale(c, self.first))
+
+    def dense_section(self, n):
+        """Dense section of every (windowed operator) block, n x n each."""
+        return np.block([[b.dense_section(n) for b in r] for r in self.rows])
 
     def dense(self):
-        return np.block([[self.block(1, 1), self.block(1, 2)],
-                         [self.block(2, 1), self.block(2, 2)]])
+        return np.block([list(r) for r in self.rows])
+
+    def deviation_from(self, other):
+        """Largest op_norm_est over the blocks of the difference."""
+        return max(b.op_norm_est() for r in self.sub(other).rows for b in r)
+
+
+# Former names of the 2x2 and 3x3 block types.
+Block2 = Block3 = TwoByTwoOp = BlockOp
 
 
 def tau_cocycle(p, chain):
@@ -483,22 +485,6 @@ def tau_cocycle(p, chain):
                 bot = _e_mul(bot, el.block(2, 1))
         total += co * (_e_trace(top) - _e_trace(bot))
     return pref * total
-
-
-def _line_scalar_integral(fn, tol=LINE_TOL):
-    def at_order(order):
-        nodes, weights = _gl_unit(order)
-        return complex(sum(w * fn(float(t)) for t, w in zip(nodes, weights)))
-
-    prev = at_order(LINE_ORDER)
-    order = 2 * LINE_ORDER
-    while order <= LINE_MAX_ORDER:
-        cur = at_order(order)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-        order *= 2
-    raise NumericalError("path quadrature did not converge")
 
 
 def _paths_compatible(s1, s2):
@@ -548,8 +534,8 @@ def tilde_gamma(s1, s2, tol=1e-9):
         return _e_trace(_e_sub(d2, d1))
 
     try:
-        val_a = _line_scalar_integral(form_product)
-        val_b = _line_scalar_integral(form_difference)
+        val_a = complex(_line_integral(form_product))
+        val_b = complex(_line_integral(form_difference))
     except InvariantViolation as exc:
         # a nonzero-symbol trace inside either form means the paths differ
         # by more than trace class

@@ -2,10 +2,15 @@
 
 det(1 + K) for trace-class K is computed as a finite LU determinant on
 the correction window, with a window-doubling consistency check in
-strict mode.  Also provides the exp-pair identity det(e^x e^{−y}) =
-e^{Tr(x−y)} and the Gohberg–Krein path determinant
+strict mode; square block operators of Toeplitz operators that are the
+identity modulo trace class are taken the same way.  Also provides the
+exp-pair identity det(e^x e^{−y}) = e^{Tr(x−y)} and the Gohberg–Krein
+path determinant
 
-    log det F(1)/det F(0) = ∫₀¹ Tr(F(t)⁻¹ F′(t)) dt.
+    log det F(1)/det F(0) = ∫₀¹ Tr(F(t)⁻¹ F′(t)) dt,
+
+together with the adaptive Gauss–Legendre driver and endpoint check
+that every path integral in the package uses.
 """
 
 from __future__ import annotations
@@ -23,29 +28,20 @@ from .toeplitz_calculus import ToeplitzOp
 UNIT_SYMBOL_TOL = 1e-9
 
 
-def _unit_symbol_deviation(x: ToeplitzOp) -> float:
-    return x.symbol.sub(FourierLoop({0: 1.0})).l1()
-
-
-class DetClassOp:
-    """An operator 1 + K with K trace class (zero-symbol)."""
-
-    __slots__ = ("op", "symbol_deviation")
-
-    def __init__(self, op: ToeplitzOp):
-        dev = _unit_symbol_deviation(op)
-        if dev > UNIT_SYMBOL_TOL:
-            raise InvariantViolation("not determinant class")
-        self.op = op
-        self.symbol_deviation = dev
-
-
 def det1p(x, strict: bool = True) -> complex:
-    """Fredholm determinant of a determinant-class operator."""
-    if isinstance(x, DetClassOp):
-        x = x.op
-    if _unit_symbol_deviation(x) > UNIT_SYMBOL_TOL:
-        raise InvariantViolation("not determinant class")
+    """Fredholm determinant of a determinant-class operator: a ToeplitzOp
+    with unit symbol, or a square BlockOp of ToeplitzOps whose diagonal
+    symbols are 1 and off-diagonal symbols 0.
+
+    Strict mode re-takes the determinant on the doubled window and
+    returns it, raising NumericalError when the two disagree."""
+    one = FourierLoop({0: 1.0})
+    # a ToeplitzOp is checked as its own 1x1 block matrix
+    for i, row in enumerate(getattr(x, "rows", ((x,),))):
+        for j, blk in enumerate(row):
+            dev = blk.symbol.sub(one) if i == j else blk.symbol
+            if dev.l1() > UNIT_SYMBOL_TOL:
+                raise InvariantViolation("not determinant class")
     w = x.window
     d_small = complex(np.linalg.det(x.dense_section(w)))
     if not strict:
@@ -135,9 +131,57 @@ class OperatorPath:
         return cls(value, derivative)
 
 
-def _gl_nodes(order: int):
+def gl_nodes(order: int):
+    """Gauss–Legendre nodes and weights of the given order on [0, 1]."""
     nodes, weights = scipy.special.roots_legendre(order)
     return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def gl_sum(fn, order: int):
+    """Σ wᵢ·fn(tᵢ): the Gauss–Legendre rule of the given order for ∫₀¹ fn."""
+    nodes, weights = gl_nodes(order)
+    total = None
+    for t, w in zip(nodes, weights):
+        piece = w * fn(float(t))
+        total = piece if total is None else total + piece
+    return total
+
+
+def gl_adaptive(estimate, order: int, max_order: int, tol: float,
+                measure=None):
+    """Adaptive Gauss–Legendre quadrature by order doubling.
+
+    ``estimate(o)`` is the rule of order o (a number, matrix or chain).
+    It is taken at order, 2·order, … ≤ max_order until two successive
+    values agree, ‖m(cur) − m(prev)‖ ≤ tol·max(1, ‖m(cur)‖) with m =
+    ``measure`` (the identity by default), and the later one is returned."""
+    m = measure or (lambda v: v)
+    prev = m(estimate(order))
+    o = 2 * order
+    while o <= max_order:
+        cur = estimate(o)
+        cur_m = m(cur)
+        if np.linalg.norm(cur_m - prev) <= tol * max(1.0, np.linalg.norm(cur_m)):
+            return cur
+        prev = cur_m
+        o *= 2
+    raise NumericalError("quadrature did not converge")
+
+
+def endpoint_check(f0: np.ndarray, f1: np.ndarray, log_det: complex) -> None:
+    """NumericalError unless exp(log_det) = det f1 / det f0.
+
+    exp(∫Tr F⁻¹F′) = det F(1)/det F(0) holds on any path inside the
+    invertibles; a crossing can cancel symmetrically in the quadrature
+    (pole of the integrand) yet still break this identity."""
+    s0, la0 = np.linalg.slogdet(f0)
+    s1, la1 = np.linalg.slogdet(f1)
+    if s0 == 0 or s1 == 0 or not (np.isfinite(la0) and np.isfinite(la1)):
+        raise NumericalError("path leaves invertibles")
+    if abs(log_det.real - (la1 - la0)) > 1e-6 * max(1.0, abs(la1 - la0)):
+        raise NumericalError("path leaves invertibles")
+    if abs(np.exp(1j * log_det.imag) - s1 / s0) > 1e-6:
+        raise NumericalError("path leaves invertibles")
 
 
 def path_log_det(path, order: int = 64, tol: float = 1e-11,
@@ -146,44 +190,18 @@ def path_log_det(path, order: int = 64, tol: float = 1e-11,
     if not isinstance(path, OperatorPath):
         path = OperatorPath(path)
 
-    def integral(o: int) -> complex:
-        nodes, weights = _gl_nodes(o)
-        total = 0j
-        for t, w in zip(nodes, weights):
-            f = path(float(t))
-            fp = path.deriv(float(t))
-            try:
-                sol = np.linalg.solve(f, fp)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("path leaves invertibles") from exc
-            if not np.all(np.isfinite(sol)):
-                raise NumericalError("path leaves invertibles")
-            total += w * np.trace(sol)
-        return complex(total)
+    def integrand(t: float):
+        try:
+            sol = np.linalg.solve(path(t), path.deriv(t))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("path leaves invertibles") from exc
+        if not np.all(np.isfinite(sol)):
+            raise NumericalError("path leaves invertibles")
+        return np.trace(sol)
 
-    def endpoint_check(val: complex) -> None:
-        # exp(∫Tr F⁻¹F′) = det F(1)/det F(0) holds on any path inside the
-        # invertibles; a crossing can cancel symmetrically in the quadrature
-        # (pole of the integrand) yet still break this identity.
-        s0, la0 = np.linalg.slogdet(_as_matrix(path(0.0)))
-        s1, la1 = np.linalg.slogdet(_as_matrix(path(1.0)))
-        if s0 == 0 or s1 == 0 or not (np.isfinite(la0) and np.isfinite(la1)):
-            raise NumericalError("path leaves invertibles")
-        if abs(val.real - (la1 - la0)) > 1e-6 * max(1.0, abs(la1 - la0)):
-            raise NumericalError("path leaves invertibles")
-        if abs(np.exp(1j * val.imag) - s1 / s0) > 1e-6:
-            raise NumericalError("path leaves invertibles")
-
-    prev = integral(order)
-    o = 2 * order
-    while o <= max_order:
-        cur = integral(o)
-        if abs(cur - prev) < tol * max(1.0, abs(cur)):
-            endpoint_check(cur)
-            return cur
-        prev = cur
-        o *= 2
-    raise NumericalError("path determinant quadrature did not converge")
+    val = complex(gl_adaptive(lambda o: gl_sum(integrand, o), order, max_order, tol))
+    endpoint_check(path(0.0), path(1.0), val)
+    return val
 
 
 def mult_commutator_det(u: ToeplitzOp, v: ToeplitzOp, strict: bool = True,
@@ -198,7 +216,4 @@ def mult_commutator_det(u: ToeplitzOp, v: ToeplitzOp, strict: bool = True,
         u_inv = u.inv()
     if v_inv is None:
         v_inv = v.inv()
-    w = u.mul(v).mul(u_inv.mul(v_inv))
-    if _unit_symbol_deviation(w) > UNIT_SYMBOL_TOL:
-        raise InvariantViolation("multiplicative commutator has nonunit symbol")
-    return det1p(w, strict=strict)
+    return det1p(u.mul(v).mul(u_inv.mul(v_inv)), strict=strict)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ._errors import InputError, InvariantViolation, NumericalError
+from ._errors import InputError, InvariantViolation
 from .fourier_loops import (
     FourierLoop,
     LoopLog,
@@ -40,7 +40,7 @@ from .toeplitz_calculus import (
     zero_op,
 )
 from .fredholm import det1p, mult_commutator_det
-from .cyclic_chains import Block2, CyclicChain
+from .cyclic_chains import BlockOp, CyclicChain
 from .group_homology import _bar_terms
 
 TWO_PI = 2.0 * math.pi
@@ -74,51 +74,6 @@ class SteinbergSymbol:
 # -- block operators ----------------------------------------------------
 
 
-class TwoByTwoOp(Block2):
-    """2x2 block operator whose off-diagonal blocks are Hilbert-Schmidt.
-
-    Optionally carries a companion operator ``first`` whose difference from
-    the (1,1) block is trace class; the membership holds by construction
-    because the difference has zero symbol, which is validated here.
-    """
-
-    def __init__(self, b11, b12, b21, b22, first=None):
-        Block2.__init__(self, b11, b12, b21, b22)
-        if first is not None and not first.symbol.sub(b11.symbol).is_zero():
-            raise InvariantViolation("pair defect has nonzero symbol")
-        self.first = first
-
-    def _wrap(self, raw, first):
-        return TwoByTwoOp(raw.block(1, 1), raw.block(1, 2),
-                          raw.block(2, 1), raw.block(2, 2), first)
-
-    def mul(self, other):
-        first = None
-        if self.first is not None and getattr(other, "first", None) is not None:
-            first = mul(self.first, other.first)
-        return self._wrap(Block2.mul(self, other), first)
-
-    def add(self, other):
-        first = None
-        if self.first is not None and getattr(other, "first", None) is not None:
-            first = self.first.add(other.first)
-        return self._wrap(Block2.add(self, other), first)
-
-    def sub(self, other):
-        first = None
-        if self.first is not None and getattr(other, "first", None) is not None:
-            first = self.first.sub(other.first)
-        return self._wrap(Block2.sub(self, other), first)
-
-    def scalar_mul(self, c):
-        first = None if self.first is None else self.first.scalar_mul(c)
-        return self._wrap(Block2.scalar_mul(self, c), first)
-
-    def offdiag_schatten2_est(self) -> float:
-        return math.hypot(_schatten2_est(self.block(1, 2)),
-                          _schatten2_est(self.block(2, 1)))
-
-
 def _schatten2_est(x: ToeplitzOp) -> float:
     if not x.symbol.is_zero():
         raise InvariantViolation("not Hilbert-Schmidt: nonzero symbol part")
@@ -133,35 +88,35 @@ def hankel_op(f: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzOp:
     return ToeplitzOp(zero_loop(), HankelWindow(f, window).matrix, window, 0.0)
 
 
-def rho(f: FourierLoop, window: int = DEFAULT_WINDOW) -> TwoByTwoOp:
+def rho(f: FourierLoop, window: int = DEFAULT_WINDOW) -> BlockOp:
     """Multiplication by f on L²(S¹) compressed against the Hardy projection:
     [[T_f, H_f], [H_{f̌}, T_{f̌}]] with f̌(z) = f(1/z)."""
     fr = f.reflect()
-    return TwoByTwoOp(toeplitz(f, window), hankel_op(f, window),
-                      hankel_op(fr, window), toeplitz(fr, window))
+    return BlockOp(((toeplitz(f, window), hankel_op(f, window)),
+                    (hankel_op(fr, window), toeplitz(fr, window))))
 
 
-def rho_z(window: int = DEFAULT_WINDOW) -> TwoByTwoOp:
+def rho_z(window: int = DEFAULT_WINDOW) -> BlockOp:
     """[[S, 1−SS*], [0, S*]]."""
     return rho(FourierLoop({1: 1.0}), window)
 
 
-def rho_zinv(window: int = DEFAULT_WINDOW) -> TwoByTwoOp:
+def rho_zinv(window: int = DEFAULT_WINDOW) -> BlockOp:
     """[[S*, 0], [1−SS*, S]]."""
     return rho(FourierLoop({-1: 1.0}), window)
 
 
-def f_commutator_schatten2(x: TwoByTwoOp) -> float:
+def f_commutator_schatten2(x: BlockOp) -> float:
     """Schatten-2 norm of [F, x] with F = diag(1, −1): twice the joint
-    off-diagonal Hilbert-Schmidt norm."""
-    return 2.0 * x.offdiag_schatten2_est()
+    off-diagonal Hilbert-Schmidt norm of the 2x2 block operator x."""
+    return 2.0 * math.hypot(_schatten2_est(x.block(1, 2)),
+                            _schatten2_est(x.block(2, 1)))
 
 
-def t1_section(x: TwoByTwoOp) -> TwoByTwoOp:
+def t1_section(x: BlockOp) -> BlockOp:
     """Canonical section into pairs: attach the (1,1) block itself, so the
     pair defect is exactly zero."""
-    return TwoByTwoOp(x.block(1, 1), x.block(1, 2), x.block(2, 1),
-                      x.block(2, 2), first=x.block(1, 1))
+    return BlockOp(x.rows, first=x.block(1, 1))
 
 
 def relative_boundary_trace(chain: CyclicChain) -> complex:
@@ -419,52 +374,6 @@ def steinberg_to_h2_cycle(u, v) -> LabelChain:
 # -- 3x3 stabilized operator lifts ---------------------------------------
 
 
-class Block3:
-    """3x3 block matrix of windowed Toeplitz-plus-correction operators."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise InputError("block matrix must be 3x3")
-        self.rows = rows
-
-    @classmethod
-    def diagonal(cls, a, b, c, window: int) -> "Block3":
-        z = zero_op(window)
-        return cls(((a, z, z), (z, b, z), (z, z, c)))
-
-    def block(self, i: int, j: int) -> ToeplitzOp:
-        return self.rows[i - 1][j - 1]
-
-    def mul(self, other: "Block3") -> "Block3":
-        out = []
-        for i in (1, 2, 3):
-            row = []
-            for j in (1, 2, 3):
-                acc = None
-                for k in (1, 2, 3):
-                    term = mul(self.block(i, k), other.block(k, j))
-                    acc = term if acc is None else acc.add(term)
-                row.append(acc)
-            out.append(row)
-        return Block3(out)
-
-    def sub(self, other: "Block3") -> "Block3":
-        return Block3(tuple(tuple(a.sub(b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)))
-
-    def dense(self, n: int) -> np.ndarray:
-        return np.block([[self.block(i, j).dense_section(n) for j in (1, 2, 3)]
-                         for i in (1, 2, 3)])
-
-    def deviation_from(self, other: "Block3") -> float:
-        diff = self.sub(other)
-        return max(diff.block(i, j).op_norm_est()
-                   for i in (1, 2, 3) for j in (1, 2, 3))
-
-
 def _lift_z(pattern: str, window: int):
     """Stabilized shift lifts and their exact inverses; the off-diagonal
     corner 1−SS* makes each a true inverse pair in the correction calculus."""
@@ -474,11 +383,11 @@ def _lift_z(pattern: str, window: int):
     z = zero_op(window)
     one = identity_op(window)
     if pattern == "d12":
-        fwd = Block3(((s, p0, z), (z, st, z), (z, z, one)))
-        bwd = Block3(((st, z, z), (p0, s, z), (z, z, one)))
+        fwd = BlockOp(((s, p0, z), (z, st, z), (z, z, one)))
+        bwd = BlockOp(((st, z, z), (p0, s, z), (z, z, one)))
     else:
-        fwd = Block3(((s, z, p0), (z, one, z), (z, z, st)))
-        bwd = Block3(((st, z, z), (z, one, z), (p0, z, s)))
+        fwd = BlockOp(((s, z, p0), (z, one, z), (z, z, st)))
+        bwd = BlockOp(((st, z, z), (z, one, z), (p0, z, s)))
     return fwd, bwd
 
 
@@ -486,11 +395,11 @@ def _lift_exp(pattern: str, c: FourierLoop, window: int):
     e_pos, e_neg = toeplitz(c, window).exp_pair()
     one = identity_op(window)
     if pattern == "d12":
-        fwd = Block3.diagonal(e_pos, e_neg, one, window)
-        bwd = Block3.diagonal(e_neg, e_pos, one, window)
+        fwd = BlockOp.diagonal(e_pos, e_neg, one, window)
+        bwd = BlockOp.diagonal(e_neg, e_pos, one, window)
     else:
-        fwd = Block3.diagonal(e_pos, one, e_neg, window)
-        bwd = Block3.diagonal(e_neg, one, e_pos, window)
+        fwd = BlockOp.diagonal(e_pos, one, e_neg, window)
+        bwd = BlockOp.diagonal(e_neg, one, e_pos, window)
     return fwd, bwd
 
 
@@ -516,12 +425,12 @@ def _lift(pattern: str, ll: LoopLog, window: int):
         bwd = eb if bwd is None else eb.mul(bwd)
     if fwd is None:
         one = identity_op(window)
-        fwd = Block3.diagonal(one, one, one, window)
-        bwd = Block3.diagonal(one, one, one, window)
+        fwd = BlockOp.diagonal(one, one, one, window)
+        bwd = BlockOp.diagonal(one, one, one, window)
     return fwd, bwd
 
 
-def h2_psi_representative(sym: SteinbergSymbol, window: int = 64) -> Block3:
+def h2_psi_representative(sym: SteinbergSymbol, window: int = 64) -> BlockOp:
     """Multiplicative-commutator representative of the boundary class of the
     degree-2 cycle: L_u · L_v · L_u⁻¹ · L_v⁻¹ with L_u the d₁₂ lift of u
     and L_v the d₁₃ lift of v."""
@@ -534,22 +443,4 @@ def h2_representative_det(sym: SteinbergSymbol, window: int = 64,
                           strict: bool = True) -> complex:
     """Fredholm determinant of the 3x3 representative, a fourth route to
     the invariant that needs no factorization of the symbol."""
-    rep = h2_psi_representative(sym, window)
-    return _block3_det1p(rep, window, strict)
-
-
-def _block3_det1p(rep: Block3, window: int, strict: bool) -> complex:
-    one = FourierLoop({0: 1.0})
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            sym_part = rep.block(i, j).symbol
-            dev = sym_part.sub(one) if i == j else sym_part
-            if dev.l1() > 1e-9:
-                raise InvariantViolation("not determinant class")
-    val = complex(np.linalg.det(rep.dense(window)))
-    if strict:
-        check = complex(np.linalg.det(rep.dense(2 * window)))
-        if abs(check - val) > 1e-9 * max(1.0, abs(val)):
-            raise NumericalError("window too small")
-        val = check
-    return val
+    return det1p(h2_psi_representative(sym, window), strict)

@@ -245,21 +245,18 @@ class ToeplitzOp:
             raise NumericalError("not invertible in E: index obstruction")
         psi = self.symbol.inv()
         w = self.window
+        # invert on an enlarged section so the boundary layer of the
+        # finite-section inverse stays outside the kept window
+        big = 2 * w + 2 * max(self.symbol.band, psi.band)
         try:
-            lu, _ = scipy.linalg.lu_factor(self.dense_section(w + self.symbol.band))
+            lu, piv = scipy.linalg.lu_factor(self.dense_section(big))
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise NumericalError("numerically singular") from exc
         diag = np.abs(np.diag(lu))
         if diag.min() <= 1e-14 * max(diag.max(), 1.0):
             raise NumericalError("numerically singular")
-
-        # invert on an enlarged section so the boundary layer of the
-        # finite-section inverse stays outside the kept window
-        big = 2 * w + 2 * max(self.symbol.band, psi.band)
-        try:
-            inv_big = np.linalg.inv(self.dense_section(big))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("numerically singular") from exc
+        inv_big = scipy.linalg.lu_solve((lu, piv), np.eye(big, dtype=complex),
+                                        check_finite=False)
         return _from_section(psi, inv_big, w, (w + big) // 2,
                              self.tail_bound * float(np.linalg.norm(inv_big)) ** 2)
 

@@ -3,9 +3,11 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
+import fredk2
 from fredk2._errors import InputError, NumericalError
 from fredk2.cyclic_chains import (
     Block2,
+    BlockOp,
     CyclicChain,
     SimplexPath,
     based_zero_face,
@@ -52,6 +54,15 @@ def curved_line(X, Y):
             + expm(t * X) @ (2.0 * t * Y) @ expm(t * t * Y)
 
     return SimplexPath(1, val, part)
+
+
+def oscillating_line():
+    """sigma(t) = e^{i sin(3000 t)} as a based 1x1 path; its log-derivative
+    oscillates past every allowed quadrature order."""
+    return SimplexPath(
+        1, lambda t: np.array([[np.exp(1j * np.sin(3000.0 * t))]]),
+        lambda _i, t: np.array([[3000j * np.cos(3000.0 * t)
+                                 * np.exp(1j * np.sin(3000.0 * t))]]))
 
 
 def unit_nodes(order):
@@ -181,6 +192,10 @@ class TestGammaLog:
         with pytest.raises(NumericalError):
             gamma_log(sig)
 
+    def test_unresolved_line_does_not_converge(self):
+        with pytest.raises(NumericalError, match="did not converge"):
+            gamma_log(oscillating_line())
+
     def test_unbased_rejected(self):
         g = np.diag([2.0 + 0j, 1.0])
         sig = SimplexPath(1, lambda t: expm(t * np.eye(2)) @ g, based=False)
@@ -265,31 +280,35 @@ class TestCyclicOperators:
 
 
 class TestTauCocycle:
+    def test_block_names_alias_one_type(self):
+        assert fredk2.Block2 is fredk2.Block3 is fredk2.TwoByTwoOp is BlockOp
+        assert Block2 is BlockOp
+
     def test_antidiagonal_pair(self):
         rng = np.random.default_rng(79)
         A, B = rand_mat(rng, 3), rand_mat(rng, 3)
         z = np.zeros((3, 3), dtype=complex)
-        x0 = Block2(z, A, z, z)
-        x1 = Block2(z, z, B, z)
+        x0 = Block2(((z, A), (z, z)))
+        x1 = Block2(((z, z), (B, z)))
         val = tau_cocycle(1, CyclicChain(1, [(1.0, (x0, x1))]))
         assert abs(val - np.trace(A @ B)) < 1e-12
 
     def test_diagonal_blocks_vanish(self):
         rng = np.random.default_rng(83)
         z = np.zeros((3, 3), dtype=complex)
-        xs = [Block2(rand_mat(rng, 3), z, z, rand_mat(rng, 3)) for _ in range(2)]
+        xs = [Block2(((rand_mat(rng, 3), z), (z, rand_mat(rng, 3)))) for _ in range(2)]
         assert tau_cocycle(1, CyclicChain(1, [(1.0, tuple(xs))])) == 0j
 
     def test_degree_mismatch(self):
         z = np.zeros((2, 2), dtype=complex)
-        x = Block2(z, z, z, z)
+        x = Block2(((z, z), (z, z)))
         c = CyclicChain(2, [(1.0, (x, x, x))])
         with pytest.raises(InputError, match="cocycle degree"):
             tau_cocycle(1, c)
 
     def rand_block(self, rng, m):
-        return Block2(rand_mat(rng, m), rand_mat(rng, m),
-                      rand_mat(rng, m), rand_mat(rng, m))
+        return Block2(((rand_mat(rng, m), rand_mat(rng, m)),
+                       (rand_mat(rng, m), rand_mat(rng, m))))
 
     def test_vanishes_on_boundaries(self):
         rng = np.random.default_rng(89)
@@ -319,7 +338,7 @@ class TestTauCocycle:
         for co, xs in terms:
             prod = E.copy()
             for x in xs:
-                off = Block2(z, x.block(1, 2), x.block(2, 1), z).dense()
+                off = Block2(((z, x.block(1, 2)), (x.block(2, 1), z))).dense()
                 prod = prod @ off
             brute += co * np.trace(prod)
         brute *= -6.0  # (-1)^{p-1} (2p-1)!/(p-1)! at p = 2
@@ -347,6 +366,12 @@ class TestTildeGamma:
         val = tilde_gamma(s1, s2)
         target = np.linalg.det(np.linalg.inv(s1.at(1.0)) @ s2.at(1.0))
         assert abs(np.exp(val) - target) < 1e-8
+
+    def test_unresolved_path_does_not_converge(self):
+        one = SimplexPath(1, lambda t: np.eye(1, dtype=complex),
+                          lambda _i, t: np.zeros((1, 1), dtype=complex))
+        with pytest.raises(NumericalError, match="did not converge"):
+            tilde_gamma(oscillating_line(), one)
 
     def test_shape_mismatch(self):
         s1 = SimplexPath(1, lambda t: np.eye(3, dtype=complex))

@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg
 
 from fredk2 import InvariantViolation, NumericalError
+from fredk2.cyclic_chains import BlockOp
 from fredk2.fourier_loops import FourierLoop
 from fredk2.fredholm import (
-    DetClassOp,
     OperatorPath,
     det1p,
     det_exp_pair,
@@ -23,6 +23,7 @@ from fredk2.toeplitz_calculus import (
     identity_op,
     shift_op,
     toeplitz,
+    zero_op,
 )
 
 
@@ -56,16 +57,33 @@ class TestDet1p:
         with pytest.raises(InvariantViolation, match="not determinant class"):
             det1p(shift_op(16))
 
-    def test_detclass_wrapper_rejects(self):
-        with pytest.raises(InvariantViolation, match="not determinant class"):
-            DetClassOp(toeplitz(FourierLoop({0: 1.0, 1: 0.5}), 16))
-
     def test_window_too_small(self):
         # a symbol deviation below the class tolerance still moves the
         # determinant between windows
         x = ToeplitzOp(FourierLoop({0: 1.0 + 5e-10}), None, 64)
         with pytest.raises(NumericalError, match="window too small"):
             det1p(x)
+
+    def test_block_diagonal(self):
+        lam = 0.3 - 0.7j
+        one = identity_op(16)
+        x = BlockOp.diagonal(one, rank_one_perturbation(lam), one, 16)
+        assert abs(det1p(x) - lam) < 1e-12
+
+    def test_block_not_determinant_class(self):
+        one = identity_op(16)
+        off_unit = toeplitz(FourierLoop({0: 1.0, 1: 0.5}), 16)
+        with pytest.raises(InvariantViolation, match="not determinant class"):
+            det1p(BlockOp.diagonal(one, off_unit, one, 16))
+        z = zero_op(16)
+        with pytest.raises(InvariantViolation, match="not determinant class"):
+            det1p(BlockOp(((one, shift_op(16), z), (z, one, z), (z, z, one))))
+
+    def test_block_window_too_small(self):
+        one = identity_op(64)
+        x = ToeplitzOp(FourierLoop({0: 1.0 + 5e-10}), None, 64)
+        with pytest.raises(NumericalError, match="window too small"):
+            det1p(BlockOp.diagonal(one, one, x, 64))
 
     def test_multiplicative(self):
         rng = np.random.default_rng(5)
@@ -137,6 +155,14 @@ class TestPathLogDet:
         p = OperatorPath(lambda t: np.diag([1.0, t - 0.5]).astype(complex),
                          lambda t: np.diag([0.0, 1.0]).astype(complex))
         with pytest.raises(NumericalError, match="path leaves invertibles"):
+            path_log_det(p)
+
+    def test_unresolved_integrand_does_not_converge(self):
+        # e^{i sin(3000 t)} oscillates past every allowed order
+        p = OperatorPath(lambda t: np.array([[np.exp(1j * np.sin(3000.0 * t))]]),
+                         lambda t: np.array([[3000j * np.cos(3000.0 * t)
+                                              * np.exp(1j * np.sin(3000.0 * t))]]))
+        with pytest.raises(NumericalError, match="did not converge"):
             path_log_det(p)
 
     def test_finite_difference_fallback(self):

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fredk2 import Block3, TwoByTwoOp
 from fredk2._errors import InputError, InvariantViolation
 from fredk2.cyclic_chains import CyclicChain, tau_cocycle
 from fredk2.fourier_loops import FourierLoop, LoopLog, zero_loop
 from fredk2.invariants import (
-    Block3,
     Diag3Label,
     LabelChain,
     LoopLabel,
     SteinbergSymbol,
-    TwoByTwoOp,
     d12,
     d13,
     det_invariant_closed,
@@ -161,16 +160,16 @@ class TestRho:
 
     def test_schatten2_rejects_symbol_mass_off_diagonal(self):
         w = 16
-        bad = TwoByTwoOp(identity_op(w), toeplitz(FourierLoop({1: 1.0}), w),
-                         hankel_op(zero_loop(), w), identity_op(w))
+        bad = TwoByTwoOp(((identity_op(w), toeplitz(FourierLoop({1: 1.0}), w)),
+                          (hankel_op(zero_loop(), w), identity_op(w))))
         with pytest.raises(InvariantViolation, match="Hilbert-Schmidt"):
             f_commutator_schatten2(bad)
 
     def test_pair_defect_must_have_zero_symbol(self):
         w = 16
         with pytest.raises(InvariantViolation, match="defect"):
-            TwoByTwoOp(identity_op(w), hankel_op(zero_loop(), w),
-                       hankel_op(zero_loop(), w), identity_op(w),
+            TwoByTwoOp(((identity_op(w), hankel_op(zero_loop(), w)),
+                        (hankel_op(zero_loop(), w), identity_op(w))),
                        first=toeplitz(FourierLoop({1: 1.0}), w))
 
     def test_t1_section_and_products_keep_pairing(self):
@@ -488,5 +487,5 @@ class TestH2OperatorLift:
         assert abs(prod - 1.0) < 1e-8
 
     def test_block3_validation(self):
-        with pytest.raises(InputError, match="3x3"):
-            Block3(((identity_op(8),),))
+        with pytest.raises(InputError, match="square"):
+            Block3(((identity_op(8), identity_op(8)),))

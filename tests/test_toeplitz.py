@@ -328,6 +328,15 @@ class TestInvExp:
         with pytest.raises(NumericalError, match="index obstruction"):
             shift_op(16).inv()
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_inv_singular_correction(self):
+        # identity minus e0 e0^T: the correction zeroes the first row
+        corr = np.zeros((16, 16), dtype=complex)
+        corr[0, 0] = -1.0
+        x = ToeplitzOp(FourierLoop({0: 1.0}), corr, 16)
+        with pytest.raises(NumericalError, match="numerically singular"):
+            x.inv()
+
     def test_inv_residual(self):
         rng = np.random.default_rng(59)
         a = random_loop(rng, band=3, scale=0.2)
