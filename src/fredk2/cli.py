@@ -147,7 +147,8 @@ def _config_options(fn):
 @click.option("--tol-operator", default=1e-8, show_default=True,
               help="Operator route agreement tolerance (relative).")
 @click.option("--dump-operator", default=None, type=click.Path(),
-              help="Write the operator-route representative to this JSON file.")
+              help="Write the operator route's cross-part representative "
+                   "w0_representative(c - c0) to this JSON file.")
 @_config_options
 def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
            dump_operator, window, strict, quadrature_order, fmt, seed):

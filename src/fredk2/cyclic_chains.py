@@ -507,7 +507,8 @@ def tilde_gamma(s1, s2, tol=1e-9):
     Evaluates both displayed forms,
       -Tr integral of d(s1 s2^{-1})/dt . s2 s1^{-1} dt   and
       Tr integral of (s2' s2^{-1} - s1' s1^{-1}) dt,
-    checks they agree to tol, and returns the common value.
+    as one 2-vector quadrature, checks they agree to tol, and returns the
+    second.
     """
     if not (isinstance(s1, SimplexPath) and isinstance(s2, SimplexPath)):
         raise InputError("relative logarithm expects two paths")
@@ -515,7 +516,8 @@ def tilde_gamma(s1, s2, tol=1e-9):
         raise InputError("relative logarithm is defined for 1-simplices")
     _paths_compatible(s1, s2)
 
-    def form_product(t):
+    def forms(t):
+        # both integrands from one evaluation and one inverse of each path
         f1 = s1.at(t)
         f2 = s2.at(t)
         f1p = s1.partial(1, t)
@@ -526,16 +528,11 @@ def tilde_gamma(s1, s2, tol=1e-9):
         deriv = _e_sub(_e_mul(f1p, inv2),
                        _e_mul(_e_mul(_e_mul(f1, inv2), f2p), inv2))
         prod = _e_mul(deriv, _e_mul(f2, inv1))
-        return -_e_trace(prod)
-
-    def form_difference(t):
-        d2 = _e_mul(s2.partial(1, t), _e_inv(s2.at(t)))
-        d1 = _e_mul(s1.partial(1, t), _e_inv(s1.at(t)))
-        return _e_trace(_e_sub(d2, d1))
+        diff = _e_sub(_e_mul(f2p, inv2), _e_mul(f1p, inv1))
+        return np.array([-_e_trace(prod), _e_trace(diff)])
 
     try:
-        val_a = complex(_line_integral(form_product))
-        val_b = complex(_line_integral(form_difference))
+        val_a, val_b = (complex(v) for v in _line_integral(forms))
     except InvariantViolation as exc:
         # a nonzero-symbol trace inside either form means the paths differ
         # by more than trace class

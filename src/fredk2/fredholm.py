@@ -209,8 +209,8 @@ def mult_commutator_det(u: ToeplitzOp, v: ToeplitzOp, strict: bool = True,
                         v_inv: ToeplitzOp | None = None) -> complex:
     """det(U V U⁻¹ V⁻¹) for invertibles of E with commuting symbols.
 
-    Inverses known exactly (e^{−T_a} for U = e^{T_a}) may be passed as
-    ``u_inv`` / ``v_inv``; otherwise they are computed with
+    Inverses known exactly (the second operator of wiener_hopf_pair) may
+    be passed as ``u_inv`` / ``v_inv``; otherwise they are computed with
     ``ToeplitzOp.inv``."""
     if u_inv is None:
         u_inv = u.inv()

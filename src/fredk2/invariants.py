@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ._errors import InputError, InvariantViolation
+from ._errors import InputError, InvariantViolation, NumericalError
 from .fourier_loops import (
     FourierLoop,
     LoopLog,
@@ -37,6 +37,7 @@ from .toeplitz_calculus import (
     shift_conjugation_trace,
     shift_op,
     toeplitz,
+    wiener_hopf_pair,
     zero_op,
 )
 from .fredholm import det1p, mult_commutator_det
@@ -179,37 +180,46 @@ def det_invariant_integral(sym: SteinbergSymbol, grid: int = None) -> complex:
 
 
 def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzOp:
-    """S e^{T_c} S* e^{−T_c} + (1 − SS*) e^{−T_c}, the determinant-class
-    representative of the cross part {z, e^c}."""
+    """S U S* U⁻¹ + (1 − SS*) U⁻¹, the determinant-class representative of
+    the cross part {z, e^c}, with U = T(e^c) and its exact inverse U⁻¹ from
+    wiener_hopf_pair."""
     s = shift_op(window)
     st = coshift_op(window)
-    e_pos, e_neg = toeplitz(c, window).exp_pair()
+    u, u_inv = wiener_hopf_pair(c, window)
     p0 = identity_op(window).sub(mul(s, st))
-    return mul(mul(mul(s, e_pos), st), e_neg).add(mul(p0, e_neg))
+    return mul(mul(mul(s, u), st), u_inv).add(mul(p0, u_inv))
 
 
 def det_invariant_operator(sym: SteinbergSymbol, window: int = DEFAULT_WINDOW,
                            strict: bool = True) -> complex:
-    """Operator route through the factorization
-    {u, v} = {z, z}^{nm} · {z, e^{nb−ma}} · {e^a, e^b}:
-    the winding-winding part contributes (−1)^{nm}, the cross part the
-    Fredholm determinant of w0_representative, and the winding-free part a
-    multiplicative commutator determinant of exponentials, whose inverses
-    are the exact exponentials e^{−T_a}, e^{−T_b}."""
+    """Operator route through the factorization {u, v} = {z, z}^{nm} ·
+    {z, e^{c₀}} · {z, e^{c−c₀}} · {e^a, e^b}, c = nb − ma: (−1)^{nm}, e^{−c₀}
+    exactly, the Fredholm determinant of w0_representative(c − c₀), and the
+    multiplicative commutator determinant of the Wiener–Hopf lifts of
+    e^{a−a₀}, e^{b−b₀} with their exact inverses (the constants cancel)."""
     return _operator_route(sym, window, strict)[0]
+
+
+def _nonconstant(f: FourierLoop) -> FourierLoop:
+    """f without its constant coefficient."""
+    return f.sub(FourierLoop({0: f[0]}))
 
 
 def _operator_route(sym: SteinbergSymbol, window: int, strict: bool):
     """det_invariant_operator's value and the w0_representative it used."""
     n, a, m, b = _parts(sym)
     c = b.scalar_mul(n).sub(a.scalar_mul(m))
-    rep = w0_representative(c, window)
-    cross = det1p(rep, strict=strict)
+    rep = w0_representative(_nonconstant(c), window)
+    try:
+        cross = cmath.exp(-c[0]) * det1p(rep, strict=strict)
+    except OverflowError as exc:
+        raise NumericalError("exponential overflows") from exc
+    a, b = _nonconstant(a), _nonconstant(b)
     if a.is_zero() or b.is_zero():
         helton = 1.0 + 0j
     else:
-        ea, ea_inv = toeplitz(a, window).exp_pair()
-        eb, eb_inv = toeplitz(b, window).exp_pair()
+        ea, ea_inv = wiener_hopf_pair(a, window)
+        eb, eb_inv = wiener_hopf_pair(b, window)
         helton = mult_commutator_det(ea, eb, strict=strict,
                                      u_inv=ea_inv, v_inv=eb_inv)
     return _winding_sign(n, m) * cross * helton, rep
@@ -392,7 +402,7 @@ def _lift_z(pattern: str, window: int):
 
 
 def _lift_exp(pattern: str, c: FourierLoop, window: int):
-    e_pos, e_neg = toeplitz(c, window).exp_pair()
+    e_pos, e_neg = wiener_hopf_pair(c, window)
     one = identity_op(window)
     if pattern == "d12":
         fwd = BlockOp.diagonal(e_pos, e_neg, one, window)
@@ -406,9 +416,9 @@ def _lift_exp(pattern: str, c: FourierLoop, window: int):
 def _lift(pattern: str, ll: LoopLog, window: int):
     """Operator lift of the stabilization of zⁿ·e^{a} and its inverse.
 
-    The inverse uses the exponential of the negated log, which matches the
-    true operator inverse at symbol level exactly and at correction level
-    to rounding.
+    The exponential factor is the Wiener–Hopf lift T(e^a) of
+    wiener_hopf_pair; its inverse, like that of the shift lifts, is exact
+    in the calculus.
     """
     zf, zb = _lift_z(pattern, window)
     fwd = None

@@ -24,6 +24,7 @@ nose and commutators have exactly zero symbol.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -35,11 +36,6 @@ DEFAULT_WINDOW = 256
 # Symbols with at most this many coefficients (S, S*, 1, 0) are applied
 # to a block as shifted row or column slices rather than a dense product.
 FEW_COEFFS = 4
-# Largest 1-norm condition number of e^X at which exp_pair inverts e^X by
-# LU: the inverse's error grows like cond(e^X)·ε, and up to 1e3 it stays
-# within about 1e-13 relative and its interior-spill tail within a factor
-# of ten of a second expm's.
-EXP_PAIR_MAX_COND = 1e3
 
 
 def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> np.ndarray:
@@ -110,13 +106,6 @@ def _from_section(sym: FourierLoop, section: np.ndarray, window: int,
     corr = section[:inner, :inner] - toeplitz_matrix(sym, inner)
     tail += _interior_spill_est(corr, window, inner)
     return ToeplitzOp(sym, corr[:window, :window], window, tail)
-
-
-def _finite(section: np.ndarray) -> np.ndarray:
-    """The section itself; NumericalError if it has overflowed."""
-    if not np.isfinite(section).all():
-        raise NumericalError("exponential overflows")
-    return section
 
 
 def _toeplitz_times(symbol: FourierLoop, block: np.ndarray, rows: int) -> np.ndarray:
@@ -249,7 +238,10 @@ class ToeplitzOp:
         # finite-section inverse stays outside the kept window
         big = 2 * w + 2 * max(self.symbol.band, psi.band)
         try:
-            lu, piv = scipy.linalg.lu_factor(self.dense_section(big))
+            # scipy warns on an exact zero pivot; the pivot test below decides
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu, piv = scipy.linalg.lu_factor(self.dense_section(big))
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise NumericalError("numerically singular") from exc
         diag = np.abs(np.diag(lu))
@@ -269,31 +261,6 @@ class ToeplitzOp:
         return _from_section(sym, scipy.linalg.expm(self.dense_section(big)),
                              self.window, self.window + quarantine // 2,
                              self.tail_bound * math.exp(self.op_norm_est()))
-
-    def exp_pair(self) -> tuple["ToeplitzOp", "ToeplitzOp"]:
-        """(e^{T_φ + C}, e^{−(T_φ + C)}) from one quarantined section X.
-        The section of −(T_φ + C) is exactly −X, so e^{−X} is the inverse
-        of e^X: it is taken by one LU of e^X while e^X is well conditioned
-        (EXP_PAIR_MAX_COND), and by a second expm past that."""
-        sym, sym_neg = self.symbol.exp(), self.symbol.neg().exp()
-        w = self.window
-        quarantine = max(2 * max(sym.band, sym_neg.band), 32)
-        big = w + quarantine
-        inner = w + quarantine // 2
-        section = self.dense_section(big)
-        exp_big = _finite(scipy.linalg.expm(section))
-        lu, piv = scipy.linalg.lu_factor(exp_big, check_finite=False)
-        gecon, = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))
-        rcond, _ = gecon(lu, np.abs(exp_big).sum(axis=0).max())
-        if rcond * EXP_PAIR_MAX_COND >= 1.0:
-            # only the first inner columns of e^{−X} are read
-            exp_neg_big = scipy.linalg.lu_solve(
-                (lu, piv), np.eye(big, inner, dtype=complex), check_finite=False)
-        else:
-            exp_neg_big = _finite(scipy.linalg.expm(-section))
-        tail = self.tail_bound * math.exp(self.op_norm_est())
-        return (_from_section(sym, exp_big, w, inner, tail),
-                _from_section(sym_neg, exp_neg_big, w, inner, tail))
 
     # -- trace ----------------------------------------------------------
 
@@ -348,6 +315,29 @@ def inv(x: ToeplitzOp) -> ToeplitzOp:
 
 def exp_op(x: ToeplitzOp) -> ToeplitzOp:
     return x.exp()
+
+
+def wiener_hopf_pair(a: FourierLoop, window: int = DEFAULT_WINDOW
+                     ) -> tuple[ToeplitzOp, ToeplitzOp]:
+    """(T(e^{a₋})·T(e^{a₊}), T(e^{−a₊})·T(e^{−a₋})) with a₋ the k < 0 and
+    a₊ the k ≥ 0 part of the log a.
+
+    T(f)T(g) = T(fg) when f is coanalytic or g analytic, so the first is
+    T(e^a) and the second its exact inverse: an invertible lift of e^a
+    built from symbol exponentials and Brown–Halmos products alone.  The
+    factors skip toeplitz()'s band check, since exp symbols can be wider
+    than half the window; mul's tail carries what falls past it.  The
+    log's tail bounds the ℓ¹ mass it lost on either side of the split."""
+    if window < 2 * a.band + 2:
+        raise InputError("window must dominate band")
+    minus = FourierLoop({k: c for k, c in a.coeffs.items() if k < 0}, a.tail)
+    plus = FourierLoop({k: c for k, c in a.coeffs.items() if k >= 0}, a.tail)
+
+    def t_exp(f: FourierLoop) -> ToeplitzOp:
+        return ToeplitzOp(f.exp(), None, window, 0.0)
+
+    return (t_exp(minus).mul(t_exp(plus)),
+            t_exp(plus.neg()).mul(t_exp(minus.neg())))
 
 
 def op_trace(x: ToeplitzOp) -> complex:

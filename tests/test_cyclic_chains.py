@@ -367,6 +367,26 @@ class TestTildeGamma:
         target = np.linalg.det(np.linalg.inv(s1.at(1.0)) @ s2.at(1.0))
         assert abs(np.exp(val) - target) < 1e-8
 
+    def test_one_inverse_per_path_and_node(self, monkeypatch):
+        # both forms come from one pass per node: orders 32 and 64 agree,
+        # so 96 nodes take one inverse of each path
+        rng = np.random.default_rng(109)
+        x, y = rand_mat(rng, 3), rand_mat(rng, 3)
+        calls = []
+        inv = np.linalg.inv
+
+        def counted_inv(m):
+            calls.append(m.shape)
+            return inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        val = tilde_gamma(curved_line(x, y), curved_line(y, x))
+        assert len(calls) == 2 * (32 + 64)
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        target = np.linalg.det(np.linalg.inv(curved_line(x, y).at(1.0))
+                               @ curved_line(y, x).at(1.0))
+        assert abs(np.exp(val) - target) < 1e-8 * abs(target)
+
     def test_unresolved_path_does_not_converge(self):
         one = SimplexPath(1, lambda t: np.eye(1, dtype=complex),
                           lambda _i, t: np.zeros((1, 1), dtype=complex))

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from fredk2 import Block3, TwoByTwoOp
-from fredk2._errors import InputError, InvariantViolation
+from fredk2._errors import InputError, InvariantViolation, NumericalError
 from fredk2.cyclic_chains import CyclicChain, tau_cocycle
 from fredk2.fourier_loops import FourierLoop, LoopLog, zero_loop
 from fredk2.invariants import (
@@ -32,6 +33,7 @@ from fredk2.invariants import (
     t1_section,
     w0_representative,
 )
+from fredk2 import invariants
 from fredk2.toeplitz_calculus import (
     ToeplitzOp,
     commutator_trace_closed,
@@ -42,8 +44,9 @@ from fredk2.toeplitz_calculus import (
     schatten2_commutator_F,
     shift_op,
     toeplitz,
+    wiener_hopf_pair,
 )
-from fredk2.fredholm import mult_commutator_det
+from fredk2.fredholm import det1p, mult_commutator_det
 
 
 def rand_log(rng, band=6, mag=0.3, terms=4):
@@ -56,6 +59,36 @@ def rand_symbol(rng, band=6, mag=0.3, wind=3):
     return SteinbergSymbol(
         LoopLog(int(rng.integers(-wind, wind + 1)), rand_log(rng, band, mag)),
         LoopLog(int(rng.integers(-wind, wind + 1)), rand_log(rng, band, mag)))
+
+
+def corpus_log(rng, band=6, mag=0.3, max_terms=4):
+    """A log from the acceptance corpus distribution: 1..4 terms at
+    distinct |k| <= 6, |c| in [0.05, 0.3], uniform phase."""
+    ks = rng.choice(np.arange(-band, band + 1),
+                    size=rng.integers(1, max_terms + 1), replace=False)
+    return FourierLoop({int(k): rng.uniform(0.05, mag)
+                        * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                        for k in ks})
+
+
+def corpus_symbols(seed, count=8):
+    rng = np.random.default_rng(seed)
+    return [SteinbergSymbol(LoopLog(int(rng.integers(-3, 4)), corpus_log(rng)),
+                            LoopLog(int(rng.integers(-3, 4)), corpus_log(rng)))
+            for _ in range(count)]
+
+
+def exp_lifts(a, w):
+    """The dense-exponential lifts e^{T_a}, e^{−T_a}, independent of
+    wiener_hopf_pair."""
+    return exp_op(ToeplitzOp(a, None, w)), exp_op(ToeplitzOp(a.neg(), None, w))
+
+
+def cross_rep(u, u_inv, w):
+    """S U S* U⁻¹ + (1 − SS*) U⁻¹."""
+    s, st_ = shift_op(w), coshift_op(w)
+    p0 = identity_op(w).sub(mul(s, st_))
+    return mul(mul(mul(s, u), st_), u_inv).add(mul(p0, u_inv))
 
 
 def op_dev(x, y):
@@ -207,12 +240,22 @@ class TestDetInvariant:
         assert abs(det_invariant_operator(sym) - math.exp(-0.7)) < 1e-10
 
     def test_w0_equals_exponential_product(self):
+        # a different lift of the same commutator: e^{S T_c S*} e^{−T_c}
         w = 128
         c = FourierLoop({0: 0.2, 1: 0.15, -2: 0.1})
-        s, st = shift_op(w), coshift_op(w)
-        scs = mul(mul(s, toeplitz(c, w)), st)
+        s, st_ = shift_op(w), coshift_op(w)
+        scs = mul(mul(s, toeplitz(c, w)), st_)
         alt = mul(exp_op(scs), exp_op(toeplitz(c.neg(), w)))
-        assert op_dev(w0_representative(c, w), alt) < 1e-10
+        want = det1p(alt)
+        assert abs(det1p(w0_representative(c, w)) - want) <= 1e-10 * abs(want)
+
+    def test_w0_is_wiener_hopf_commutator(self):
+        w = 128
+        c = FourierLoop({0: 0.2, 1: 0.15, -2: 0.1})
+        got, want = w0_representative(c, w), cross_rep(*wiener_hopf_pair(c, w), w)
+        assert got.symbol.coeffs == want.symbol.coeffs
+        assert np.array_equal(got.correction, want.correction)
+        assert got.tail_bound == want.tail_bound
 
     def test_band4_mixed_windings(self, rng=np.random.default_rng(11)):
         sym = SteinbergSymbol(LoopLog(2, rand_log(rng, band=4)),
@@ -268,27 +311,52 @@ class TestDetInvariant:
         want = det_invariant_closed(sym)
         assert abs(det_invariant_operator(sym, window=64) - want) < 1e-8 * abs(want)
 
-    def test_operator_route_builds_each_pair_from_one_expm(self, monkeypatch):
+    def test_operator_and_h2_routes_call_no_expm(self, monkeypatch):
         calls = []
-        expm = scipy.linalg.expm
 
-        def counted_expm(x):
-            calls.append(x.shape)
-            return expm(x)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
 
         def no_exp(self):
             raise AssertionError("ToeplitzOp.exp called")
 
         monkeypatch.setattr(ToeplitzOp, "exp", no_exp)
-        monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+        for name in ("expm", "lu_factor"):
+            monkeypatch.setattr(scipy.linalg, name,
+                                counted(name, getattr(scipy.linalg, name)))
         a, b = FourierLoop({1: 0.2, -2: 0.1}), FourierLoop({-1: 0.3})
         sym = SteinbergSymbol(LoopLog(1, a), LoopLog(-2, b))
         # c = n·b − m·a = b + 2a is nonzero, so w0 and both Helton–Howe
-        # exponentials are built
+        # lifts are built
         assert not b.add(a.scalar_mul(2)).is_zero()
         want = det_invariant_closed(sym)
         assert abs(det_invariant_operator(sym, window=64) - want) < 1e-8 * abs(want)
-        assert len(calls) == 3
+        assert abs(h2_representative_det(sym, window=48) - want) < 1e-9 * abs(want)
+        assert calls == []
+
+    @pytest.mark.parametrize("sym", [
+        # the cross determinant e^{−34.5} is tiny
+        SteinbergSymbol(LoopLog(0, FourierLoop({0: -34.5})), LoopLog(1, zero_loop())),
+        # e^{20 − 0.3z} is too large for FourierLoop.exp's grid
+        SteinbergSymbol(LoopLog(0, FourierLoop({0: -20.0, 1: 0.3})),
+                        LoopLog(1, zero_loop())),
+        # the same e^{±20} in the Helton–Howe part, where a₀ cancels
+        SteinbergSymbol(LoopLog(0, FourierLoop({0: -20.0, 1: 0.3})),
+                        LoopLog(0, FourierLoop({-1: 0.2}))),
+    ], ids=["tiny_cross_det", "large_constant", "large_constant_helton_howe"])
+    @pytest.mark.parametrize("w", [64, 256])
+    def test_constant_split_keeps_relative_accuracy(self, sym, w):
+        want = det_invariant_closed(sym)
+        assert abs(det_invariant_operator(sym, window=w) - want) <= 1e-12 * abs(want)
+
+    def test_overflowing_constant_rejected(self):
+        # c₀ = −1380: e^{−c₀} is past the largest float
+        sym = SteinbergSymbol(LoopLog(0, FourierLoop({0: 690.0})), LoopLog(2, zero_loop()))
+        with pytest.raises(NumericalError, match="overflows"):
+            det_invariant_operator(sym, window=64)
 
     @pytest.mark.parametrize("sym", [
         # alpha = 10·z, beta = z^15: c = −15·ln 10, e^{T_c} = 1e-15·I
@@ -314,6 +382,54 @@ class TestDetInvariant:
                               LoopLog(-1, FourierLoop({2: 0.15})))
         dc = det_invariant_closed(sym)
         assert abs(h2_representative_det(sym, window=48) - dc) < 1e-9 * abs(dc)
+
+
+class TestLiftIndependence:
+    """The determinants do not depend on which invertible lifts are used:
+    the Wiener–Hopf lifts of the routes against dense-exponential lifts."""
+
+    @pytest.mark.parametrize("sym", corpus_symbols(20261018), ids=range(8))
+    def test_operator_route_parts(self, sym):
+        w = 128
+        n, a, m, b = sym.u.winding, sym.u.log_part, sym.v.winding, sym.v.log_part
+        c = invariants._nonconstant(b.scalar_mul(n).sub(a.scalar_mul(m)))
+        want = det1p(cross_rep(*exp_lifts(c, w), w))
+        got = det1p(w0_representative(c, w))
+        assert abs(got - want) <= 1e-10 * abs(want)
+        a, b = invariants._nonconstant(a), invariants._nonconstant(b)
+        (ea, ea_inv), (eb, eb_inv) = exp_lifts(a, w), exp_lifts(b, w)
+        want = mult_commutator_det(ea, eb, u_inv=ea_inv, v_inv=eb_inv)
+        (ea, ea_inv), (eb, eb_inv) = wiener_hopf_pair(a, w), wiener_hopf_pair(b, w)
+        got = mult_commutator_det(ea, eb, u_inv=ea_inv, v_inv=eb_inv)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("sym", corpus_symbols(20261019), ids=range(8))
+    def test_h2_route(self, sym, monkeypatch):
+        got = h2_representative_det(sym, window=32)
+        monkeypatch.setattr(invariants, "wiener_hopf_pair", exp_lifts)
+        want = h2_representative_det(sym, window=32)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+small_logs = st.dictionaries(
+    st.integers(-4, 4),
+    st.complex_numbers(max_magnitude=0.25, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=4).map(FourierLoop)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(a=small_logs, b=small_logs, n=st.integers(-1, 1), m=st.integers(-1, 1))
+def test_wiener_hopf_lift_properties(a, b, n, m):
+    w = 64
+    u, u_inv = wiener_hopf_pair(a, w)
+    for x, y in ((u, u_inv), (u_inv, u)):
+        resid = x.mul(y).sub(identity_op(w))
+        assert resid.symbol.l1() <= 1e-12
+        assert np.abs(resid.correction).max() <= 1e-12
+    sym = SteinbergSymbol(LoopLog(n, a), LoopLog(m, b))
+    prod = (det_invariant_operator(sym, window=w)
+            * det_invariant_operator(sym.swap(), window=w))
+    assert abs(prod - 1.0) <= 1e-9
 
 
 class TestMultCharacter:

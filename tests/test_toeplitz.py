@@ -21,6 +21,7 @@ from fredk2.toeplitz_calculus import (
     shift_op,
     toeplitz,
     toeplitz_matrix,
+    wiener_hopf_pair,
 )
 
 
@@ -328,7 +329,7 @@ class TestInvExp:
         with pytest.raises(NumericalError, match="index obstruction"):
             shift_op(16).inv()
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("error")
     def test_inv_singular_correction(self):
         # identity minus e0 e0^T: the correction zeroes the first row
         corr = np.zeros((16, 16), dtype=complex)
@@ -389,75 +390,75 @@ class TestInvExp:
         assert np.abs(dev).max() < 1e-10
 
 
-def _exp_pair_cases(window):
+def _exp_pair_cases():
     rng = np.random.default_rng(73)
     a = random_loop(rng, band=6)
-    a = a.scalar_mul(4.0 / a.l1())
-    corr = np.zeros((window, window), dtype=complex)
-    corr[:16, :16] = 0.05 * (rng.standard_normal((16, 16))
-                             + 1j * rng.standard_normal((16, 16)))
+    live = random_loop(rng, band=3, scale=0.1)
     return {
-        "pure_l1_4": toeplitz(a, window),
-        "zero_symbol": ToeplitzOp(FourierLoop({}), None, window),
-        "live_tailed": ToeplitzOp(random_loop(rng, band=3, scale=0.1), corr,
-                                  window, 1e-9),
-        # real part of the symbol spans [−7.8, 7.8]: cond(e^X) ≈ e^{15.6}
-        "spread_15_6": toeplitz(FourierLoop({-1: 3.9, 1: 3.9}), window),
+        "pure_l1_4": a.scalar_mul(4.0 / a.l1()),
+        "zero_symbol": FourierLoop({}),
+        # a log carrying a truncation tail
+        "live_tailed": FourierLoop(live.coeffs, 1e-9),
+        # real part spanning [−7.8, 7.8]
+        "spread_15_6": FourierLoop({-1: 3.9, 1: 3.9}),
     }
 
 
-EXP_PAIR_CASES = [(w, name, x) for w in (64, 256)
-                  for name, x in _exp_pair_cases(w).items()]
+EXP_PAIR_CASES = [(w, name, a) for w in (64, 256)
+                  for name, a in _exp_pair_cases().items()]
 
 
 class TestExpPair:
-    """exp_pair builds e^{−X} as the LU inverse of e^X, or by a second
-    expm when e^X is ill conditioned; it must agree with two separate
-    exponentials."""
+    """wiener_hopf_pair lifts e^{±a} as products of Toeplitz operators of
+    coanalytic and analytic exponentials: the pair is inverse in the
+    calculus, and its symbols are those of e^{±T_a} from exp_op."""
 
-    @pytest.mark.parametrize("w,name,x", EXP_PAIR_CASES,
+    @pytest.mark.parametrize("w,name,a", EXP_PAIR_CASES,
                              ids=[f"{name}-w{w}" for w, name, _ in EXP_PAIR_CASES])
-    def test_matches_two_exponentials(self, w, name, x):
-        pair = x.exp_pair()
+    def test_matches_two_exponentials(self, w, name, a):
+        x = ToeplitzOp(a, None, w)
+        pair = wiener_hopf_pair(a, w)
         for got, want in zip(pair, (exp_op(x), exp_op(x.neg()))):
             assert got.window == want.window == w
-            assert got.symbol.coeffs == want.symbol.coeffs
-            assert got.symbol.tail == want.symbol.tail
-            assert np.abs(got.correction - want.correction).max() <= 1e-13
-            assert 0.0 <= got.tail_bound <= 10 * want.tail_bound + 1e-15
-            if x.tail_bound > 0:
-                assert got.tail_bound > 0
-
-    @pytest.mark.parametrize("name,expm_calls", [("pure_l1_4", 1), ("spread_15_6", 2)])
-    def test_second_expm_only_when_ill_conditioned(self, monkeypatch, name, expm_calls):
-        x = _exp_pair_cases(64)[name]
-        calls = []
-        expm = scipy.linalg.expm
-
-        def counted_expm(m):
-            calls.append(m.shape)
-            return expm(m)
-
-        monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
-        x.exp_pair()
-        assert len(calls) == expm_calls
+            scale = want.symbol.l1()
+            assert got.symbol.sub(want.symbol).l1() <= 1e-13 * scale
+            # nothing is truncated once the window holds the Hankel corner
+            if w >= max(e.symbol.band for e in pair):
+                assert got.tail_bound == 0.0
+            assert 0.0 <= got.tail_bound < 1e-9 * scale
+            if a.tail > 0:
+                assert got.symbol.tail > 0
 
     def test_pair_is_inverse(self):
-        x = _exp_pair_cases(64)["pure_l1_4"]
-        e_pos, e_neg = x.exp_pair()
-        resid = e_pos.mul(e_neg).sub(identity_op(64))
-        assert resid.symbol.l1() < 1e-12
-        assert np.abs(resid.correction).max() < 1e-10
+        a = _exp_pair_cases()["pure_l1_4"]
+        e_pos, e_neg = wiener_hopf_pair(a, 64)
+        for x, y in ((e_pos, e_neg), (e_neg, e_pos)):
+            resid = x.mul(y).sub(identity_op(64))
+            assert resid.symbol.l1() < 1e-12
+            assert np.abs(resid.correction).max() < 1e-10
 
-    # e^{800} overflows; e^{−800} underflows to a singular e^X, whose
-    # inverse e^{800} overflows
+    def test_wide_exponentials_at_small_window(self):
+        # e^{±a} are wider than the window itself, far past what
+        # toeplitz() accepts; what falls outside goes to the tail
+        a = _exp_pair_cases()["pure_l1_4"]
+        e_pos, e_neg = wiener_hopf_pair(a, 32)
+        assert min(e_pos.symbol.band, e_neg.symbol.band) > 32
+        assert e_neg.tail_bound > 0
+        for x, y in ((e_pos, e_neg), (e_neg, e_pos)):
+            resid = x.mul(y).sub(identity_op(32))
+            assert resid.symbol.l1() < 1e-12
+            assert np.abs(resid.correction).max() <= resid.tail_bound < 1e-2
+
+    def test_log_wider_than_window_rejected(self):
+        with pytest.raises(InputError, match="window must dominate band"):
+            wiener_hopf_pair(FourierLoop({20: 0.1}), 32)
+
+    # e^{800} overflows; for −800 its inverse factor e^{800} does
     @pytest.mark.parametrize("entry", [800.0, -800.0])
     @pytest.mark.filterwarnings("ignore")
     def test_overflow_rejected(self, entry):
-        corr = np.zeros((16, 16), dtype=complex)
-        corr[0, 0] = entry
-        with pytest.raises(NumericalError, match="overflows"):
-            ToeplitzOp(FourierLoop({}), corr, 16).exp_pair()
+        with pytest.raises(NumericalError):
+            wiener_hopf_pair(FourierLoop({0: entry}), 16)
 
 
 class TestSerialization:
