@@ -12,7 +12,7 @@ import numpy as np
 
 from ._errors import FredK2Error, InputError, InvariantViolation
 from .fourier_loops import FourierLoop, loop_from_json, max_band
-from .toeplitz_calculus import DEFAULT_WINDOW
+from .toeplitz_calculus import DEFAULT_WINDOW, _require_window
 from .invariants import (
     SteinbergSymbol,
     det_invariant_closed,
@@ -237,8 +237,7 @@ def converge(alpha_file, beta_file, windows, tol, window, strict,
         sym = SteinbergSymbol.from_loops(alpha, beta)
         band = max(sym.u.log_part.band, sym.v.log_part.band)
         cfg.check_band(band)
-        if sizes[0] < 2 * band + 2:
-            raise InputError("window must dominate band")
+        _require_window(sizes[0], band)
 
         reference = det_invariant_closed(sym)
         rows = []

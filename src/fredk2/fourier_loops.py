@@ -151,16 +151,16 @@ class FourierLoop:
 
     def _grid_op(self, fn) -> "FourierLoop":
         """Apply a pointwise function on an adaptively refined grid."""
-        n = 1 << max(GRID.bit_length() - 1, (8 * (self.band + 1)).bit_length())
-        for attempt in range(3):
-            vals = fn(self.eval_grid(n))
-            spec = np.abs(np.fft.fft(vals)) / n
+        for n in _grids(self.band):
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = fn(self.eval_grid(n))
+            if not np.isfinite(vals).all():  # only exp can overflow
+                raise NumericalError("exponential overflows")
+            spec, mags = _spectrum(vals)
             # alias diagnostic: mass at the top eighth of frequencies
-            hi = np.concatenate([spec[3 * n // 8: n // 2],
-                                 spec[n // 2: 5 * n // 8]])
-            if hi.max() < 1e-13:
-                return fit_grid_values(vals)
-            n *= 2
+            scale = np.abs(vals).max()
+            if mags[3 * n // 8: 5 * n // 8].max() < 1e-13 * max(1.0, scale):
+                return _fit_spectrum(spec, mags, scale)
         raise NumericalError("grid too coarse")
 
     def exp(self) -> "FourierLoop":
@@ -193,34 +193,35 @@ def fit_grid_values(values: np.ndarray) -> FourierLoop:
     roundoff of order eps·max|values| at every frequency, and keeping
     that junk would inflate the band to the whole spectrum.
     """
-    return _fit_spectrum(values, np.abs(values).max())
+    return _fit_spectrum(*_spectrum(values), np.abs(values).max())
 
 
-def _fit_spectrum(values: np.ndarray, scale: float) -> FourierLoop:
-    """``fit_grid_values`` with the roundoff cutoff 8·eps·scale."""
-    n = len(values)
-    spec = np.fft.fft(values) / n
-    cap = max_band()
+def _grids(band: int):
+    """Grid sizes for a loop of this band: base size, two refinements."""
+    n = 1 << max(GRID.bit_length() - 1, (8 * (band + 1)).bit_length())
+    return (n << i for i in range(3))
+
+
+def _spectrum(values: np.ndarray):
+    """DFT / n and its magnitudes (``np.hypot`` rounds as abs(complex))."""
+    spec = np.fft.fft(values) / len(values)
+    return spec, np.hypot(spec.real, spec.imag)
+
+
+def _fit_spectrum(spec: np.ndarray, mags: np.ndarray, scale: float) -> FourierLoop:
+    """``fit_grid_values`` from a spectrum, with the cutoff 8·eps·scale."""
+    n = len(spec)
+    ks = np.arange(-(n // 2), n // 2)
     cutoff = max(COEFF_CUTOFF, 8 * np.finfo(float).eps * scale)
-    out = {}
-    dropped = [0.0]
-    for k in range(-(n // 2), n // 2):
-        c = spec[k % n]
-        if abs(c) < cutoff:
-            dropped.append(abs(c))
-        elif abs(k) > cap:
-            raise NumericalError("band overflow")
-        else:
-            out[k] = complex(c)
-    return FourierLoop(out, math.fsum(dropped))
+    kept = ~(mags[ks] < cutoff)  # a NaN is kept and fails the band cap
+    if np.abs(ks[kept]).max(initial=0) > max_band():
+        raise NumericalError("band overflow")
+    return FourierLoop(dict(zip(ks[kept].tolist(), spec[ks[kept]].tolist())),
+                       math.fsum(mags[ks[~kept]]))
 
 
 def zero_loop() -> FourierLoop:
     return FourierLoop({})
-
-
-def one_loop() -> FourierLoop:
-    return FourierLoop({0: 1.0 + 0j})
 
 
 def z_loop(n: int = 1) -> FourierLoop:
@@ -235,13 +236,9 @@ def from_samples(samples, band: int) -> FourierLoop:
     n = len(samples)
     if n < 2 * band + 1:
         raise InputError("insufficient resolution")
-    spec = np.fft.fft(samples) / n
-    out = {}
-    for k in range(-band, band + 1):
-        c = spec[k % n]
-        if abs(c) >= COEFF_CUTOFF:
-            out[k] = complex(c)
-    return FourierLoop(out)
+    spec, mags = _spectrum(samples)
+    return FourierLoop({k: spec[k] for k in range(-band, band + 1)
+                        if mags[k] >= COEFF_CUTOFF})
 
 
 def _phase_steps(values: np.ndarray) -> np.ndarray:
@@ -252,19 +249,22 @@ def _phase_steps(values: np.ndarray) -> np.ndarray:
     return np.angle(ratios)
 
 
-def winding_number(loop: FourierLoop) -> int:
-    """Total phase change / 2π, by unwrapping on a refined grid."""
-    n = 1 << max(GRID.bit_length() - 1, (4 * (loop.band + 1)).bit_length())
-    for attempt in range(3):
-        steps = _phase_steps(loop.eval_grid(n))
+def _winding_grid(loop: FourierLoop):
+    """Values on the first grid with phase steps below π/2, and winding."""
+    for n in _grids(loop.band):
+        vals = loop.eval_grid(n)
+        steps = _phase_steps(vals)
         if np.abs(steps).max() < math.pi / 2:
             total = math.fsum(steps) / (2 * math.pi)
-            w = round(total)
-            if abs(total - w) > 1e-6:
+            if abs(total - round(total)) > 1e-6:
                 raise NumericalError("grid too coarse")
-            return w
-        n *= 2
+            return vals, round(total)
     raise NumericalError("grid too coarse")
+
+
+def winding_number(loop: FourierLoop) -> int:
+    """Total phase change / 2π, by unwrapping on a refined grid."""
+    return _winding_grid(loop)[1]
 
 
 def log_split(loop: FourierLoop) -> "LoopLog":
@@ -272,10 +272,10 @@ def log_split(loop: FourierLoop) -> "LoopLog":
 
     The branch is fixed by Im a(0) ∈ (−π, π].
     """
-    n_wind = winding_number(loop)
-    n = 1 << max(GRID.bit_length() - 1, (8 * (loop.band + 1)).bit_length())
+    vals, n_wind = _winding_grid(loop)
+    n = len(vals)
     theta = 2 * math.pi * np.arange(n) / n
-    g = loop.eval_grid(n) * np.exp(-1j * n_wind * theta)
+    g = vals * np.exp(-1j * n_wind * theta)
     # continuous log: fix phase at θ = 0, accumulate principal steps
     steps = _phase_steps(g)
     phase = np.angle(g[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
@@ -283,10 +283,9 @@ def log_split(loop: FourierLoop) -> "LoopLog":
     # log|g| and arg g carry absolute roundoff of about eps whatever their
     # size, so the cutoff's scale is floored at 1: for g = zⁿ the values are
     # roundoff alone and would otherwise fill the whole spectrum.
-    a = _fit_spectrum(a_vals, max(1.0, np.abs(a_vals).max()))
+    a = _fit_spectrum(*_spectrum(a_vals), max(1.0, np.abs(a_vals).max()))
     result = LoopLog(n_wind, a)
-    recon = result.reconstruct().eval_grid(GRID)
-    err = np.abs(recon - loop.eval_grid(GRID)).max()
+    err = np.abs(result.reconstruct().eval_grid(n) - vals).max()
     if err > 1e-10:
         raise NumericalError("grid too coarse")
     return result
@@ -361,9 +360,7 @@ def loop_from_json(data: dict) -> FourierLoop:
 
 
 def loop_log_to_json(ll: LoopLog) -> dict:
-    return {"winding": ll.winding,
-            "log_coeffs": [[k, c.real, c.imag]
-                           for k, c in sorted(ll.log_part.coeffs.items())]}
+    return {"winding": ll.winding, "log_coeffs": loop_to_json(ll.log_part)["coeffs"]}
 
 
 def loop_log_from_json(data: dict) -> LoopLog:

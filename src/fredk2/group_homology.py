@@ -375,9 +375,6 @@ class GroupChain:
     def is_zero(self):
         return not self.coeffs
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupChain)

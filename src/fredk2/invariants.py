@@ -39,6 +39,7 @@ from .toeplitz_calculus import (
     toeplitz,
     wiener_hopf_pair,
     zero_op,
+    _require_window,
 )
 from .fredholm import det1p, mult_commutator_det
 from .cyclic_chains import BlockOp, CyclicChain
@@ -84,8 +85,7 @@ def _schatten2_est(x: ToeplitzOp) -> float:
 def hankel_op(f: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzOp:
     """H_f as an operator with zero symbol; finite rank and exact inside
     the window for band-limited f."""
-    if window < 2 * f.band + 2:
-        raise InputError("window must dominate band")
+    _require_window(window, f.band)
     return ToeplitzOp(zero_loop(), HankelWindow(f, window).matrix, window, 0.0)
 
 

@@ -280,10 +280,15 @@ class ToeplitzOp:
                 "tail_bound": self.tail_bound}
 
 
+def _require_window(window: int, band: int) -> None:
+    """The window must hold the band-wide corners of a band-``band`` symbol."""
+    if window < 2 * band + 2:
+        raise InputError("window must dominate band")
+
+
 def toeplitz(a: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzOp:
     """T_a with zero correction."""
-    if window < 2 * a.band + 2:
-        raise InputError("window must dominate band")
+    _require_window(window, a.band)
     return ToeplitzOp(a, None, window, 0.0)
 
 
@@ -328,8 +333,7 @@ def wiener_hopf_pair(a: FourierLoop, window: int = DEFAULT_WINDOW
     factors skip toeplitz()'s band check, since exp symbols can be wider
     than half the window; mul's tail carries what falls past it.  The
     log's tail bounds the ℓ¹ mass it lost on either side of the split."""
-    if window < 2 * a.band + 2:
-        raise InputError("window must dominate band")
+    _require_window(window, a.band)
     minus = FourierLoop({k: c for k, c in a.coeffs.items() if k < 0}, a.tail)
     plus = FourierLoop({k: c for k, c in a.coeffs.items() if k >= 0}, a.tail)
 

@@ -187,6 +187,15 @@ class TestConvergeCommand:
         res = runner.invoke(main, ["converge", zf, zf, "--windows", "a,b"])
         assert res.exit_code == 2
 
+    def test_first_window_must_dominate_band(self, runner, tmp_path):
+        wide = write_loop(tmp_path / "w.json", FourierLoop({6: 0.1}).exp())
+        zf = z_file(tmp_path)
+        res = runner.invoke(main, ["converge", wide, zf, "--windows", "13,64"])
+        assert res.exit_code == 2
+        assert "window must dominate band" in res.output
+        res = runner.invoke(main, ["converge", wide, zf, "--windows", "14,64"])
+        assert res.exit_code in (0, 4)
+
     def test_unconverged_flags_exit_4(self, runner, tmp_path):
         af, bf = exp_pair_files(tmp_path)
         res = runner.invoke(main, ["converge", af, bf, "--windows", "32,64",

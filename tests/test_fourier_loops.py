@@ -7,6 +7,7 @@ from fredk2 import InputError, NumericalError
 from fredk2.fourier_loops import (
     FourierLoop,
     circle_integral,
+    fit_grid_values,
     from_samples,
     log_split,
     loop_from_json,
@@ -185,6 +186,72 @@ class TestPointwiseOps:
     def test_exp_tail_recorded(self):
         f = FourierLoop({1: 0.5})
         assert f.exp().tail >= 0
+
+
+class TestGridPasses:
+    """Each grid operation evaluates, transforms and fits its grid once."""
+
+    def test_exp_transforms_once(self, monkeypatch):
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda v: calls.append(len(v)) or fft(v))
+        FourierLoop({-6: 0.2, 1: 0.3j, 6: 0.1}).exp()
+        assert calls == [4096]
+
+    def test_log_split_evaluates_input_once(self, monkeypatch):
+        loop = z_loop(2).mul(FourierLoop({-3: 0.1, 1: 0.2}).exp())
+        calls = []
+        eval_grid = FourierLoop.eval_grid
+
+        def counting(self, *args):
+            if self is loop:
+                calls.append(args)
+            return eval_grid(self, *args)
+
+        monkeypatch.setattr(FourierLoop, "eval_grid", counting)
+        assert log_split(loop).winding == 2
+        assert len(calls) == 1
+
+    def test_log_split_keys_ascending(self):
+        ll = log_split(z_loop(-1).mul(FourierLoop({5: 0.2, -4: 0.1j, 0: 0.3}).exp()))
+        assert list(ll.log_part.coeffs) == [-4, 0, 5]
+
+    def test_fit_matches_per_frequency_reference(self):
+        # one frequency at a time with Python's abs(), as a reference; the
+        # 16-point grids drop one coefficient, so the tail is its magnitude
+        rng = np.random.default_rng(23)
+        grids = [np.exp(random_loop(rng, band=5).eval(2 * np.pi * np.arange(n) / n))
+                 for n in (64, 65, 4096)]
+        for _ in range(20):
+            spec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            spec[5] = 0.0
+            grids.append(np.fft.ifft(spec) * 16)
+        for vals in grids:
+            n = len(vals)
+            spec = np.fft.fft(vals) / n
+            cutoff = max(1e-16, 8 * np.finfo(float).eps * np.abs(vals).max())
+            kept = {k: complex(spec[k]) for k in range(-(n // 2), n // 2)
+                    if not abs(complex(spec[k])) < cutoff}
+            dropped = [abs(complex(spec[k])) for k in range(-(n // 2), n // 2)
+                       if abs(complex(spec[k])) < cutoff]
+            fit = fit_grid_values(vals)
+            assert list(fit.coeffs.items()) == list(kept.items())
+            assert fit.tail == math.fsum(dropped)
+
+    def test_fit_nan_grid_rejected(self):
+        with pytest.raises(NumericalError):
+            fit_grid_values(np.full(4096, np.nan))
+
+    def test_exp_of_large_constant(self):
+        # the alias test scales with the values: e^10 used to fail it
+        got = FourierLoop({0: 10.0, 1: 0.3}).exp()
+        want = FourierLoop({1: 0.3}).exp().scalar_mul(math.exp(10.0))
+        assert got.sub(want).l1() <= 1e-13 * want.l1()
+
+    @pytest.mark.filterwarnings("error")
+    def test_exp_overflow_rejected(self):
+        with pytest.raises(NumericalError, match="exponential overflows"):
+            FourierLoop({0: 800.0}).exp()
 
 
 class TestIntegrals:

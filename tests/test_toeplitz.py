@@ -6,6 +6,7 @@ import scipy.linalg
 
 from fredk2 import InputError, InvariantViolation, NumericalError
 from fredk2.fourier_loops import FourierLoop, pairing_integral
+from fredk2.invariants import hankel_op
 from fredk2.toeplitz_calculus import (
     FEW_COEFFS,
     HankelWindow,
@@ -47,6 +48,13 @@ class TestConstruction:
     def test_window_must_dominate_band(self):
         with pytest.raises(InputError, match="window must dominate band"):
             toeplitz(FourierLoop({4: 1.0}), 8)
+
+    @pytest.mark.parametrize("build", [toeplitz, wiener_hopf_pair, hankel_op])
+    def test_window_rule_boundary(self, build):
+        band_3 = FourierLoop({-3: 0.1, 2: 0.2j})
+        build(band_3, 8)
+        with pytest.raises(InputError, match="window must dominate band"):
+            build(band_3, 7)
 
     def test_toeplitz_matrix_matches_diagonal_loop(self):
         def reference(symbol, rows, cols):
