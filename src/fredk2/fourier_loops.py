@@ -285,8 +285,9 @@ def log_split(loop: FourierLoop) -> "LoopLog":
     # roundoff alone and would otherwise fill the whole spectrum.
     a = _fit_spectrum(*_spectrum(a_vals), max(1.0, np.abs(a_vals).max()))
     result = LoopLog(n_wind, a)
+    # relative to the loop's size, like the alias test of _grid_op
     err = np.abs(result.reconstruct().eval_grid(n) - vals).max()
-    if err > 1e-10:
+    if err > 1e-10 * max(1.0, np.abs(vals).max()):
         raise NumericalError("grid too coarse")
     return result
 

@@ -205,16 +205,25 @@ def _nonconstant(f: FourierLoop) -> FourierLoop:
     return f.sub(FourierLoop({0: f[0]}))
 
 
-def _operator_route(sym: SteinbergSymbol, window: int, strict: bool):
-    """det_invariant_operator's value and the w0_representative it used."""
+def _split_constants(sym: SteinbergSymbol):
+    """(e^{m·a₀ − n·b₀}, {zⁿ·e^{a−a₀}, z^m·e^{b−b₀}}) for sym = {zⁿ·e^a,
+    z^m·e^b}: the determinant of the constants' part, exact, and the
+    symbol left once they are split off."""
     n, a, m, b = _parts(sym)
-    c = b.scalar_mul(n).sub(a.scalar_mul(m))
-    rep = w0_representative(_nonconstant(c), window)
     try:
-        cross = cmath.exp(-c[0]) * det1p(rep, strict=strict)
+        factor = cmath.exp(m * a[0] - n * b[0])
     except OverflowError as exc:
         raise NumericalError("exponential overflows") from exc
-    a, b = _nonconstant(a), _nonconstant(b)
+    return factor, SteinbergSymbol(LoopLog(n, _nonconstant(a)),
+                                   LoopLog(m, _nonconstant(b)))
+
+
+def _operator_route(sym: SteinbergSymbol, window: int, strict: bool):
+    """det_invariant_operator's value and the w0_representative it used."""
+    factor, bare = _split_constants(sym)
+    n, a, m, b = _parts(bare)
+    rep = w0_representative(b.scalar_mul(n).sub(a.scalar_mul(m)), window)
+    cross = factor * det1p(rep, strict=strict)
     if a.is_zero() or b.is_zero():
         helton = 1.0 + 0j
     else:
@@ -384,73 +393,55 @@ def steinberg_to_h2_cycle(u, v) -> LabelChain:
 # -- 3x3 stabilized operator lifts ---------------------------------------
 
 
-def _lift_z(pattern: str, window: int):
-    """Stabilized shift lifts and their exact inverses; the off-diagonal
-    corner 1−SS* makes each a true inverse pair in the correction calculus."""
-    s = shift_op(window)
-    st = coshift_op(window)
-    p0 = identity_op(window).sub(mul(s, st))
-    z = zero_op(window)
-    one = identity_op(window)
-    if pattern == "d12":
-        fwd = BlockOp(((s, p0, z), (z, st, z), (z, z, one)))
-        bwd = BlockOp(((st, z, z), (p0, s, z), (z, z, one)))
-    else:
-        fwd = BlockOp(((s, z, p0), (z, one, z), (z, z, st)))
-        bwd = BlockOp(((st, z, z), (z, one, z), (p0, z, s)))
-    return fwd, bwd
+def _embed(x: BlockOp, k: int, window: int) -> BlockOp:
+    """The 2x2 block operator x placed at rows and columns (1, k) of the
+    3x3 identity."""
+    one, z = identity_op(window), zero_op(window)
+    at = {1: 1, k: 2}
+    return BlockOp([[x.block(at[i], at[j]) if i in at and j in at
+                     else one if i == j else z for j in (1, 2, 3)]
+                    for i in (1, 2, 3)])
 
 
-def _lift_exp(pattern: str, c: FourierLoop, window: int):
-    e_pos, e_neg = wiener_hopf_pair(c, window)
-    one = identity_op(window)
-    if pattern == "d12":
-        fwd = BlockOp.diagonal(e_pos, e_neg, one, window)
-        bwd = BlockOp.diagonal(e_neg, e_pos, one, window)
-    else:
-        fwd = BlockOp.diagonal(e_pos, one, e_neg, window)
-        bwd = BlockOp.diagonal(e_neg, one, e_pos, window)
-    return fwd, bwd
-
-
-def _lift(pattern: str, ll: LoopLog, window: int):
-    """Operator lift of the stabilization of zⁿ·e^{a} and its inverse.
-
-    The exponential factor is the Wiener–Hopf lift T(e^a) of
-    wiener_hopf_pair; its inverse, like that of the shift lifts, is exact
-    in the calculus.
-    """
-    zf, zb = _lift_z(pattern, window)
-    fwd = None
+def _lift(k: int, ll: LoopLog, window: int):
+    """The d₁ₖ lift of zⁿ·e^{a} and its exact inverse: ρ(z)ⁿ·diag(T(e^a),
+    T(e^{−a})) in the 2x2 picture, with T(e^a) and its inverse from
+    wiener_hopf_pair, placed at rows and columns (1, k).  The corner
+    1−SS* of ρ(z) and ρ(z⁻¹) makes them a true inverse pair in the
+    correction calculus."""
+    zf, zb = rho_z(window), rho_zinv(window)
+    if ll.winding < 0:
+        zf, zb = zb, zf
+    fwd = bwd = None
     for _ in range(abs(ll.winding)):
-        step = zf if ll.winding > 0 else zb
-        fwd = step if fwd is None else fwd.mul(step)
-    bwd = None
-    for _ in range(abs(ll.winding)):
-        step = zb if ll.winding > 0 else zf
-        bwd = step if bwd is None else bwd.mul(step)
+        fwd = zf if fwd is None else fwd.mul(zf)
+        bwd = zb if bwd is None else bwd.mul(zb)
     if not ll.log_part.is_zero():
-        ef, eb = _lift_exp(pattern, ll.log_part, window)
+        e_pos, e_neg = wiener_hopf_pair(ll.log_part, window)
+        ef = BlockOp.diagonal(e_pos, e_neg, window)
+        eb = BlockOp.diagonal(e_neg, e_pos, window)
         fwd = ef if fwd is None else fwd.mul(ef)
         bwd = eb if bwd is None else eb.mul(bwd)
     if fwd is None:
         one = identity_op(window)
-        fwd = BlockOp.diagonal(one, one, one, window)
-        bwd = BlockOp.diagonal(one, one, one, window)
-    return fwd, bwd
+        fwd = bwd = BlockOp.diagonal(one, one, window)
+    return _embed(fwd, k, window), _embed(bwd, k, window)
 
 
 def h2_psi_representative(sym: SteinbergSymbol, window: int = 64) -> BlockOp:
     """Multiplicative-commutator representative of the boundary class of the
     degree-2 cycle: L_u · L_v · L_u⁻¹ · L_v⁻¹ with L_u the d₁₂ lift of u
     and L_v the d₁₃ lift of v."""
-    lu, lui = _lift("d12", sym.u, window)
-    lv, lvi = _lift("d13", sym.v, window)
+    lu, lui = _lift(2, sym.u, window)
+    lv, lvi = _lift(3, sym.v, window)
     return lu.mul(lv).mul(lui).mul(lvi)
 
 
 def h2_representative_det(sym: SteinbergSymbol, window: int = 64,
                           strict: bool = True) -> complex:
     """Fredholm determinant of the 3x3 representative, a fourth route to
-    the invariant that needs no factorization of the symbol."""
-    return det1p(h2_psi_representative(sym, window), strict)
+    the invariant that needs no factorization into {z, z}, cross and
+    Helton–Howe parts.  The log constants are split off exactly first, as
+    on the operator route."""
+    factor, bare = _split_constants(sym)
+    return factor * det1p(h2_psi_representative(bare, window), strict)

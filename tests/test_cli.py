@@ -196,6 +196,14 @@ class TestConvergeCommand:
         res = runner.invoke(main, ["converge", wide, zf, "--windows", "14,64"])
         assert res.exit_code in (0, 4)
 
+    def test_window_option_is_not_checked(self, runner, tmp_path):
+        # --window is not used by the sweep, whose windows pass the band
+        af, bf = exp_pair_files(tmp_path)
+        res = runner.invoke(main, ["converge", af, bf, "--windows", "32,64",
+                                   "--window", "16"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["config"]["strict"] is False
+
     def test_unconverged_flags_exit_4(self, runner, tmp_path):
         af, bf = exp_pair_files(tmp_path)
         res = runner.invoke(main, ["converge", af, bf, "--windows", "32,64",

@@ -133,6 +133,14 @@ class TestLogSplit:
         assert -math.pi < ll.log_part[0].imag <= math.pi
         assert abs(ll.log_part[0].imag - (4.0 - 2 * math.pi)) < 1e-10
 
+    @pytest.mark.parametrize("c", [12.0, 20.0, 30.0])
+    def test_large_loop(self, c):
+        # the reconstruction check is relative to the loop's size
+        a = FourierLoop({0: c, 1: 0.3, -2: 0.1j})
+        ll = log_split(a.exp())
+        assert ll.winding == 0
+        assert ll.log_part.sub(a).l1() <= 1e-12 * a.l1()
+
 
 class TestPointwiseOps:
     def test_mul_z_zinv(self):

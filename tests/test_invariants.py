@@ -100,6 +100,18 @@ def block2_dev(x, y):
                for i in (1, 2) for j in (1, 2))
 
 
+CONSTANT_SPLIT_SYMBOLS = pytest.mark.parametrize("sym", [
+    # the cross determinant e^{−34.5} is tiny
+    SteinbergSymbol(LoopLog(0, FourierLoop({0: -34.5})), LoopLog(1, zero_loop())),
+    # e^{20 − 0.3z} is too large for FourierLoop.exp's grid
+    SteinbergSymbol(LoopLog(0, FourierLoop({0: -20.0, 1: 0.3})),
+                    LoopLog(1, zero_loop())),
+    # the same e^{±20} in the Helton–Howe part, where a₀ cancels
+    SteinbergSymbol(LoopLog(0, FourierLoop({0: -20.0, 1: 0.3})),
+                    LoopLog(0, FourierLoop({-1: 0.2}))),
+], ids=["tiny_cross_det", "large_constant", "large_constant_helton_howe"])
+
+
 class TestSteinbergSymbol:
     def test_requires_factored_loops(self):
         with pytest.raises(InputError, match="factored"):
@@ -337,20 +349,17 @@ class TestDetInvariant:
         assert abs(h2_representative_det(sym, window=48) - want) < 1e-9 * abs(want)
         assert calls == []
 
-    @pytest.mark.parametrize("sym", [
-        # the cross determinant e^{−34.5} is tiny
-        SteinbergSymbol(LoopLog(0, FourierLoop({0: -34.5})), LoopLog(1, zero_loop())),
-        # e^{20 − 0.3z} is too large for FourierLoop.exp's grid
-        SteinbergSymbol(LoopLog(0, FourierLoop({0: -20.0, 1: 0.3})),
-                        LoopLog(1, zero_loop())),
-        # the same e^{±20} in the Helton–Howe part, where a₀ cancels
-        SteinbergSymbol(LoopLog(0, FourierLoop({0: -20.0, 1: 0.3})),
-                        LoopLog(0, FourierLoop({-1: 0.2}))),
-    ], ids=["tiny_cross_det", "large_constant", "large_constant_helton_howe"])
+    @CONSTANT_SPLIT_SYMBOLS
     @pytest.mark.parametrize("w", [64, 256])
     def test_constant_split_keeps_relative_accuracy(self, sym, w):
         want = det_invariant_closed(sym)
         assert abs(det_invariant_operator(sym, window=w) - want) <= 1e-12 * abs(want)
+
+    @CONSTANT_SPLIT_SYMBOLS
+    @pytest.mark.parametrize("w", [32, 64])
+    def test_h2_constant_split_keeps_relative_accuracy(self, sym, w):
+        want = det_invariant_closed(sym)
+        assert abs(h2_representative_det(sym, window=w) - want) <= 1e-12 * abs(want)
 
     def test_overflowing_constant_rejected(self):
         # c₀ = −1380: e^{−c₀} is past the largest float
@@ -558,11 +567,11 @@ class TestH2Cycle:
 
 class TestH2OperatorLift:
     def test_stabilized_shift_lift_inverts_exactly(self):
-        from fredk2.invariants import _lift_z
+        from fredk2.invariants import _lift
         w = 32
         one = identity_op(w)
-        for pattern in ("d12", "d13"):
-            fwd, bwd = _lift_z(pattern, w)
+        for k in (2, 3):
+            fwd, bwd = _lift(k, LoopLog(1, zero_loop()), w)
             prod = fwd.mul(bwd)
             for i in (1, 2, 3):
                 for j in (1, 2, 3):
@@ -574,6 +583,49 @@ class TestH2OperatorLift:
                     else:
                         assert blk.symbol.sub(want.symbol).is_zero()
                         assert not np.any(blk.correction)
+
+    @pytest.mark.parametrize("ll", [
+        LoopLog(-1, zero_loop()),
+        LoopLog(2, FourierLoop({1: 0.2, -2: 0.1j})),
+        LoopLog(-1, FourierLoop({0: 0.1, -1: 0.3})),
+    ], ids=["winding_-1", "winding_2_log", "winding_-1_log"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_lift_inverts(self, k, ll):
+        w = 32
+        one = identity_op(w)
+        fwd, bwd = invariants._lift(k, ll, w)
+        eye = Block3.diagonal(one, one, one, w)
+        assert fwd.mul(bwd).deviation_from(eye) <= 1e-12
+        assert bwd.mul(fwd).deviation_from(eye) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_lift_leaves_the_other_index_alone(self, k):
+        w = 32
+        other = 5 - k
+        for x in invariants._lift(k, LoopLog(-2, FourierLoop({1: 0.2, -1: 0.1})), w):
+            blk = x.block(other, other)
+            assert blk.symbol.sub(identity_op(w).symbol).is_zero()
+            assert not np.any(blk.correction) and blk.tail_bound == 0.0
+            for j in (1, 2, 3):
+                if j == other:
+                    continue
+                for blk in (x.block(other, j), x.block(j, other)):
+                    assert blk.symbol.is_zero()
+                    assert not np.any(blk.correction) and blk.tail_bound == 0.0
+
+    def test_lift_products_skip_the_identity_index(self, monkeypatch):
+        calls = []
+        orig = ToeplitzOp.mul
+
+        def counted(self, other):
+            calls.append(1)
+            return orig(self, other)
+
+        monkeypatch.setattr(ToeplitzOp, "mul", counted)
+        sym = SteinbergSymbol(LoopLog(2, FourierLoop({1: 0.2})),
+                              LoopLog(-3, FourierLoop({-1: 0.1})))
+        h2_psi_representative(sym, 32)
+        assert len(calls) <= 165
 
     def test_cross_symbol_collapses_to_w0(self):
         w = 64
