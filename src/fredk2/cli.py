@@ -123,6 +123,14 @@ def main():
     homological machinery."""
 
 
+def _report_options(fn):
+    fn = click.option("--format", "fmt", default="json", show_default=True,
+                      type=click.Choice(["json", "csv", "text"]))(fn)
+    fn = click.option("--seed", default=None, type=int,
+                      help="Seed echoed into the report (randomized commands).")(fn)
+    return fn
+
+
 def _config_options(fn):
     fn = click.option("--window", default=DEFAULT_WINDOW, show_default=True,
                       help="Operator truncation window.")(fn)
@@ -130,11 +138,7 @@ def _config_options(fn):
                       help="Strict mode doubles the window for verification.")(fn)
     fn = click.option("--quadrature-order", default=None, type=int,
                       help="Grid size for the integral method cross-check.")(fn)
-    fn = click.option("--format", "fmt", default="json", show_default=True,
-                      type=click.Choice(["json", "csv", "text"]))(fn)
-    fn = click.option("--seed", default=None, type=int,
-                      help="Seed echoed into the report (randomized commands).")(fn)
-    return fn
+    return _report_options(fn)
 
 
 @main.command()
@@ -288,12 +292,11 @@ def _sample_cycles(hom, samples, rng):
 @click.argument("catalog_file", type=click.Path())
 @click.option("--samples", default=100, show_default=True,
               help="Random 2-cycles sampled per surjection.")
-@_config_options
-def homology(catalog_file, samples, window, strict, quadrature_order, fmt, seed):
+@_report_options
+def homology(catalog_file, samples, fmt, seed):
     """Degree-2 homology invariants and the two-path boundary comparison for
     every surjection in a catalog file."""
     try:
-        cfg = RunConfig("all", window, strict, quadrature_order, fmt, seed)
         try:
             _groups, homs = gh.load_catalog_file(catalog_file)
         except OSError as exc:
@@ -306,7 +309,7 @@ def homology(catalog_file, samples, window, strict, quadrature_order, fmt, seed)
         for name in sorted(homs):
             hom = homs[name]
             h2 = gh.homology(hom.target, 2)
-            trivial_class = gh.KernelQuotient(hom).identity
+            trivial_class = gh._kernel_quotient(hom).identity
             agreements = 0
             nontrivial = 0
             for cyc in _sample_cycles(hom, samples, rng):
@@ -321,7 +324,7 @@ def homology(catalog_file, samples, window, strict, quadrature_order, fmt, seed)
                          "samples": samples, "agreements": agreements,
                          "nontrivial_classes": nontrivial}
         report = {"schema": REPORT_SCHEMA, "command": "homology",
-                  "config": cfg.echo(),
+                  "config": {"format": fmt, "seed": seed},
                   "surjections": per,
                   "timings": {"total": time.perf_counter() - t0}}
         emit(report, fmt)
@@ -333,8 +336,8 @@ def homology(catalog_file, samples, window, strict, quadrature_order, fmt, seed)
 
 
 @main.command()
-@_config_options
-def selftest(window, strict, quadrature_order, fmt, seed):
+@_report_options
+def selftest(fmt, seed):
     """Fast built-in checks across all modules."""
     try:
         from .fourier_loops import LoopLog, zero_loop

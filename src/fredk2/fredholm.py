@@ -204,16 +204,8 @@ def path_log_det(path, order: int = 64, tol: float = 1e-11,
     return val
 
 
-def mult_commutator_det(u: ToeplitzOp, v: ToeplitzOp, strict: bool = True,
-                        u_inv: ToeplitzOp | None = None,
-                        v_inv: ToeplitzOp | None = None) -> complex:
-    """det(U V U⁻¹ V⁻¹) for invertibles of E with commuting symbols.
-
-    Inverses known exactly (the second operator of wiener_hopf_pair) may
-    be passed as ``u_inv`` / ``v_inv``; otherwise they are computed with
-    ``ToeplitzOp.inv``."""
-    if u_inv is None:
-        u_inv = u.inv()
-    if v_inv is None:
-        v_inv = v.inv()
+def mult_commutator_det(u: ToeplitzOp, v: ToeplitzOp, strict: bool = True, *,
+                        u_inv: ToeplitzOp, v_inv: ToeplitzOp) -> complex:
+    """det(U V U⁻¹ V⁻¹) for invertibles of E with commuting symbols, given
+    their inverses (exact ones from wiener_hopf_pair, say)."""
     return det1p(u.mul(v).mul(u_inv.mul(v_inv)), strict=strict)

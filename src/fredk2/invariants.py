@@ -22,6 +22,7 @@ from .fourier_loops import (
     circle_integral,
     log_split,
     pairing_integral,
+    z_loop,
     zero_loop,
 )
 from .toeplitz_calculus import (
@@ -393,48 +394,49 @@ def steinberg_to_h2_cycle(u, v) -> LabelChain:
 # -- 3x3 stabilized operator lifts ---------------------------------------
 
 
-def _embed(x: BlockOp, k: int, window: int) -> BlockOp:
-    """The 2x2 block operator x placed at rows and columns (1, k) of the
-    3x3 identity."""
-    one, z = identity_op(window), zero_op(window)
-    at = {1: 1, k: 2}
-    return BlockOp([[x.block(at[i], at[j]) if i in at and j in at
-                     else one if i == j else z for j in (1, 2, 3)]
-                    for i in (1, 2, 3)])
+def _lift(ll: LoopLog, window: int):
+    """The 2x2 block lift ρ(zⁿ)·diag(T(e^a), T(e^{−a})) of zⁿ·e^{a} and its
+    exact inverse diag(T(e^{−a}), T(e^a))·ρ(z⁻ⁿ), with T(e^{±a}) from
+    wiener_hopf_pair; ρ(zⁿ) = ρ(z)ⁿ and ρ(z⁻ⁿ) are exact inverses."""
+    n, a = ll.winding, ll.log_part
+    if a.is_zero():
+        return rho(z_loop(n), window), rho(z_loop(-n), window)
+    e_pos, e_neg = wiener_hopf_pair(a, window)
+    ef = BlockOp.diagonal(e_pos, e_neg, window)
+    eb = BlockOp.diagonal(e_neg, e_pos, window)
+    if n == 0:
+        return ef, eb
+    return rho(z_loop(n), window).mul(ef), eb.mul(rho(z_loop(-n), window))
 
 
-def _lift(k: int, ll: LoopLog, window: int):
-    """The d₁ₖ lift of zⁿ·e^{a} and its exact inverse: ρ(z)ⁿ·diag(T(e^a),
-    T(e^{−a})) in the 2x2 picture, with T(e^a) and its inverse from
-    wiener_hopf_pair, placed at rows and columns (1, k).  The corner
-    1−SS* of ρ(z) and ρ(z⁻¹) makes them a true inverse pair in the
-    correction calculus."""
-    zf, zb = rho_z(window), rho_zinv(window)
-    if ll.winding < 0:
-        zf, zb = zb, zf
-    fwd = bwd = None
-    for _ in range(abs(ll.winding)):
-        fwd = zf if fwd is None else fwd.mul(zf)
-        bwd = zb if bwd is None else bwd.mul(zb)
-    if not ll.log_part.is_zero():
-        e_pos, e_neg = wiener_hopf_pair(ll.log_part, window)
-        ef = BlockOp.diagonal(e_pos, e_neg, window)
-        eb = BlockOp.diagonal(e_neg, e_pos, window)
-        fwd = ef if fwd is None else fwd.mul(ef)
-        bwd = eb if bwd is None else eb.mul(bwd)
-    if fwd is None:
-        one = identity_op(window)
-        fwd = bwd = BlockOp.diagonal(one, one, window)
-    return _embed(fwd, k, window), _embed(bwd, k, window)
+def _stabilized_product(x: BlockOp, y: BlockOp) -> BlockOp:
+    """L_x·L_y with the 2x2 block operators x at rows and columns (1, 2) and
+    y at (1, 3) of the 3x3 identity: four block products."""
+    (x11, x12), (x21, x22) = x.rows
+    (y11, y12), (y21, y22) = y.rows
+    return BlockOp(((x11.mul(y11), x12, x11.mul(y12)),
+                    (x21.mul(y11), x22, x21.mul(y12)),
+                    (y21, zero_op(x.window), y22)))
+
+
+def _times_lift(p: BlockOp, x: BlockOp, k: int) -> BlockOp:
+    """p·L_x with the 2x2 block operator x at rows and columns (1, k) of the
+    3x3 identity: only columns 1 and k of p change."""
+    (x11, x12), (x21, x22) = x.rows
+    rows = [list(r) for r in p.rows]
+    for r in rows:
+        r[0], r[k - 1] = (r[0].mul(x11).add(r[k - 1].mul(x21)),
+                          r[0].mul(x12).add(r[k - 1].mul(x22)))
+    return BlockOp(rows)
 
 
 def h2_psi_representative(sym: SteinbergSymbol, window: int = 64) -> BlockOp:
     """Multiplicative-commutator representative of the boundary class of the
     degree-2 cycle: L_u · L_v · L_u⁻¹ · L_v⁻¹ with L_u the d₁₂ lift of u
     and L_v the d₁₃ lift of v."""
-    lu, lui = _lift(2, sym.u, window)
-    lv, lvi = _lift(3, sym.v, window)
-    return lu.mul(lv).mul(lui).mul(lvi)
+    lu, lui = _lift(sym.u, window)
+    lv, lvi = _lift(sym.v, window)
+    return _times_lift(_times_lift(_stabilized_product(lu, lv), lui, 2), lvi, 3)
 
 
 def h2_representative_det(sym: SteinbergSymbol, window: int = 64,

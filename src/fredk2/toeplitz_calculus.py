@@ -314,10 +314,6 @@ def mul(x: ToeplitzOp, y: ToeplitzOp) -> ToeplitzOp:
     return x.mul(y)
 
 
-def inv(x: ToeplitzOp) -> ToeplitzOp:
-    return x.inv()
-
-
 def exp_op(x: ToeplitzOp) -> ToeplitzOp:
     return x.exp()
 

@@ -278,6 +278,14 @@ class TestHomologyCommand:
         del r0["timings"], r1["timings"]
         assert r0 == r1
 
+    def test_takes_no_operator_options(self, runner, tmp_path):
+        cat = catalog_file(tmp_path)
+        for opt in (["--window", "64"], ["--fast"], ["--quadrature-order", "32"]):
+            res = runner.invoke(main, ["homology", cat, "--samples", "5"] + opt)
+            assert res.exit_code == 2
+        res = runner.invoke(main, ["homology", cat, "--samples", "5", "--seed", "3"])
+        assert json.loads(res.output)["config"] == {"format": "json", "seed": 3}
+
 
 class TestSelftest:
     def test_selftest_passes(self, runner):
@@ -286,3 +294,7 @@ class TestSelftest:
         report = json.loads(res.output)
         assert report["passed"] is True
         assert all(report["checks"].values())
+
+    def test_selftest_takes_no_window(self, runner):
+        res = runner.invoke(main, ["selftest", "--window", "128"])
+        assert res.exit_code == 2

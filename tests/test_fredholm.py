@@ -175,7 +175,7 @@ class TestMultCommutatorDet:
     def test_equal_operands(self):
         rng = np.random.default_rng(19)
         u = exp_op(toeplitz(random_loop(rng), 64))
-        assert abs(mult_commutator_det(u, u) - 1) < 1e-9
+        assert abs(mult_commutator_det(u, u, u_inv=u.inv(), v_inv=u.inv()) - 1) < 1e-9
 
     def test_closed_form_small(self):
         a = FourierLoop({1: 0.1})
@@ -183,7 +183,8 @@ class TestMultCommutatorDet:
         u = exp_op(toeplitz(a, 64))
         v = exp_op(toeplitz(b, 64))
         # exp(Σ k a_{−k} b_k) = exp(−0.01)
-        assert abs(mult_commutator_det(u, v) - cmath.exp(-0.01)) < 1e-9
+        assert abs(mult_commutator_det(u, v, u_inv=u.inv(), v_inv=v.inv())
+                   - cmath.exp(-0.01)) < 1e-9
 
     def test_closed_form_random(self):
         rng = np.random.default_rng(23)
@@ -192,14 +193,17 @@ class TestMultCommutatorDet:
             u = exp_op(toeplitz(a, 64))
             v = exp_op(toeplitz(b, 64))
             expected = cmath.exp(commutator_trace_closed(a, b))
-            assert abs(mult_commutator_det(u, v) - expected) < 1e-8
+            assert abs(mult_commutator_det(u, v, u_inv=u.inv(), v_inv=v.inv())
+                       - expected) < 1e-8
 
     def test_skew_symmetry(self):
         rng = np.random.default_rng(29)
         a, b = random_loop(rng), random_loop(rng)
         u = exp_op(toeplitz(a, 64))
         v = exp_op(toeplitz(b, 64))
-        assert abs(mult_commutator_det(u, v) * mult_commutator_det(v, u) - 1) < 1e-9
+        u_inv, v_inv = u.inv(), v.inv()
+        assert abs(mult_commutator_det(u, v, u_inv=u_inv, v_inv=v_inv)
+                   * mult_commutator_det(v, u, u_inv=v_inv, v_inv=u_inv) - 1) < 1e-9
 
     def test_exact_exponential_inverses_match_inv(self):
         rng = np.random.default_rng(37)
@@ -207,11 +211,16 @@ class TestMultCommutatorDet:
             a, b = random_loop(rng), random_loop(rng)
             u = exp_op(toeplitz(a, 64))
             v = exp_op(toeplitz(b, 64))
-            via_inv = mult_commutator_det(u, v)
+            via_inv = mult_commutator_det(u, v, u_inv=u.inv(), v_inv=v.inv())
             exact = mult_commutator_det(u, v, u_inv=exp_op(toeplitz(a.neg(), 64)),
                                         v_inv=exp_op(toeplitz(b.neg(), 64)))
             assert abs(exact - via_inv) <= 1e-10 * abs(via_inv)
             assert abs(exact - cmath.exp(commutator_trace_closed(a, b))) < 1e-8
+
+    def test_inverses_are_required(self):
+        u = exp_op(toeplitz(FourierLoop({1: 0.1}), 64))
+        with pytest.raises(TypeError):
+            mult_commutator_det(u, u)
 
     def test_exact_inverses_skip_numerical_inverse(self, monkeypatch):
         a, b = FourierLoop({1: 0.1}), FourierLoop({-1: 0.1})

@@ -45,6 +45,7 @@ from fredk2.toeplitz_calculus import (
     shift_op,
     toeplitz,
     wiener_hopf_pair,
+    zero_op,
 )
 from fredk2.fredholm import det1p, mult_commutator_det
 
@@ -307,8 +308,8 @@ class TestDetInvariant:
         for _ in range(3):
             a, b = rand_log(rng, band=4), rand_log(rng, band=4)
             sym = SteinbergSymbol(LoopLog(0, a), LoopLog(0, b))
-            direct = mult_commutator_det(exp_op(toeplitz(a, w)),
-                                         exp_op(toeplitz(b, w)))
+            u, v = exp_op(toeplitz(a, w)), exp_op(toeplitz(b, w))
+            direct = mult_commutator_det(u, v, u_inv=u.inv(), v_inv=v.inv())
             want = cmath.exp(commutator_trace_closed(a, b))
             assert abs(det_invariant_operator(sym, window=w) - want) < 1e-8 * abs(want)
             assert abs(direct - want) < 1e-8 * abs(want)
@@ -565,24 +566,36 @@ class TestH2Cycle:
         assert d12(x).mul(d12(x).inv()) == d12(LoopLabel.identity())
 
 
+def padded(x, k, w):
+    """The 2x2 block operator x placed at rows and columns (1, k) of the
+    3x3 identity, as a dense 3x3 block operator."""
+    one, z = identity_op(w), zero_op(w)
+    at = {1: 1, k: 2}
+    return Block3([[x.block(at[i], at[j]) if i in at and j in at
+                    else one if i == j else z for j in (1, 2, 3)]
+                   for i in (1, 2, 3)])
+
+
+def assert_same_blocks(x, y):
+    n = len(x.rows)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            a, b = x.block(i, j), y.block(i, j)
+            assert a.symbol.sub(b.symbol).is_zero()
+            assert np.array_equal(a.correction, b.correction)
+            assert a.tail_bound == b.tail_bound
+
+
 class TestH2OperatorLift:
     def test_stabilized_shift_lift_inverts_exactly(self):
-        from fredk2.invariants import _lift
+        from fredk2.invariants import _lift, _times_lift
         w = 32
         one = identity_op(w)
+        fwd, bwd = _lift(LoopLog(1, zero_loop()), w)
+        assert_same_blocks(fwd.mul(bwd), TwoByTwoOp.diagonal(one, one, w))
+        eye = Block3.diagonal(one, one, one, w)
         for k in (2, 3):
-            fwd, bwd = _lift(k, LoopLog(1, zero_loop()), w)
-            prod = fwd.mul(bwd)
-            for i in (1, 2, 3):
-                for j in (1, 2, 3):
-                    blk = prod.block(i, j)
-                    want = one if i == j else None
-                    if want is None:
-                        assert blk.symbol.is_zero()
-                        assert not np.any(blk.correction)
-                    else:
-                        assert blk.symbol.sub(want.symbol).is_zero()
-                        assert not np.any(blk.correction)
+            assert_same_blocks(_times_lift(_times_lift(eye, fwd, k), bwd, k), eye)
 
     @pytest.mark.parametrize("ll", [
         LoopLog(-1, zero_loop()),
@@ -593,25 +606,41 @@ class TestH2OperatorLift:
     def test_lift_inverts(self, k, ll):
         w = 32
         one = identity_op(w)
-        fwd, bwd = invariants._lift(k, ll, w)
+        fwd, bwd = invariants._lift(ll, w)
+        eye2 = TwoByTwoOp.diagonal(one, one, w)
+        assert fwd.mul(bwd).deviation_from(eye2) <= 1e-12
+        assert bwd.mul(fwd).deviation_from(eye2) <= 1e-12
         eye = Block3.diagonal(one, one, one, w)
-        assert fwd.mul(bwd).deviation_from(eye) <= 1e-12
-        assert bwd.mul(fwd).deviation_from(eye) <= 1e-12
+        there = invariants._times_lift(eye, fwd, k)
+        assert invariants._times_lift(there, bwd, k).deviation_from(eye) <= 1e-12
+
+    def test_rho_of_power_is_power_of_rho(self):
+        for w in (8, 32):
+            for sign in (1, -1):
+                z = rho(FourierLoop({sign: 1.0}), w)
+                power = z
+                for n in range(1, (w - 2) // 2 + 1):
+                    assert_same_blocks(rho(FourierLoop({sign * n: 1.0}), w), power)
+                    power = power.mul(z)
+
+    def test_stabilized_product_is_the_padded_product(self):
+        w = 32
+        x, _ = invariants._lift(LoopLog(2, FourierLoop({1: 0.2, -2: 0.1j})), w)
+        y, _ = invariants._lift(LoopLog(-1, FourierLoop({0: 0.1, -1: 0.3})), w)
+        assert_same_blocks(invariants._stabilized_product(x, y),
+                           padded(x, 2, w).mul(padded(y, 3, w)))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_lift_leaves_the_other_index_alone(self, k):
         w = 32
         other = 5 - k
-        for x in invariants._lift(k, LoopLog(-2, FourierLoop({1: 0.2, -1: 0.1})), w):
-            blk = x.block(other, other)
-            assert blk.symbol.sub(identity_op(w).symbol).is_zero()
-            assert not np.any(blk.correction) and blk.tail_bound == 0.0
-            for j in (1, 2, 3):
-                if j == other:
-                    continue
-                for blk in (x.block(other, j), x.block(j, other)):
-                    assert blk.symbol.is_zero()
-                    assert not np.any(blk.correction) and blk.tail_bound == 0.0
+        x, _ = invariants._lift(LoopLog(-2, FourierLoop({1: 0.2, -1: 0.1})), w)
+        y, _ = invariants._lift(LoopLog(1, FourierLoop({2: 0.1, -1: 0.2})), w)
+        p = invariants._stabilized_product(x, y)
+        got = invariants._times_lift(p, x, k)
+        assert_same_blocks(got, p.mul(padded(x, k, w)))
+        for i in (1, 2, 3):
+            assert got.block(i, other) is p.block(i, other)
 
     def test_lift_products_skip_the_identity_index(self, monkeypatch):
         calls = []
@@ -625,7 +654,20 @@ class TestH2OperatorLift:
         sym = SteinbergSymbol(LoopLog(2, FourierLoop({1: 0.2})),
                               LoopLog(-3, FourierLoop({-1: 0.1})))
         h2_psi_representative(sym, 32)
-        assert len(calls) <= 165
+        assert len(calls) <= 64
+
+    @pytest.mark.parametrize("n", [16, 64, -40])
+    def test_winding_beyond_the_window_is_rejected(self, n):
+        sym = SteinbergSymbol(LoopLog(n, zero_loop()), LoopLog(1, zero_loop()))
+        with pytest.raises(InputError, match="window must dominate band"):
+            h2_representative_det(sym, window=32)
+
+    def test_widest_winding_the_window_holds(self):
+        sym = SteinbergSymbol(LoopLog(15, FourierLoop({1: 0.1})),
+                              LoopLog(1, zero_loop()))
+        got = h2_representative_det(sym, window=32)
+        want = det_invariant_closed(sym)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_cross_symbol_collapses_to_w0(self):
         w = 64
