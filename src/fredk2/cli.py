@@ -27,32 +27,12 @@ REPORT_SCHEMA = "fredk2-report/1"
 METHODS = ("closed", "integral", "operator")
 
 
-class RunConfig:
-    """Validated bundle of run parameters, echoed into every report."""
-
-    def __init__(self, method="all", window=DEFAULT_WINDOW, strict=True,
-                 quadrature_order=None, fmt="json", seed=None):
-        if method not in METHODS + ("all",):
-            raise InputError("unknown method")
-        if window < 4:
-            raise InputError("window too small for band")
-        self.method = method
-        self.window = int(window)
-        self.strict = bool(strict)
-        self.quadrature_order = quadrature_order
-        self.fmt = fmt
-        self.seed = seed
-
-    def check_band(self, band: int):
-        if band > max_band():
-            raise InputError("band exceeds FREDK2_MAX_BAND")
-        if self.strict and self.window < 4 * band + 16:
-            raise InputError("window too small for band")
-
-    def echo(self) -> dict:
-        return {"method": self.method, "window": self.window,
-                "strict": self.strict, "quadrature_order": self.quadrature_order,
-                "format": self.fmt, "seed": self.seed}
+def _check_band(band: int, window: int, strict: bool):
+    """The band cap, and in strict mode the rule window ≥ 4·band + 16."""
+    if band > max_band():
+        raise InputError("band exceeds FREDK2_MAX_BAND")
+    if strict and window < 4 * band + 16:
+        raise InputError("window too small for band")
 
 
 def _jsonable(x):
@@ -131,16 +111,6 @@ def _report_options(fn):
     return fn
 
 
-def _config_options(fn):
-    fn = click.option("--window", default=DEFAULT_WINDOW, show_default=True,
-                      help="Operator truncation window.")(fn)
-    fn = click.option("--strict/--fast", "strict", default=True,
-                      help="Strict mode doubles the window for verification.")(fn)
-    fn = click.option("--quadrature-order", default=None, type=int,
-                      help="Grid size for the integral method cross-check.")(fn)
-    return _report_options(fn)
-
-
 @main.command()
 @click.argument("alpha_file", type=click.Path())
 @click.argument("beta_file", type=click.Path())
@@ -153,17 +123,20 @@ def _config_options(fn):
 @click.option("--dump-operator", default=None, type=click.Path(),
               help="Write the operator route's cross-part representative "
                    "w0_representative(c - c0) to this JSON file.")
-@_config_options
+@click.option("--window", default=DEFAULT_WINDOW, show_default=True,
+              help="Operator truncation window.")
+@click.option("--strict/--fast", "strict", default=True,
+              help="Strict mode doubles the window for verification.")
+@_report_options
 def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
-           dump_operator, window, strict, quadrature_order, fmt, seed):
+           dump_operator, window, strict, fmt, seed):
     """Determinant invariant and character of the symbol {alpha, beta}."""
     try:
-        cfg = RunConfig(method, window, strict, quadrature_order, fmt, seed)
         alpha = _load_loop(alpha_file)
         beta = _load_loop(beta_file)
-        cfg.check_band(max(alpha.band, beta.band))
+        _check_band(max(alpha.band, beta.band), window, strict)
         sym = SteinbergSymbol.from_loops(alpha, beta)
-        cfg.check_band(max(sym.u.log_part.band, sym.v.log_part.band))
+        _check_band(max(sym.u.log_part.band, sym.v.log_part.band), window, strict)
 
         wanted = METHODS if method == "all" else (method,)
         values, timings = {}, {}
@@ -174,14 +147,14 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
             if name == "closed":
                 values[name] = det_invariant_closed(sym)
             elif name == "integral":
-                values[name] = det_invariant_integral(sym, grid=quadrature_order)
+                values[name] = det_invariant_integral(sym)
             else:
-                values[name], rep = _operator_route(sym, cfg.window, cfg.strict)
+                values[name], rep = _operator_route(sym, window, strict)
             timings[name] = time.perf_counter() - t0
             if name == "operator":
                 # the 2w re-run checks the value; it is not part of its cost
                 tails[name] = rep.tail_bound
-                redo = det_invariant_operator(sym, window=2 * cfg.window,
+                redo = det_invariant_operator(sym, window=2 * window,
                                               strict=False)
                 doubling[name] = abs(redo - values[name])
                 if dump_operator:
@@ -201,7 +174,8 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
             if delta > tol:
                 ok = False
         report = {"schema": REPORT_SCHEMA, "command": "symbol",
-                  "config": cfg.echo(),
+                  "config": {"method": method, "window": window,
+                             "strict": strict, "format": fmt, "seed": seed},
                   "values": values,
                   "character": character,
                   "discrepancies": discrepancies,
@@ -223,15 +197,11 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
               help="Comma-separated increasing window sizes.")
 @click.option("--tol", default=1e-8, show_default=True,
               help="Final-window agreement tolerance vs the closed form.")
-@_config_options
-def converge(alpha_file, beta_file, windows, tol, window, strict,
-             quadrature_order, fmt, seed):
+@_report_options
+def converge(alpha_file, beta_file, windows, tol, fmt, seed):
     """Operator-route convergence sweep against the closed form (CSV rows
     window, real, imag, delta)."""
     try:
-        # the sweep runs every window of --windows with strict=False, so
-        # only the band cap and the first sweep window are checked
-        cfg = RunConfig("operator", window, False, quadrature_order, fmt, seed)
         try:
             sizes = [int(tok) for tok in windows.split(",") if tok.strip()]
         except ValueError as exc:
@@ -242,7 +212,8 @@ def converge(alpha_file, beta_file, windows, tol, window, strict,
         beta = _load_loop(beta_file)
         sym = SteinbergSymbol.from_loops(alpha, beta)
         band = max(sym.u.log_part.band, sym.v.log_part.band)
-        cfg.check_band(band)
+        # every sweep window runs with strict=False: band cap and first window
+        _check_band(band, sizes[0], strict=False)
         _require_window(sizes[0], band)
 
         reference = det_invariant_closed(sym)
@@ -255,7 +226,7 @@ def converge(alpha_file, beta_file, windows, tol, window, strict,
             rows.append([size, val.real, val.imag, abs(val - reference)])
         final_delta = rows[-1][3]
         report = {"schema": REPORT_SCHEMA, "command": "converge",
-                  "config": cfg.echo(),
+                  "config": {"format": fmt, "seed": seed},
                   "closed_value": reference,
                   "row_header": ["window", "real", "imag", "delta"],
                   "rows": rows,

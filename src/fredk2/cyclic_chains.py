@@ -35,6 +35,7 @@ TRI_MAX_ORDER = 128
 LINE_TOL = 1e-11
 TRI_TOL = 1e-9
 CHAIN_TOL = 1e-10
+FD_STEP = 1e-4    # step of the central differences in SimplexPath.partial
 
 
 def _is_mat(x):
@@ -89,7 +90,7 @@ class SimplexPath:
     callables.  based asserts sigma(0) = 1.
     """
 
-    def __init__(self, dimension, value, partials=None, based=True, fd_step=1e-4):
+    def __init__(self, dimension, value, partials=None, based=True):
         if dimension not in (1, 2):
             raise InputError("simplex dimension must be 1 or 2")
         self.n = dimension
@@ -102,7 +103,6 @@ class SimplexPath:
                 raise InputError("one partial per simplex coordinate required")
             self._partials = lambda i, *t: ps[i - 1](*t)
         self.based = bool(based)
-        self.fd_step = float(fd_step)
         if self.based:
             v0 = self.at(*([0.0] * self.n))
             if _is_mat(v0):
@@ -118,7 +118,7 @@ class SimplexPath:
             raise InputError("partial index out of range")
         if self._partials is not None:
             return self._partials(i, *t)
-        h = self.fd_step
+        h = FD_STEP
 
         def shifted(d):
             u = list(t)
@@ -248,7 +248,8 @@ class CyclicChain:
                 raise InputError("only dense matrix chains materialize")
             piece = x[0]
             for e in x[1:]:
-                piece = np.kron(piece, e)
+                piece = (piece[:, None, :, None] * e[None, :, None, :]).reshape(
+                    piece.shape[0] * e.shape[0], piece.shape[1] * e.shape[1])
             piece = c * piece
             total = piece if total is None else total + piece
         return total
@@ -256,7 +257,7 @@ class CyclicChain:
     def project(self):
         return cyclic_project(self)
 
-    def equals(self, other, tol=CHAIN_TOL):
+    def equals(self, other):
         if other.degree != self.degree:
             return False
         a = self.project().materialize()
@@ -265,11 +266,11 @@ class CyclicChain:
             return True
         if a is None or b is None:
             present = a if a is not None else b
-            return np.linalg.norm(present) <= tol
+            return np.linalg.norm(present) <= CHAIN_TOL
         if a.shape != b.shape:
             return False
         scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
-        return np.linalg.norm(a - b) <= tol * scale
+        return np.linalg.norm(a - b) <= CHAIN_TOL * scale
 
 
 def cyclic_t(c):
@@ -311,7 +312,7 @@ def _line_integral(fn):
     return gl_adaptive(lambda o: gl_sum(fn, o), LINE_ORDER, LINE_MAX_ORDER, LINE_TOL)
 
 
-def gamma_log(sigma, tol=TRI_TOL):
+def gamma_log(sigma):
     """Logarithm of a based simplex as a cyclic chain.
 
     Defined by ((-1)^n / n!) sum over permutations s of sgn(s) times the
@@ -327,7 +328,7 @@ def gamma_log(sigma, tol=TRI_TOL):
             raise InputError("linear extension is defined on 1-simplex chains")
         out = None
         for c, s in sigma.terms:
-            piece = gamma_log(s, tol=tol).scaled(c)
+            piece = gamma_log(s).scaled(c)
             out = piece if out is None else out.plus(piece)
         return out if out is not None else CyclicChain(0, [])
     if not sigma.based:
@@ -369,7 +370,7 @@ def gamma_log(sigma, tol=TRI_TOL):
                 terms.append((-0.5 * w, (b, a)))
         return CyclicChain(1, terms)
 
-    return gl_adaptive(triangle_chain, TRI_ORDER, TRI_MAX_ORDER, tol,
+    return gl_adaptive(triangle_chain, TRI_ORDER, TRI_MAX_ORDER, TRI_TOL,
                        measure=CyclicChain.materialize)
 
 

@@ -308,13 +308,12 @@ class LoopLog:
         return f"LoopLog(winding={self.winding}, log_part={self.log_part!r})"
 
 
-def circle_integral(loop: FourierLoop, cross_check: bool = False) -> complex:
-    """(1/2π)∫₀^{2π} f(θ) dθ = c₀."""
+def circle_integral(loop: FourierLoop) -> complex:
+    """(1/2π)∫₀^{2π} f(θ) dθ = c₀, cross-checked by the 2048-point rule."""
     value = loop[0]
-    if cross_check:
-        quad = complex(np.mean(loop.eval_grid(2048)))
-        if abs(quad - value) > 1e-12 * max(1.0, loop.l1()):
-            raise InvariantViolation("quadrature disagrees with coefficient read-off")
+    quad = complex(np.mean(loop.eval_grid(2048)))
+    if abs(quad - value) > 1e-12 * max(1.0, loop.l1()):
+        raise InvariantViolation("quadrature disagrees with coefficient read-off")
     return value
 
 

@@ -160,20 +160,16 @@ def det_invariant_closed(sym: SteinbergSymbol) -> complex:
     return _winding_sign(n, m) * cmath.exp(expo)
 
 
-def det_invariant_integral(sym: SteinbergSymbol, grid: int = None) -> complex:
+def det_invariant_integral(sym: SteinbergSymbol) -> complex:
     """(−1)^{nm} · exp((1/2π)∫(m·a − n·b) dθ + (1/2πi)∫ a·b′ dθ).
 
     Both integrals are evaluated with a quadrature cross-check against
-    their coefficient read-offs.  ``grid`` overrides the number of
-    quadrature nodes; it must resolve the joint band.
+    their coefficient read-offs, on a grid that resolves the joint band.
     """
     n, a, m, b = _parts(sym)
-    mean = circle_integral(a.scalar_mul(m).sub(b.scalar_mul(n)), cross_check=True)
+    mean = circle_integral(a.scalar_mul(m).sub(b.scalar_mul(n)))
     pairing = pairing_integral(a, b)
-    if grid is None:
-        grid = 1 << max(4, (2 * (a.band + b.band) + 2).bit_length())
-    elif grid <= 2 * (a.band + b.band):
-        raise InputError("quadrature order does not resolve the joint band")
+    grid = 1 << max(4, (2 * (a.band + b.band) + 2).bit_length())
     quad = complex(np.mean(a.eval_grid(grid) * b.derivative().eval_grid(grid))) / 1j
     if abs(quad - pairing) > 1e-10 * max(1.0, a.l1() * b.derivative().l1()):
         raise InvariantViolation("quadrature disagrees with coefficient read-off")
@@ -439,11 +435,10 @@ def h2_psi_representative(sym: SteinbergSymbol, window: int = 64) -> BlockOp:
     return _times_lift(_times_lift(_stabilized_product(lu, lv), lui, 2), lvi, 3)
 
 
-def h2_representative_det(sym: SteinbergSymbol, window: int = 64,
-                          strict: bool = True) -> complex:
+def h2_representative_det(sym: SteinbergSymbol, window: int = 64) -> complex:
     """Fredholm determinant of the 3x3 representative, a fourth route to
     the invariant that needs no factorization into {z, z}, cross and
     Helton–Howe parts.  The log constants are split off exactly first, as
     on the operator route."""
     factor, bare = _split_constants(sym)
-    return factor * det1p(h2_psi_representative(bare, window), strict)
+    return factor * det1p(h2_psi_representative(bare, window))

@@ -198,6 +198,9 @@ class ToeplitzOp:
         phi, psi = x.symbol, y.symbol
         cx, cy = x.correction, y.correction
         x_live, y_live = cx.any(), cy.any()
+        if (not (phi.coeffs or phi.tail or x_live or x.tail_bound)
+                or not (psi.coeffs or psi.tail or y_live or y.tail_bound)):
+            return ToeplitzOp(zero_loop(), None, w, 0.0)  # an exact zero operand
         band = max(phi.band, psi.band)
         ext = w + band
 

@@ -114,6 +114,15 @@ class TestSymbolCommand:
         res = runner.invoke(main, ["symbol", wide, zf, "--window", "32", "--fast"])
         assert res.exit_code in (0, 2)
 
+    def test_takes_no_quadrature_order(self, runner, tmp_path):
+        zf = z_file(tmp_path)
+        res = runner.invoke(main, ["symbol", zf, zf, "--quadrature-order", "32"])
+        assert res.exit_code == 2
+        res = runner.invoke(main, ["symbol", zf, zf, "--window", "32", "--seed", "3"])
+        assert json.loads(res.output)["config"] == {
+            "method": "all", "window": 32, "strict": True,
+            "format": "json", "seed": 3}
+
     def test_band_cap_env(self, runner, tmp_path):
         zf = z_file(tmp_path)
         res = runner.invoke(main, ["symbol", zf, zf],
@@ -196,13 +205,16 @@ class TestConvergeCommand:
         res = runner.invoke(main, ["converge", wide, zf, "--windows", "14,64"])
         assert res.exit_code in (0, 4)
 
-    def test_window_option_is_not_checked(self, runner, tmp_path):
-        # --window is not used by the sweep, whose windows pass the band
+    def test_takes_no_operator_options(self, runner, tmp_path):
+        # the sweep's windows are --windows, each run with strict=False
         af, bf = exp_pair_files(tmp_path)
-        res = runner.invoke(main, ["converge", af, bf, "--windows", "32,64",
-                                   "--window", "16"])
+        args = ["converge", af, bf, "--windows", "32,64"]
+        for opt in (["--window", "16"], ["--fast"], ["--quadrature-order", "32"]):
+            res = runner.invoke(main, args + opt)
+            assert res.exit_code == 2
+        res = runner.invoke(main, args + ["--seed", "3"])
         assert res.exit_code == 0
-        assert json.loads(res.output)["config"]["strict"] is False
+        assert json.loads(res.output)["config"] == {"format": "json", "seed": 3}
 
     def test_unconverged_flags_exit_4(self, runner, tmp_path):
         af, bf = exp_pair_files(tmp_path)

@@ -269,6 +269,24 @@ class TestCyclicOperators:
         p2 = cyclic_project(p1)
         assert np.linalg.norm(p1.materialize() - p2.materialize()) < 1e-13
 
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 2)),
+                                        ((2, 3), (3, 1), (2, 2))])
+    def test_materialize_is_the_kron_sum(self, shapes):
+        rng = np.random.default_rng(79)
+        terms = [(complex(rng.standard_normal(), rng.standard_normal()),
+                  tuple(rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                        for s in shapes))
+                 for _ in range(3)]
+        want = None
+        for c, x in terms:
+            piece = x[0]
+            for e in x[1:]:
+                piece = np.kron(piece, e)
+            want = c * piece if want is None else want + c * piece
+        got = CyclicChain(len(shapes) - 1, terms).materialize()
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_b_descends_to_cyclic_quotient(self):
         rng = np.random.default_rng(73)
         c = self.rand_chain(rng, 2, 3, 4)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fredk2 import InputError, NumericalError
+from fredk2 import InputError, InvariantViolation, NumericalError
 from fredk2.fourier_loops import (
     FourierLoop,
     circle_integral,
@@ -264,7 +264,12 @@ class TestGridPasses:
 
 class TestIntegrals:
     def test_circle_integral(self):
-        assert circle_integral(FourierLoop({0: 3 + 1j}), cross_check=True) == 3 + 1j
+        assert circle_integral(FourierLoop({0: 3 + 1j})) == 3 + 1j
+
+    def test_circle_integral_cross_check_sees_aliasing(self):
+        # z^2048 aliases onto c₀ on the 2048-point rule
+        with pytest.raises(InvariantViolation, match="quadrature disagrees"):
+            circle_integral(FourierLoop({2048: 1.0}))
 
     def test_pairing_basic(self):
         assert pairing_integral(FourierLoop({1: 1.0}), FourierLoop({-1: 1.0})) == -1

@@ -119,7 +119,7 @@ class TestDetExpPair:
                 + 0.3j * (2 * rng.random((30, 30)) - 1)
             y = 0.3 * (2 * rng.random((30, 30)) - 1) \
                 + 0.3j * (2 * rng.random((30, 30)) - 1)
-            det_exp_pair_verify(x, y, tol=1e-10)
+            det_exp_pair_verify(x, y)
 
 
 class TestPathLogDet:

@@ -35,6 +35,7 @@ from fredk2.invariants import (
 )
 from fredk2 import invariants
 from fredk2.toeplitz_calculus import (
+    HankelWindow,
     ToeplitzOp,
     commutator_trace_closed,
     coshift_op,
@@ -655,6 +656,22 @@ class TestH2OperatorLift:
                               LoopLog(-3, FourierLoop({-1: 0.1})))
         h2_psi_representative(sym, 32)
         assert len(calls) <= 64
+
+    def test_zero_operand_products_build_no_hankel(self, monkeypatch):
+        # 30 of the 64 products have nonzero operands, two Hankel windows
+        # each, and the two ρ(z^{±n}) of each lift build two more each
+        built = []
+        orig = HankelWindow.__init__
+
+        def counted(self, symbol, window):
+            built.append(1)
+            orig(self, symbol, window)
+
+        monkeypatch.setattr(HankelWindow, "__init__", counted)
+        sym = SteinbergSymbol(LoopLog(2, FourierLoop({1: 0.2})),
+                              LoopLog(-3, FourierLoop({-1: 0.1})))
+        h2_psi_representative(sym, 32)
+        assert len(built) <= 68
 
     @pytest.mark.parametrize("n", [16, 64, -40])
     def test_winding_beyond_the_window_is_rejected(self, n):
