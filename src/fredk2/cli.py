@@ -14,12 +14,14 @@ from ._errors import FredK2Error, InputError, InvariantViolation
 from .fourier_loops import FourierLoop, loop_from_json, max_band
 from .toeplitz_calculus import DEFAULT_WINDOW, _require_window
 from .invariants import (
+    RouteParts,
     SteinbergSymbol,
     det_invariant_closed,
     det_invariant_integral,
     det_invariant_operator,
     mult_character,
-    _operator_route,
+    operator_route_at,
+    route_windows,
 )
 from . import group_homology as gh
 
@@ -27,12 +29,10 @@ REPORT_SCHEMA = "fredk2-report/1"
 METHODS = ("closed", "integral", "operator")
 
 
-def _check_band(band: int, window: int, strict: bool):
-    """The band cap, and in strict mode the rule window ≥ 4·band + 16."""
+def _check_band(band: int):
+    """The band cap."""
     if band > max_band():
         raise InputError("band exceeds FREDK2_MAX_BAND")
-    if strict and window < 4 * band + 16:
-        raise InputError("window too small for band")
 
 
 def _jsonable(x):
@@ -122,11 +122,15 @@ def _report_options(fn):
               help="Operator route agreement tolerance (relative).")
 @click.option("--dump-operator", default=None, type=click.Path(),
               help="Write the operator route's cross-part representative "
-                   "w0_representative(c - c0) to this JSON file.")
+                   "w0_representative(c - c0), at its chosen window, to "
+                   "this JSON file.")
 @click.option("--window", default=DEFAULT_WINDOW, show_default=True,
-              help="Operator truncation window.")
+              help="Cap on the operator route's windows, which are chosen "
+                   "from the bands of its lifts.")
 @click.option("--strict/--fast", "strict", default=True,
-              help="Strict mode doubles the window for verification.")
+              help="Strict mode refuses a window below the one the operator "
+                   "route needs and re-takes each determinant on twice its "
+                   "window.")
 @_report_options
 def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
            dump_operator, window, strict, fmt, seed):
@@ -134,14 +138,15 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
     try:
         alpha = _load_loop(alpha_file)
         beta = _load_loop(beta_file)
-        _check_band(max(alpha.band, beta.band), window, strict)
+        _check_band(max(alpha.band, beta.band))
         sym = SteinbergSymbol.from_loops(alpha, beta)
-        _check_band(max(sym.u.log_part.band, sym.v.log_part.band), window, strict)
+        _check_band(max(sym.u.log_part.band, sym.v.log_part.band))
 
         wanted = METHODS if method == "all" else (method,)
         values, timings = {}, {}
         tails = {}
         doubling = {}
+        windows = {}
         for name in wanted:
             t0 = time.perf_counter()
             if name == "closed":
@@ -149,13 +154,21 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
             elif name == "integral":
                 values[name] = det_invariant_integral(sym)
             else:
-                values[name], rep = _operator_route(sym, window, strict)
+                parts = RouteParts(sym)
+                needed = max(w for w in route_windows(parts, math.inf) if w)
+                if strict and needed > window:
+                    raise InputError(f"window too small for band: the operator "
+                                     f"route needs {needed}, --window is {window}")
+                chosen = route_windows(parts, window)
+                values[name], rep = operator_route_at(parts, chosen, strict)
             timings[name] = time.perf_counter() - t0
             if name == "operator":
-                # the 2w re-run checks the value; it is not part of its cost
+                # the re-run on twice the chosen windows checks the value;
+                # it is not part of its cost
                 tails[name] = rep.tail_bound
-                redo = det_invariant_operator(sym, window=2 * window,
-                                              strict=False)
+                windows = {"cross": chosen[0], "helton_howe": chosen[1]}
+                doubled = tuple(None if w is None else 2 * w for w in chosen)
+                redo = operator_route_at(parts, doubled, strict=False)[0]
                 doubling[name] = abs(redo - values[name])
                 if dump_operator:
                     with open(dump_operator, "w", encoding="utf-8") as fh:
@@ -180,6 +193,7 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
                   "character": character,
                   "discrepancies": discrepancies,
                   "tail_bounds": tails,
+                  "windows": windows,
                   "window_doubling": doubling,
                   "timings": timings,
                   "within_tolerance": ok}
@@ -212,16 +226,17 @@ def converge(alpha_file, beta_file, windows, tol, fmt, seed):
         beta = _load_loop(beta_file)
         sym = SteinbergSymbol.from_loops(alpha, beta)
         band = max(sym.u.log_part.band, sym.v.log_part.band)
-        # every sweep window runs with strict=False: band cap and first window
-        _check_band(band, sizes[0], strict=False)
+        _check_band(band)
         _require_window(sizes[0], band)
 
         reference = det_invariant_closed(sym)
+        parts = RouteParts(sym)
         rows = []
         timings = {}
         for size in sizes:
+            # every sweep window is taken as given, with strict=False
             t0 = time.perf_counter()
-            val = det_invariant_operator(sym, window=size, strict=False)
+            val = operator_route_at(parts, (size, size), strict=False)[0]
             timings[str(size)] = time.perf_counter() - t0
             rows.append([size, val.real, val.imag, abs(val - reference)])
         final_delta = rows[-1][3]

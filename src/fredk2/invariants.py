@@ -37,6 +37,7 @@ from .toeplitz_calculus import (
     op_trace,
     shift_conjugation_trace,
     shift_op,
+    split_exponentials,
     toeplitz,
     wiener_hopf_pair,
     zero_op,
@@ -176,13 +177,14 @@ def det_invariant_integral(sym: SteinbergSymbol) -> complex:
     return _winding_sign(n, m) * cmath.exp(mean + pairing)
 
 
-def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzOp:
+def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW,
+                      exps: tuple[FourierLoop, ...] | None = None) -> ToeplitzOp:
     """S U S* U⁻¹ + (1 − SS*) U⁻¹, the determinant-class representative of
     the cross part {z, e^c}, with U = T(e^c) and its exact inverse U⁻¹ from
-    wiener_hopf_pair."""
+    wiener_hopf_pair (given c's split exponentials ``exps``, if known)."""
     s = shift_op(window)
     st = coshift_op(window)
-    u, u_inv = wiener_hopf_pair(c, window)
+    u, u_inv = wiener_hopf_pair(c, window, exps)
     p0 = identity_op(window).sub(mul(s, st))
     return mul(mul(mul(s, u), st), u_inv).add(mul(p0, u_inv))
 
@@ -193,8 +195,13 @@ def det_invariant_operator(sym: SteinbergSymbol, window: int = DEFAULT_WINDOW,
     {z, e^{c₀}} · {z, e^{c−c₀}} · {e^a, e^b}, c = nb − ma: (−1)^{nm}, e^{−c₀}
     exactly, the Fredholm determinant of w0_representative(c − c₀), and the
     multiplicative commutator determinant of the Wiener–Hopf lifts of
-    e^{a−a₀}, e^{b−b₀} with their exact inverses (the constants cancel)."""
-    return _operator_route(sym, window, strict)[0]
+    e^{a−a₀}, e^{b−b₀} with their exact inverses (the constants cancel).
+
+    Each determinant is taken on the window its lifts need (see
+    route_windows), at most ``window``; a cap below that need truncates
+    the lifts, with the discarded mass in their tail bounds."""
+    parts = RouteParts(sym)
+    return operator_route_at(parts, route_windows(parts, window), strict)[0]
 
 
 def _nonconstant(f: FourierLoop) -> FourierLoop:
@@ -215,20 +222,63 @@ def _split_constants(sym: SteinbergSymbol):
                                    LoopLog(m, _nonconstant(b)))
 
 
-def _operator_route(sym: SteinbergSymbol, window: int, strict: bool):
-    """det_invariant_operator's value and the w0_representative it used."""
-    factor, bare = _split_constants(sym)
-    n, a, m, b = _parts(bare)
-    rep = w0_representative(b.scalar_mul(n).sub(a.scalar_mul(m)), window)
-    cross = factor * det1p(rep, strict=strict)
-    if a.is_zero() or b.is_zero():
+class RouteParts:
+    """The operator route's inputs for sym = {zⁿ·e^a, z^m·e^b}, the log
+    constants split off: the exact scalar (−1)^{nm}·e^{m·a₀ − n·b₀}, the
+    cross log c = nb − ma, and the Helton–Howe logs a, b (``helton`` is
+    None when one of them is zero), each log paired with its
+    split_exponentials, computed once."""
+
+    __slots__ = ("sign", "factor", "cross", "helton")
+
+    def __init__(self, sym: SteinbergSymbol):
+        self.factor, bare = _split_constants(sym)
+        n, a, m, b = _parts(bare)
+        self.sign = _winding_sign(n, m)
+        self.cross = _with_exps(b.scalar_mul(n).sub(a.scalar_mul(m)))
+        self.helton = (None if a.is_zero() or b.is_zero()
+                       else (_with_exps(a), _with_exps(b)))
+
+
+def _with_exps(f: FourierLoop):
+    return f, split_exponentials(f)
+
+
+def _needed_window(*loops: FourierLoop) -> int:
+    """2·B + 2 for B the widest band among the loops: the window holds the
+    band-wide corners of every Brown–Halmos correction among their
+    Toeplitz operators."""
+    return 2 * max(f.band for f in loops) + 2
+
+
+def route_windows(parts: RouteParts, cap: float) -> tuple:
+    """(cross, Helton–Howe) windows of the operator route, each at most
+    ``cap``.  The cross window covers c, its split exponentials and the
+    shift; the Helton–Howe window covers a, b and theirs (None when that
+    part is not taken)."""
+    c, c_exps = parts.cross
+    w_c = _needed_window(c, *c_exps, z_loop(1))
+    if parts.helton is None:
+        return min(cap, w_c), None
+    (a, a_exps), (b, b_exps) = parts.helton
+    return min(cap, w_c), min(cap, _needed_window(a, *a_exps, b, *b_exps))
+
+
+def operator_route_at(parts: RouteParts, windows: tuple, strict: bool):
+    """The operator route's value on the explicit (cross, Helton–Howe)
+    windows, and the w0_representative it used."""
+    (c, c_exps), w_h = parts.cross, windows[1]
+    rep = w0_representative(c, windows[0], c_exps)
+    cross = parts.factor * det1p(rep, strict=strict)
+    if parts.helton is None:
         helton = 1.0 + 0j
     else:
-        ea, ea_inv = wiener_hopf_pair(a, window)
-        eb, eb_inv = wiener_hopf_pair(b, window)
+        (a, a_exps), (b, b_exps) = parts.helton
+        ea, ea_inv = wiener_hopf_pair(a, w_h, a_exps)
+        eb, eb_inv = wiener_hopf_pair(b, w_h, b_exps)
         helton = mult_commutator_det(ea, eb, strict=strict,
                                      u_inv=ea_inv, v_inv=eb_inv)
-    return _winding_sign(n, m) * cross * helton, rep
+    return parts.sign * cross * helton, rep
 
 
 def mult_character(sym: SteinbergSymbol) -> complex:

@@ -38,6 +38,15 @@ DEFAULT_WINDOW = 256
 FEW_COEFFS = 4
 
 
+def _coeff_run(symbol: FourierLoop, lo: int, n: int) -> np.ndarray:
+    """[φ_lo, φ_{lo+1}, …, φ_{lo+n−1}] as a dense array."""
+    run = np.zeros(n, dtype=complex)
+    for k, c in symbol.coeffs.items():
+        if lo <= k < lo + n:
+            run[k - lo] = c
+    return run
+
+
 def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> np.ndarray:
     """Dense section (φ_{j−k}), j < rows, k < cols."""
     if cols is None:
@@ -45,10 +54,7 @@ def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> 
     if rows == 0 or cols == 0:
         return np.zeros((rows, cols), dtype=complex)
     # diag[d + cols − 1] = φ_d for every offset d = j − k in the section
-    diag = np.zeros(rows + cols - 1, dtype=complex)
-    for k, c in symbol.coeffs.items():
-        if -cols < k < rows:
-            diag[k + cols - 1] = c
+    diag = _coeff_run(symbol, 1 - cols, rows + cols - 1)
     windows = np.lib.stride_tricks.sliding_window_view(diag, cols)
     return windows[:, ::-1].copy()
 
@@ -59,14 +65,12 @@ class HankelWindow:
     __slots__ = ("matrix",)
 
     def __init__(self, symbol: FourierLoop, window: int):
-        h = np.zeros((window, window), dtype=complex)
-        for k, c in symbol.coeffs.items():
-            if k >= 1:
-                # anti-diagonal j + l = k - 1
-                idx = np.arange(0, min(k, window))
-                sel = idx[k - 1 - idx < window]
-                h[sel, k - 1 - sel] = c
-        self.matrix = h
+        if window == 0:
+            self.matrix = np.zeros((0, 0), dtype=complex)
+            return
+        # anti[j + l] = φ_{j+l+1} for every anti-diagonal of the window
+        anti = _coeff_run(symbol, 1, 2 * window - 1)
+        self.matrix = np.lib.stride_tricks.sliding_window_view(anti, window).copy()
 
 
 def _norms(block: np.ndarray) -> tuple[float, float]:
@@ -321,7 +325,17 @@ def exp_op(x: ToeplitzOp) -> ToeplitzOp:
     return x.exp()
 
 
-def wiener_hopf_pair(a: FourierLoop, window: int = DEFAULT_WINDOW
+def split_exponentials(a: FourierLoop) -> tuple[FourierLoop, ...]:
+    """(e^{a₋}, e^{a₊}, e^{−a₊}, e^{−a₋}) with a₋ the k < 0 and a₊ the
+    k ≥ 0 part of the log a.  The log's tail bounds the ℓ¹ mass it lost
+    on either side of the split."""
+    minus = FourierLoop({k: c for k, c in a.coeffs.items() if k < 0}, a.tail)
+    plus = FourierLoop({k: c for k, c in a.coeffs.items() if k >= 0}, a.tail)
+    return minus.exp(), plus.exp(), plus.neg().exp(), minus.neg().exp()
+
+
+def wiener_hopf_pair(a: FourierLoop, window: int = DEFAULT_WINDOW,
+                     exps: tuple[FourierLoop, ...] | None = None
                      ) -> tuple[ToeplitzOp, ToeplitzOp]:
     """(T(e^{a₋})·T(e^{a₊}), T(e^{−a₊})·T(e^{−a₋})) with a₋ the k < 0 and
     a₊ the k ≥ 0 part of the log a.
@@ -330,17 +344,16 @@ def wiener_hopf_pair(a: FourierLoop, window: int = DEFAULT_WINDOW
     T(e^a) and the second its exact inverse: an invertible lift of e^a
     built from symbol exponentials and Brown–Halmos products alone.  The
     factors skip toeplitz()'s band check, since exp symbols can be wider
-    than half the window; mul's tail carries what falls past it.  The
-    log's tail bounds the ℓ¹ mass it lost on either side of the split."""
+    than half the window; mul's tail carries what falls past it.
+    ``exps`` is split_exponentials(a), passed by a caller that already
+    has it (the operator route sizes its windows from their bands)."""
     _require_window(window, a.band)
-    minus = FourierLoop({k: c for k, c in a.coeffs.items() if k < 0}, a.tail)
-    plus = FourierLoop({k: c for k, c in a.coeffs.items() if k >= 0}, a.tail)
+    e_minus, e_plus, e_plus_inv, e_minus_inv = exps or split_exponentials(a)
 
-    def t_exp(f: FourierLoop) -> ToeplitzOp:
-        return ToeplitzOp(f.exp(), None, window, 0.0)
+    def t(f: FourierLoop) -> ToeplitzOp:
+        return ToeplitzOp(f, None, window, 0.0)
 
-    return (t_exp(minus).mul(t_exp(plus)),
-            t_exp(plus.neg()).mul(t_exp(minus.neg())))
+    return t(e_minus).mul(t(e_plus)), t(e_plus_inv).mul(t(e_minus_inv))
 
 
 def op_trace(x: ToeplitzOp) -> complex:

@@ -4,9 +4,18 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from fredk2 import cli
 from fredk2.cli import main
 from fredk2.fourier_loops import FourierLoop, loop_to_json
 from fredk2.group_homology import FiniteGroup
+from fredk2.invariants import (
+    RouteParts,
+    SteinbergSymbol,
+    operator_route_at,
+    route_windows,
+)
+
+from test_invariants import corpus_symbols
 
 
 @pytest.fixture
@@ -114,6 +123,57 @@ class TestSymbolCommand:
         res = runner.invoke(main, ["symbol", wide, zf, "--window", "32", "--fast"])
         assert res.exit_code in (0, 2)
 
+    def test_strict_rule_names_the_needed_window(self, runner, tmp_path):
+        wide_loop = FourierLoop({6: 0.1, 0: 1.0}).exp()
+        wide = write_loop(tmp_path / "w.json", wide_loop)
+        zf = z_file(tmp_path)
+        parts = RouteParts(SteinbergSymbol.from_loops(wide_loop, FourierLoop({1: 1.0})))
+        needed = max(w for w in route_windows(parts, math.inf) if w)
+        res = runner.invoke(main, ["symbol", wide, zf, "--window", str(needed - 1)])
+        assert res.exit_code == 2
+        assert f"needs {needed}" in res.output
+        res = runner.invoke(main, ["symbol", wide, zf, "--window", str(needed)])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["windows"]["cross"] == needed
+
+    def test_corpus_symbol_at_the_default_window(self, runner, tmp_path):
+        # the loops have bands 64 and 42: the former rule, window >=
+        # 4*band + 16 on the input loops, refused them at window 256
+        sym = corpus_symbols(20260814, count=1)[0]
+        af = write_loop(tmp_path / "a.json", sym.u.reconstruct())
+        bf = write_loop(tmp_path / "b.json", sym.v.reconstruct())
+        res = runner.invoke(main, ["symbol", af, bf])
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        assert all(w < 256 for w in report["windows"].values())
+        assert report["discrepancies"]["closed_vs_operator"] < 1e-12
+
+    def test_doubling_rebuilds_at_twice_the_chosen_windows(self, runner, tmp_path,
+                                                          monkeypatch):
+        calls = []
+
+        def recorded(parts, windows, strict):
+            calls.append(windows)
+            return operator_route_at(parts, windows, strict)
+
+        monkeypatch.setattr(cli, "operator_route_at", recorded)
+        af, bf = exp_pair_files(tmp_path)
+        res = runner.invoke(main, ["symbol", af, bf, "--method", "operator"])
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        chosen = (report["windows"]["cross"], report["windows"]["helton_howe"])
+        assert calls == [chosen, (2 * chosen[0], 2 * chosen[1])]
+
+    def test_doubling_sees_a_window_below_the_need(self, runner, tmp_path):
+        sym = corpus_symbols(20260814, count=1)[0]
+        af = write_loop(tmp_path / "a.json", sym.u.reconstruct())
+        bf = write_loop(tmp_path / "b.json", sym.v.reconstruct())
+        res = runner.invoke(main, ["symbol", af, bf, "--method", "operator",
+                                   "--window", "64", "--fast"])
+        report = json.loads(res.output)
+        assert report["windows"] == {"cross": 64, "helton_howe": 64}
+        assert report["window_doubling"]["operator"] > 0
+
     def test_takes_no_quadrature_order(self, runner, tmp_path):
         zf = z_file(tmp_path)
         res = runner.invoke(main, ["symbol", zf, zf, "--quadrature-order", "32"])
@@ -137,7 +197,7 @@ class TestSymbolCommand:
                                    "--dump-operator", str(out)])
         assert res.exit_code == 0
         data = json.loads(out.read_text())
-        assert data["window"] == 32
+        assert data["window"] == json.loads(res.output)["windows"]["cross"]
         assert "symbol" in data and "correction" in data
 
     def test_csv_and_text_formats(self, runner, tmp_path):
@@ -215,6 +275,19 @@ class TestConvergeCommand:
         res = runner.invoke(main, args + ["--seed", "3"])
         assert res.exit_code == 0
         assert json.loads(res.output)["config"] == {"format": "json", "seed": 3}
+
+    def test_sweeps_the_given_windows(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def recorded(parts, windows, strict):
+            calls.append((windows, strict))
+            return operator_route_at(parts, windows, strict)
+
+        monkeypatch.setattr(cli, "operator_route_at", recorded)
+        af, bf = exp_pair_files(tmp_path)
+        res = runner.invoke(main, ["converge", af, bf, "--windows", "16,32,64"])
+        assert res.exit_code == 0
+        assert calls == [((16, 16), False), ((32, 32), False), ((64, 64), False)]
 
     def test_unconverged_flags_exit_4(self, runner, tmp_path):
         af, bf = exp_pair_files(tmp_path)

@@ -422,6 +422,79 @@ class TestLiftIndependence:
         assert abs(got - want) <= 1e-10 * abs(want)
 
 
+# the 50 acceptance-corpus symbols (tests/test_acceptance.py draws the same)
+ACCEPTANCE_CORPUS = corpus_symbols(20260814, count=50)
+
+
+class TestRouteWindows:
+    """The operator route takes each determinant on the window its lifts'
+    bands need, with the ``window`` argument as a cap."""
+
+    def test_corpus_windows_and_values(self):
+        for sym in ACCEPTANCE_CORPUS:
+            parts = invariants.RouteParts(sym)
+            w_c, w_h = invariants.route_windows(parts, 256)
+            value = invariants.operator_route_at(parts, (w_c, w_h), True)[0]
+            _, bare = invariants._split_constants(sym)
+            n, a, m, b = invariants._parts(bare)
+            c = b.scalar_mul(n).sub(a.scalar_mul(m))
+            assert 2 * c.band + 2 <= w_c < 256
+            if w_h is None:
+                assert a.is_zero() or b.is_zero()
+            else:
+                assert 2 * max(a.band, b.band) + 2 <= w_h < 256
+            want = det_invariant_closed(sym)
+            assert abs(value - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("index", [0, 3, 17, 42])
+    def test_a_cap_above_the_need_changes_nothing(self, index):
+        sym = ACCEPTANCE_CORPUS[index]
+        parts = invariants.RouteParts(sym)
+        assert invariants.route_windows(parts, 256) == invariants.route_windows(parts, 512)
+        assert (det_invariant_operator(sym, window=256)
+                == det_invariant_operator(sym, window=512))
+
+    def test_a_cap_below_the_need_is_the_window(self):
+        parts = invariants.RouteParts(ACCEPTANCE_CORPUS[0])
+        need = invariants.route_windows(parts, math.inf)
+        capped = invariants.route_windows(parts, 64)
+        assert min(need) > 64 and capped == (64, 64)
+        assert invariants.operator_route_at(parts, capped, False)[1].window == 64
+
+    def test_each_split_exponential_is_taken_once(self, monkeypatch):
+        sym = SteinbergSymbol(LoopLog(1, FourierLoop({1: 0.2, -2: 0.1})),
+                              LoopLog(-2, FourierLoop({-1: 0.3, 0: 0.4})))
+        parts = invariants.RouteParts(sym)
+        assert not parts.cross[0].is_zero() and parts.helton is not None
+        calls = []
+        orig = FourierLoop.exp
+
+        def counted(self):
+            calls.append(self)
+            return orig(self)
+
+        monkeypatch.setattr(FourierLoop, "exp", counted)
+        want = det_invariant_closed(sym)
+        assert abs(det_invariant_operator(sym) - want) <= 1e-12 * abs(want)
+        assert len(calls) == 12
+
+    def test_h2_route_keeps_its_window(self, monkeypatch):
+        sym = SteinbergSymbol(LoopLog(2, FourierLoop({1: 0.2})),
+                              LoopLog(-3, FourierLoop({-1: 0.1})))
+        windows = []
+        orig = invariants.wiener_hopf_pair
+
+        def recorded(a, window, *args):
+            windows.append(window)
+            return orig(a, window, *args)
+
+        monkeypatch.setattr(invariants, "wiener_hopf_pair", recorded)
+        factor, bare = invariants._split_constants(sym)
+        want = factor * det1p(h2_psi_representative(bare, 32))
+        assert h2_representative_det(sym, window=32) == want
+        assert windows and set(windows) == {32}
+
+
 small_logs = st.dictionaries(
     st.integers(-4, 4),
     st.complex_numbers(max_magnitude=0.25, allow_nan=False, allow_infinity=False),

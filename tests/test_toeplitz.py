@@ -20,6 +20,7 @@ from fredk2.toeplitz_calculus import (
     schatten2_commutator_F,
     shift_conjugation_trace,
     shift_op,
+    split_exponentials,
     toeplitz,
     toeplitz_matrix,
     wiener_hopf_pair,
@@ -79,6 +80,26 @@ class TestConstruction:
         expected[0, 0] = 1.0
         expected[0, 2] = expected[1, 1] = expected[2, 0] = 2.0
         assert np.array_equal(h, expected)
+
+    def test_hankel_window_matches_per_coefficient_placement(self):
+        def reference(symbol, window):
+            out = np.zeros((window, window), dtype=complex)
+            for k, c in symbol.coeffs.items():
+                if k >= 1:
+                    idx = np.arange(0, min(k, window))
+                    sel = idx[k - 1 - idx < window]
+                    out[sel, k - 1 - sel] = c
+            return out
+
+        rng = np.random.default_rng(5)
+        for band in (0, 1, 5, 70):
+            sym = random_loop(rng, band=band)
+            # windows below the band leave coefficients k > window (some
+            # on the lower anti-diagonals, the rest off the window)
+            for window in (0, 1, 2, 5, 64, 134, 140, 141):
+                got = HankelWindow(sym, window).matrix
+                assert np.array_equal(got, reference(sym, window))
+                assert got.flags.writeable and got.flags.c_contiguous
 
 
 class TestMul:
@@ -456,6 +477,21 @@ class TestExpPair:
             resid = x.mul(y).sub(identity_op(32))
             assert resid.symbol.l1() < 1e-12
             assert np.abs(resid.correction).max() <= resid.tail_bound < 1e-2
+
+    def test_given_split_exponentials_are_used(self, monkeypatch):
+        a = _exp_pair_cases()["pure_l1_4"]
+        exps = split_exponentials(a)
+        want = wiener_hopf_pair(a, 64)
+
+        def no_exp(self):
+            raise AssertionError("FourierLoop.exp called")
+
+        monkeypatch.setattr(FourierLoop, "exp", no_exp)
+        got = wiener_hopf_pair(a, 64, exps)
+        for x, y in zip(got, want):
+            assert x.symbol.coeffs == y.symbol.coeffs
+            assert np.array_equal(x.correction, y.correction)
+            assert x.tail_bound == y.tail_bound
 
     def test_log_wider_than_window_rejected(self):
         with pytest.raises(InputError, match="window must dominate band"):
