@@ -10,17 +10,22 @@ inv, exp) is carried out on coefficient level where possible and through
 a fine evaluation grid otherwise, with discarded ℓ¹ coefficient mass
 recorded on the result as ``tail``.
 
-Products are summed with ``math.fsum`` per output coefficient, so
-multiplication is exactly commutative at float level: mul(f, g) and
-mul(g, f) produce bit-identical coefficient maps.  Downstream code relies
-on this to get exactly-zero symbols for commutators.
+A product is one dense convolution of the two coefficient runs,
+accumulated in ``np.clongdouble`` and rounded once to complex128; on
+x86-64 that is 80-bit extended precision.  ``mul`` first puts its
+operands in a fixed total order (lowest index, highest index, then the
+coefficients' bytes), so mul(f, g) and mul(g, f) run the same computation
+and give bit-identical coefficient maps.  Downstream code relies on this
+to get exactly-zero symbols for commutators.  Where ``np.longdouble`` is
+float64, products still commute exactly but lose the extra accumulation
+bits.  ``pairing_integral`` is still fsum-canonical, hence independent of
+term order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import defaultdict
 
 import numpy as np
 
@@ -91,8 +96,10 @@ class FourierLoop:
     def eval_grid(self, n: int = GRID) -> np.ndarray:
         """Values at θ_j = 2πj/n, exact via spectrum folding."""
         spec = np.zeros(n, dtype=complex)
-        for k in sorted(self.coeffs):
-            spec[k % n] += self.coeffs[k]
+        if self.coeffs:
+            lo, run = _dense(self)
+            # folds in ascending k, one addition at a time
+            np.add.at(spec, (lo + np.arange(len(run))) % n, run)
         return np.fft.ifft(spec) * n
 
     # -- exact coefficient algebra --------------------------------------
@@ -119,20 +126,18 @@ class FourierLoop:
                            abs(s) * self.tail)
 
     def mul(self, other: "FourierLoop") -> "FourierLoop":
-        terms = defaultdict(list)
-        for k, a in self.coeffs.items():
-            for l, b in other.coeffs.items():
-                terms[k + l].append(a * b)
-        out = {}
-        for k, vals in terms.items():
-            # fsum is correctly rounded, hence independent of term order;
-            # this makes mul exactly commutative.
-            c = _fsum_complex(vals)
-            if c != 0:
-                out[k] = c
-        tail = (self.tail * (other.l1() + other.tail)
-                + self.l1() * other.tail)
-        return FourierLoop(out, tail)
+        tail = ((self.tail * (other.l1() + other.tail) if self.tail else 0.0)
+                + (self.l1() * other.tail if other.tail else 0.0))
+        if not (self.coeffs and other.coeffs):
+            return FourierLoop({}, tail)
+        # a fixed operand order makes mul exactly commutative
+        (lo_f, f), (lo_g, g) = sorted((_dense(self), _dense(other)),
+                                      key=lambda d: (d[0], len(d[1]), d[1].tobytes()))
+        prod = np.convolve(f.astype(np.clongdouble),
+                           g.astype(np.clongdouble)).astype(complex)
+        keys = np.flatnonzero(prod)
+        return FourierLoop(dict(zip((keys + (lo_f + lo_g)).tolist(), prod[keys].tolist())),
+                           tail)
 
     def shift(self, n: int) -> "FourierLoop":
         """Multiply by zⁿ (index shift)."""
@@ -182,6 +187,23 @@ class FourierLoop:
         out = self._grid_op(recip)
         out.tail += self.tail * (out.l1() + out.tail) ** 2
         return out
+
+
+def coeff_run(loop: FourierLoop, lo: int, n: int) -> np.ndarray:
+    """[c_lo, c_{lo+1}, …, c_{lo+n−1}] as a dense complex array."""
+    count = len(loop.coeffs)
+    keys = np.fromiter(loop.coeffs, dtype=np.int64, count=count) - lo
+    vals = np.fromiter(loop.coeffs.values(), dtype=complex, count=count)
+    inside = (keys >= 0) & (keys < n)
+    run = np.zeros(n, dtype=complex)
+    run[keys[inside]] = vals[inside]
+    return run
+
+
+def _dense(loop: FourierLoop) -> tuple[int, np.ndarray]:
+    """(lowest index, coefficient run up to the highest) of a nonzero loop."""
+    lo = min(loop.coeffs)
+    return lo, coeff_run(loop, lo, max(loop.coeffs) - lo + 1)
 
 
 def fit_grid_values(values: np.ndarray) -> FourierLoop:

@@ -16,9 +16,9 @@ Products follow the Brown–Halmos identity
     T_φ T_ψ = T_{φψ} − H_φ H_{ψ̃},    ψ̃(z) = ψ(1/z),
 
 with the Hankel matrix H_φ = (φ_{j+k+1})_{j,k≥0}, which is supported in a
-band×band corner for band-limited symbols.  Symbol arithmetic is exact
-(fsum-canonical), so the symbol map is an algebra homomorphism on the
-nose and commutators have exactly zero symbol.
+band×band corner for band-limited symbols.  Symbol products commute
+exactly (``FourierLoop.mul`` puts its operands in a fixed order before one
+extended-precision convolution), so commutators have exactly zero symbol.
 """
 
 from __future__ import annotations
@@ -30,21 +30,13 @@ import numpy as np
 import scipy.linalg
 
 from ._errors import InputError, InvariantViolation, NumericalError
-from .fourier_loops import FourierLoop, pairing_integral, winding_number, zero_loop
+from .fourier_loops import (FourierLoop, coeff_run, pairing_integral, winding_number,
+                            zero_loop)
 
 DEFAULT_WINDOW = 256
 # Symbols with at most this many coefficients (S, S*, 1, 0) are applied
 # to a block as shifted row or column slices rather than a dense product.
 FEW_COEFFS = 4
-
-
-def _coeff_run(symbol: FourierLoop, lo: int, n: int) -> np.ndarray:
-    """[φ_lo, φ_{lo+1}, …, φ_{lo+n−1}] as a dense array."""
-    run = np.zeros(n, dtype=complex)
-    for k, c in symbol.coeffs.items():
-        if lo <= k < lo + n:
-            run[k - lo] = c
-    return run
 
 
 def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> np.ndarray:
@@ -54,7 +46,7 @@ def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> 
     if rows == 0 or cols == 0:
         return np.zeros((rows, cols), dtype=complex)
     # diag[d + cols − 1] = φ_d for every offset d = j − k in the section
-    diag = _coeff_run(symbol, 1 - cols, rows + cols - 1)
+    diag = coeff_run(symbol, 1 - cols, rows + cols - 1)
     windows = np.lib.stride_tricks.sliding_window_view(diag, cols)
     return windows[:, ::-1].copy()
 
@@ -69,7 +61,7 @@ class HankelWindow:
             self.matrix = np.zeros((0, 0), dtype=complex)
             return
         # anti[j + l] = φ_{j+l+1} for every anti-diagonal of the window
-        anti = _coeff_run(symbol, 1, 2 * window - 1)
+        anti = coeff_run(symbol, 1, 2 * window - 1)
         self.matrix = np.lib.stride_tricks.sliding_window_view(anti, window).copy()
 
 
@@ -226,9 +218,10 @@ class ToeplitzOp:
         discarded = _nuclear_est(corr)
         fx, nx = _norms(cx) if x_live else (0.0, 0.0)
         fy, ny = _norms(cy) if y_live else (0.0, 0.0)
-        # op_norm_est of each factor, with the Frobenius norm read once
-        x_norm = phi.l1() + phi.tail + fx + x.tail_bound
-        y_norm = psi.l1() + psi.tail + fy + y.tail_bound
+        # op_norm_est of each factor, with the Frobenius norm read once,
+        # formed only where a nonzero tail bound multiplies it
+        x_norm = (phi.l1() + phi.tail + fx + x.tail_bound) if y.tail_bound else 0.0
+        y_norm = (psi.l1() + psi.tail + fy + y.tail_bound) if x.tail_bound else 0.0
         tail = (x.tail_bound * y_norm + x_norm * y.tail_bound
                 + discarded
                 + phi.tail * ny

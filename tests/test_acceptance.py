@@ -123,6 +123,16 @@ def test_criterion_1_three_path_agreement(corpus):
                  f"(tol 1e-8), {elapsed:.1f}s (< 60s)")
 
 
+def test_operator_route_roundoff_pin(corpus):
+    """The operator route's roundoff on the corpus, well inside
+    criterion 1's 1e-8: a faster symbol or determinant kernel must not
+    give precision back unnoticed."""
+    rows, _ = corpus
+    worst = max(abs(row["operator"] - row["closed"]) / abs(row["closed"])
+                for row in rows)
+    assert worst <= 2e-13, f"closed/operator rel {worst:.2e} (pin 2e-13)"
+
+
 def test_criterion_2_exp_character_equals_operator_det(corpus):
     rows, _ = corpus
     worst = 0.0

@@ -1,12 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fredk2 import InputError, InvariantViolation, NumericalError
 from fredk2.fourier_loops import (
     FourierLoop,
     circle_integral,
+    coeff_run,
     fit_grid_values,
     from_samples,
     log_split,
@@ -194,6 +197,103 @@ class TestPointwiseOps:
     def test_exp_tail_recorded(self):
         f = FourierLoop({1: 0.5})
         assert f.exp().tail >= 0
+
+
+def _mixed_loop(seed, band, dense):
+    """A loop of this band with a dense or a sparse support and
+    coefficients whose real and imaginary magnitudes span 2^±30."""
+    rng = np.random.default_rng(seed)
+    keys = np.arange(-band, band + 1)
+    if not dense:
+        keys = rng.choice(keys, size=min(len(keys), rng.integers(1, 9)), replace=False)
+    parts = rng.standard_normal((len(keys), 2)) * 2.0 ** rng.integers(-30, 31, (len(keys), 2))
+    return FourierLoop({int(k): complex(re, im) for k, (re, im) in zip(keys, parts)})
+
+
+loop_seeds = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 150), st.booleans())
+small_loop_seeds = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 6), st.booleans())
+mul_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestMulProperties:
+    """mul is one extended-precision convolution in a fixed operand order."""
+
+    @staticmethod
+    def _commutes(f, g):
+        assert f.mul(g).coeffs == g.mul(f).coeffs
+        assert f.mul(g).sub(g.mul(f)).is_zero()
+
+    @mul_settings
+    @given(a=loop_seeds, b=loop_seeds)
+    def test_commutes_bit_exactly(self, a, b):
+        f, g = _mixed_loop(*a), _mixed_loop(*b)
+        self._commutes(f, g)
+        # a second loop of the same band and support kind: dense pairs have
+        # equal extents, so only the coefficients order them
+        self._commutes(f, _mixed_loop(b[0], *a[1:]))
+        self._commutes(f, FourierLoop(f.coeffs))
+
+    @mul_settings
+    @given(a=loop_seeds, data=st.data())
+    def test_commutes_when_only_one_coefficient_differs(self, a, data):
+        # same lowest and highest index and number of coefficients, so only
+        # the coefficients themselves can order the pair
+        f = _mixed_loop(*a)
+        k = data.draw(st.sampled_from(sorted(f.coeffs)))
+        c = f[k]
+        for changed in (complex(np.nextafter(c.real, np.inf), c.imag),
+                        complex(c.real, -c.imag) if c.imag else -c):
+            g = FourierLoop({**f.coeffs, k: changed})
+            assert g.coeffs != f.coeffs
+            self._commutes(f, g)
+
+    @mul_settings
+    @given(a=loop_seeds, b=loop_seeds,
+           tails=st.tuples(*[st.sampled_from([0.0, 1e-300, 3e-17, 0.25, 7.0])] * 2))
+    def test_tail_formula(self, a, b, tails):
+        f = FourierLoop(_mixed_loop(*a).coeffs, tails[0])
+        g = FourierLoop(_mixed_loop(*b).coeffs, tails[1])
+        assert f.mul(g).tail == f.tail * (g.l1() + g.tail) + f.l1() * g.tail
+
+    @mul_settings
+    @given(a=small_loop_seeds, b=small_loop_seeds)
+    def test_matches_exact_rational_product(self, a, b):
+        # each coefficient within 4·eps·Σ|f_k||g_{n−k}| of the exact sum;
+        # the second term allows for a host whose long double is float64
+        f, g = _mixed_loop(*a), _mixed_loop(*b)
+        got = f.mul(g)
+        exact, scale, terms = {}, {}, {}
+        for k, x in f.coeffs.items():
+            for l, y in g.coeffs.items():
+                xr, xi, yr, yi = map(Fraction, (x.real, x.imag, y.real, y.imag))
+                re, im = exact.get(k + l, (0, 0))
+                exact[k + l] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
+                scale[k + l] = scale.get(k + l, 0.0) + abs(x) * abs(y)
+                terms[k + l] = terms.get(k + l, 0) + 1
+        assert set(got.coeffs) <= set(exact)
+        eps, ld_eps = np.finfo(float).eps, float(np.finfo(np.longdouble).eps)
+        for n, (re, im) in exact.items():
+            c = got[n]
+            err = math.hypot(Fraction(c.real) - re, Fraction(c.imag) - im)
+            assert err <= (4 * eps + 4 * terms[n] * ld_eps) * scale[n]
+
+    def test_dense_runs_match_per_coefficient_reference(self):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            f = _mixed_loop(int(rng.integers(2**32)), int(rng.integers(0, 40)),
+                            bool(rng.integers(2)))
+            for lo, n in ((-45, 91), (-3, 7), (1, 20), (50, 5)):
+                want = np.zeros(n, dtype=complex)
+                for k, c in f.coeffs.items():
+                    if lo <= k < lo + n:
+                        want[k - lo] = c
+                assert coeff_run(f, lo, n).tobytes() == want.tobytes()
+            # eval_grid folds in ascending k, also where the band exceeds n/2
+            for n in (8, 33, 4096):
+                spec = np.zeros(n, dtype=complex)
+                for k in sorted(f.coeffs):
+                    spec[k % n] += f.coeffs[k]
+                assert f.eval_grid(n).tobytes() == (np.fft.ifft(spec) * n).tobytes()
 
 
 class TestGridPasses:
