@@ -28,9 +28,7 @@ from ._errors import InputError, InvariantViolation, NumericalError
 from .fredholm import endpoint_check, gl_adaptive, gl_nodes, gl_sum
 from .toeplitz_calculus import zero_op
 
-LINE_ORDER = 32
 LINE_MAX_ORDER = 512
-TRI_ORDER = 32
 TRI_MAX_ORDER = 128
 LINE_TOL = 1e-11
 TRI_TOL = 1e-9
@@ -309,7 +307,7 @@ def cyclic_b(c):
 
 def _line_integral(fn):
     """Adaptive Gauss-Legendre integral of fn on [0, 1]."""
-    return gl_adaptive(lambda o: gl_sum(fn, o), LINE_ORDER, LINE_MAX_ORDER, LINE_TOL)
+    return gl_adaptive(lambda o: gl_sum(fn, o), LINE_MAX_ORDER, LINE_TOL)
 
 
 def gamma_log(sigma):
@@ -320,8 +318,8 @@ def gamma_log(sigma):
     order prescribed by s.  For n = 1 this is the degree-0 chain
     -integral of sigma' sigma^{-1}; for n = 2 the degree-1 chain
     (1/2)(integral of A x B - integral of B x A) with A, B the two
-    log-derivatives, evaluated as a node sum over a collapsed-square
-    Gauss grid with adaptive doubling.
+    log-derivatives, summed over collapsed-square o x o Gauss grids with
+    o = 8, 16, ... (from GL_START_ORDER) until two chains agree.
     """
     if isinstance(sigma, FormalChain):
         if sigma.n != 1:
@@ -370,7 +368,7 @@ def gamma_log(sigma):
                 terms.append((-0.5 * w, (b, a)))
         return CyclicChain(1, terms)
 
-    return gl_adaptive(triangle_chain, TRI_ORDER, TRI_MAX_ORDER, TRI_TOL,
+    return gl_adaptive(triangle_chain, TRI_MAX_ORDER, TRI_TOL,
                        measure=CyclicChain.materialize)
 
 

@@ -26,6 +26,7 @@ from .fourier_loops import FourierLoop
 from .toeplitz_calculus import ToeplitzOp
 
 UNIT_SYMBOL_TOL = 1e-9
+GL_START_ORDER = 8
 
 
 def det1p(x, strict: bool = True) -> complex:
@@ -147,17 +148,18 @@ def gl_sum(fn, order: int):
     return total
 
 
-def gl_adaptive(estimate, order: int, max_order: int, tol: float,
-                measure=None):
+def gl_adaptive(estimate, max_order: int, tol: float, measure=None):
     """Adaptive Gauss–Legendre quadrature by order doubling.
 
-    ``estimate(o)`` is the rule of order o (a number, matrix or chain).
-    It is taken at order, 2·order, … ≤ max_order until two successive
-    values agree, ‖m(cur) − m(prev)‖ ≤ tol·max(1, ‖m(cur)‖) with m =
-    ``measure`` (the identity by default), and the later one is returned."""
+    ``estimate(o)`` is the rule of order o (a number, matrix or chain),
+    taken at GL_START_ORDER, twice that, … ≤ max_order until two
+    successive values agree, ‖m(cur) − m(prev)‖ ≤ tol·max(1, ‖m(cur)‖)
+    with m = ``measure`` (the identity by default); the later one is
+    returned.  Against a start at order 32 (64), an integrand that
+    needs it costs +25 % (+29 %) nodes on a line, +6 % on a triangle."""
     m = measure or (lambda v: v)
-    prev = m(estimate(order))
-    o = 2 * order
+    prev = m(estimate(GL_START_ORDER))
+    o = 2 * GL_START_ORDER
     while o <= max_order:
         cur = estimate(o)
         cur_m = m(cur)
@@ -198,7 +200,7 @@ def path_log_det(path) -> complex:
             raise NumericalError("path leaves invertibles")
         return np.trace(sol)
 
-    val = complex(gl_adaptive(lambda o: gl_sum(integrand, o), 64, 1024, 1e-11))
+    val = complex(gl_adaptive(lambda o: gl_sum(integrand, o), 1024, 1e-11))
     endpoint_check(path(0.0), path(1.0), val)
     return val
 

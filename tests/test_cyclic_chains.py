@@ -21,6 +21,7 @@ from fredk2.cyclic_chains import (
     tilde_gamma,
 )
 from fredk2.fourier_loops import zero_loop
+from fredk2.fredholm import GL_START_ORDER
 from fredk2.toeplitz_calculus import ToeplitzOp, identity_op, zero_op
 
 
@@ -68,6 +69,42 @@ def oscillating_line():
 def unit_nodes(order):
     x, w = roots_legendre(order)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def line_rule(fn, order):
+    """Fixed Gauss-Legendre rule of the given order for the integral of
+    fn on [0, 1]."""
+    nodes, weights = unit_nodes(order)
+    return sum(w * fn(t) for t, w in zip(nodes, weights))
+
+
+def oscillating_triangle():
+    """sigma(t1, t2) = diag(e^{i sin(3000 t1)}, 1) e^{t2 Y} with Y the swap,
+    based; its first log-derivative oscillates past every allowed order."""
+    y = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    def phase(t1):
+        return np.diag([np.exp(1j * np.sin(3000.0 * t1)), 1.0])
+
+    def exp_y(t2):
+        return np.cosh(t2) * np.eye(2) + np.sinh(t2) * y
+
+    def part(i, t1, t2):
+        if i == 1:
+            return np.diag([3000j * np.cos(3000.0 * t1)
+                            * np.exp(1j * np.sin(3000.0 * t1)), 0.0]) @ exp_y(t2)
+        return phase(t1) @ y @ exp_y(t2)
+
+    return SimplexPath(2, lambda t1, t2: phase(t1) @ exp_y(t2), part)
+
+
+def line_log_reference(sig):
+    """-integral of sigma' sigma^{-1} by the fixed rule of order 64."""
+    return -line_rule(lambda t: sig.partial(1, t) @ np.linalg.inv(sig.at(t)), 64)
+
+
+def rel_dev(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 class TestFaces:
@@ -195,6 +232,51 @@ class TestGammaLog:
     def test_unresolved_line_does_not_converge(self):
         with pytest.raises(NumericalError, match="did not converge"):
             gamma_log(oscillating_line())
+
+    def test_unresolved_triangle_does_not_converge(self):
+        with pytest.raises(NumericalError, match="did not converge"):
+            gamma_log(oscillating_triangle())
+
+    def test_triangle_rule_stops_at_orders_8_and_16(self):
+        rng = np.random.default_rng(43)
+        sig = two_exp_simplex(rand_mat(rng, 4), rand_mat(rng, 4))
+        value = sig.at
+        nodes = []
+
+        def counted(t1, t2):
+            if (t1, t2) != (0.0, 0.0):  # the base point is no quadrature node
+                nodes.append((t1, t2))
+            return value(t1, t2)
+
+        sig.at = counted
+        gamma_log(sig)
+        assert len(nodes) == 8 ** 2 + 16 ** 2
+
+    def test_lines_match_order_64_rule(self):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            sig = curved_line(rand_mat(rng, 3), rand_mat(rng, 3))
+            got = gamma_log(sig).materialize()
+            assert rel_dev(got, line_log_reference(sig)) < 1e-12
+
+    def test_boundary_faces_match_order_64_rule(self):
+        rng = np.random.default_rng(47)
+        chain = dN(two_exp_simplex(rand_mat(rng, 4), rand_mat(rng, 4)))
+        ref = sum(c * line_log_reference(f) for c, f in chain.terms)
+        assert rel_dev(gamma_log(chain).materialize(), ref) < 1e-12
+
+    def test_triangle_matches_order_128_rule(self):
+        # A = X and B = e^{t1 X} Y e^{-t1 X} do not depend on t2, so the
+        # triangle integral is the t1 integral weighted by 1 - t1
+        rng = np.random.default_rng(43)
+        X, Y = rand_mat(rng, 4), rand_mat(rng, 4)
+
+        def slice_(t):
+            b = expm(t * X) @ Y @ expm(-t * X)
+            return 0.5 * (1.0 - t) * (np.kron(X, b) - np.kron(b, X))
+
+        got = gamma_log(two_exp_simplex(X, Y)).materialize()
+        assert rel_dev(got, line_rule(slice_, 128)) < 1e-12
 
     def test_unbased_rejected(self):
         g = np.diag([2.0 + 0j, 1.0])
@@ -386,8 +468,9 @@ class TestTildeGamma:
         assert abs(np.exp(val) - target) < 1e-8
 
     def test_one_inverse_per_path_and_node(self, monkeypatch):
-        # both forms come from one pass per node: orders 32 and 64 agree,
-        # so 96 nodes take one inverse of each path
+        # both forms come from one pass per node: the rules of order
+        # GL_START_ORDER and twice that agree, so each of those nodes takes
+        # one inverse of each path
         rng = np.random.default_rng(109)
         x, y = rand_mat(rng, 3), rand_mat(rng, 3)
         calls = []
@@ -399,11 +482,18 @@ class TestTildeGamma:
 
         monkeypatch.setattr(np.linalg, "inv", counted_inv)
         val = tilde_gamma(curved_line(x, y), curved_line(y, x))
-        assert len(calls) == 2 * (32 + 64)
+        assert len(calls) == 2 * (GL_START_ORDER + 2 * GL_START_ORDER)
         monkeypatch.setattr(np.linalg, "inv", inv)
         target = np.linalg.det(np.linalg.inv(curved_line(x, y).at(1.0))
                                @ curved_line(y, x).at(1.0))
         assert abs(np.exp(val) - target) < 1e-8 * abs(target)
+
+    def test_matches_order_64_rule(self):
+        rng = np.random.default_rng(109)
+        s1 = curved_line(rand_mat(rng, 3), rand_mat(rng, 3))
+        s2 = curved_line(rand_mat(rng, 3), rand_mat(rng, 3))
+        ref = np.trace(line_log_reference(s1) - line_log_reference(s2))
+        assert abs(tilde_gamma(s1, s2) - ref) < 1e-12 * abs(ref)
 
     def test_unresolved_path_does_not_converge(self):
         one = SimplexPath(1, lambda t: np.eye(1, dtype=complex),

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from fredk2 import InvariantViolation, NumericalError
 from fredk2.cyclic_chains import BlockOp
@@ -122,6 +123,15 @@ class TestDetExpPair:
             det_exp_pair_verify(x, y)
 
 
+def exp_product_path(seed):
+    """t ↦ e^{tx}e^{ty} for random complex 8×8 x, y, as in the oracle test."""
+    rng = np.random.default_rng(seed)
+    x = 0.4 * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    y = 0.4 * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    return OperatorPath.product(OperatorPath.exponential(x),
+                                OperatorPath.exponential(y))
+
+
 class TestPathLogDet:
     def test_diagonal_flow(self):
         x = np.diag([1.0, 2.0]).astype(complex)
@@ -143,6 +153,20 @@ class TestPathLogDet:
         val = path_log_det(p)
         target = np.linalg.det(scipy.linalg.expm(x) @ scipy.linalg.expm(y))
         assert abs(cmath.exp(val) - target) < 1e-9 * abs(target)
+
+    def test_product_path_stops_at_orders_8_and_16(self):
+        p = exp_product_path(13)
+        nodes = []
+        counted = OperatorPath(p.value, lambda t: nodes.append(t) or p.deriv(t))
+        path_log_det(counted)
+        assert len(nodes) == 8 + 16
+
+    def test_product_path_matches_order_64_rule(self):
+        p = exp_product_path(13)
+        nodes, weights = scipy.special.roots_legendre(64)
+        ref = sum(0.5 * w * np.trace(np.linalg.solve(p(t), p.deriv(t)))
+                  for t, w in zip(0.5 * (nodes + 1.0), weights))
+        assert abs(path_log_det(p) - ref) < 1e-12 * abs(ref)
 
     def test_exp_matches_endpoint(self):
         rng = np.random.default_rng(17)
