@@ -7,8 +7,21 @@ coefficients, f(θ) = Σ_k c_k e^{ikθ}.  Nonvanishing loops factor as
 
 and ``log_split`` produces that factorization.  Pointwise algebra (mul,
 inv, exp) is carried out on coefficient level where possible and through
-a fine evaluation grid otherwise, with discarded ℓ¹ coefficient mass
-recorded on the result as ``tail``.
+evaluation grids otherwise, with discarded ℓ¹ coefficient mass recorded
+on the result as ``tail``.
+
+Every grid operation (``exp``, ``inv``, ``winding_number`` and
+``log_split``) runs on one refinement loop, ``_refine``, which evaluates
+the loop once per grid.  Grids are sized from the band: a loop of band B
+starts on the smallest power of two above 8·(B + 1) points, and the grid
+doubles up to ``GRID_TOP`` (four times the first grid for the widest
+loops).  A grid is accepted by one test: the top eighth of the spectrum
+of the values to be fitted lies below the cutoff the fit itself applies,
+max(COEFF_CUTOFF, 8·eps·scale), so no coefficient the fit keeps can be
+aliased.  ``log_split`` applies the test to the spectrum of its unwrapped
+log values, not to the loop's: 1 + c·z has band 1, while its log decays
+like cᵏ/k.  Operations that read a winding accept a grid only once every
+principal phase step on it is below π/2.
 
 A product is one dense convolution of the two coefficient runs,
 accumulated in ``np.clongdouble`` and rounded once to complex128; on
@@ -31,8 +44,8 @@ import numpy as np
 
 from ._errors import InputError, InvariantViolation, NumericalError
 
-GRID = 4096          # base evaluation grid; two dyadic refinements allowed
-COEFF_CUTOFF = 1e-16  # exp/inv truncation threshold
+GRID_TOP = 16384      # largest grid below band 511; wider loops refine to 4× their first
+COEFF_CUTOFF = 1e-16  # fit truncation floor
 VANISH_TOL = 1e-12    # |f| below this counts as a zero of the loop
 
 
@@ -93,7 +106,7 @@ class FourierLoop:
             return complex(out)
         return out
 
-    def eval_grid(self, n: int = GRID) -> np.ndarray:
+    def eval_grid(self, n: int) -> np.ndarray:
         """Values at θ_j = 2πj/n, exact via spectrum folding."""
         spec = np.zeros(n, dtype=complex)
         if self.coeffs:
@@ -154,39 +167,33 @@ class FourierLoop:
 
     # -- grid-based transcendental ops ----------------------------------
 
-    def _grid_op(self, fn) -> "FourierLoop":
-        """Apply a pointwise function on an adaptively refined grid."""
-        for n in _grids(self.band):
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = fn(self.eval_grid(n))
-            if not np.isfinite(vals).all():  # only exp can overflow
-                raise NumericalError("exponential overflows")
-            spec, mags = _spectrum(vals)
-            # alias diagnostic: mass at the top eighth of frequencies
-            scale = np.abs(vals).max()
-            if mags[3 * n // 8: 5 * n // 8].max() < 1e-13 * max(1.0, scale):
-                return _fit_spectrum(spec, mags, scale)
-        raise NumericalError("grid too coarse")
-
     def exp(self) -> "FourierLoop":
         if not self.coeffs:
             return FourierLoop({0: 1.0 + 0j})
-        out = self._grid_op(np.exp)
-        out.tail += self.tail * (out.l1() + out.tail)
+        out = _refine(self, _exp_values, phase=False)[2]
+        if self.tail:
+            out.tail += self.tail * (out.l1() + out.tail)
         return out
 
     def inv(self) -> "FourierLoop":
-        if winding_number(self) != 0:
-            raise NumericalError("no single-valued inverse symbol of winding zero")
-
-        def recip(vals):
-            if np.abs(vals).min() < VANISH_TOL:
-                raise NumericalError("loop not invertible")
-            return 1.0 / vals
-
-        out = self._grid_op(recip)
-        out.tail += self.tail * (out.l1() + out.tail) ** 2
+        out = _refine(self, _recip_values)[2]
+        if self.tail:
+            out.tail += self.tail * (out.l1() + out.tail) ** 2
         return out
+
+
+def _exp_values(vals, winding):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(vals)
+    if not np.isfinite(out).all():
+        raise NumericalError("exponential overflows")
+    return out
+
+
+def _recip_values(vals, winding):
+    if winding:
+        raise NumericalError("no single-valued inverse symbol of winding zero")
+    return 1.0 / vals
 
 
 def coeff_run(loop: FourierLoop, lo: int, n: int) -> np.ndarray:
@@ -219,9 +226,44 @@ def fit_grid_values(values: np.ndarray) -> FourierLoop:
 
 
 def _grids(band: int):
-    """Grid sizes for a loop of this band: base size, two refinements."""
-    n = 1 << max(GRID.bit_length() - 1, (8 * (band + 1)).bit_length())
-    return (n << i for i in range(3))
+    """Grid sizes for a loop of this band: the smallest power of two above
+    8·(band + 1), doubled up to max(GRID_TOP, four times that power)."""
+    n = 1 << (8 * (band + 1)).bit_length()
+    top = max(GRID_TOP, 4 * n)
+    while n <= top:
+        yield n
+        n <<= 1
+
+
+def _cutoff(scale: float) -> float:
+    """The fit's cutoff for values of size ``scale`` (see ``fit_grid_values``)."""
+    return max(COEFF_CUTOFF, 8 * np.finfo(float).eps * scale)
+
+
+def _refine(loop: FourierLoop, fn=None, floor: float = 0.0, phase: bool = True):
+    """The one refinement loop of every grid operation.
+
+    Evaluates ``loop`` once on each grid of ``_grids(loop.band)``.  With
+    ``phase`` the grid counts only once its phase steps are resolved, and
+    the winding is read from it.  ``fn(vals, winding)`` gives the values
+    to fit; the grid is accepted when the top eighth of their spectrum is
+    below the fit's cutoff at scale max(floor, max|values|).  Returns
+    (loop values, winding, fit); without ``fn`` there is nothing to fit
+    and the first grid with resolved phase is accepted.
+    """
+    for n in _grids(loop.band):
+        vals = loop.eval_grid(n)
+        winding = _winding(vals) if phase else None
+        if phase and winding is None:
+            continue
+        if fn is None:
+            return vals, winding, None
+        out = fn(vals, winding)
+        spec, mags = _spectrum(out)
+        scale = max(floor, np.abs(out).max())
+        if mags[3 * n // 8: 5 * n // 8].max() < _cutoff(scale):
+            return vals, winding, _fit_spectrum(spec, mags, scale)
+    raise NumericalError("grid too coarse")
 
 
 def _spectrum(values: np.ndarray):
@@ -231,15 +273,14 @@ def _spectrum(values: np.ndarray):
 
 
 def _fit_spectrum(spec: np.ndarray, mags: np.ndarray, scale: float) -> FourierLoop:
-    """``fit_grid_values`` from a spectrum, with the cutoff 8·eps·scale."""
+    """``fit_grid_values`` from a spectrum, with the cutoff of ``scale``."""
     n = len(spec)
     ks = np.arange(-(n // 2), n // 2)
-    cutoff = max(COEFF_CUTOFF, 8 * np.finfo(float).eps * scale)
-    kept = ~(mags[ks] < cutoff)  # a NaN is kept and fails the band cap
+    kept = ~(mags[ks] < _cutoff(scale))  # a NaN is kept and fails the band cap
     if np.abs(ks[kept]).max(initial=0) > max_band():
         raise NumericalError("band overflow")
     return FourierLoop(dict(zip(ks[kept].tolist(), spec[ks[kept]].tolist())),
-                       math.fsum(mags[ks[~kept]]))
+                       math.fsum(mags[ks[~kept]].tolist()))
 
 
 def zero_loop() -> FourierLoop:
@@ -271,44 +312,46 @@ def _phase_steps(values: np.ndarray) -> np.ndarray:
     return np.angle(ratios)
 
 
-def _winding_grid(loop: FourierLoop):
-    """Values on the first grid with phase steps below π/2, and winding."""
-    for n in _grids(loop.band):
-        vals = loop.eval_grid(n)
-        steps = _phase_steps(vals)
-        if np.abs(steps).max() < math.pi / 2:
-            total = math.fsum(steps) / (2 * math.pi)
-            if abs(total - round(total)) > 1e-6:
-                raise NumericalError("grid too coarse")
-            return vals, round(total)
-    raise NumericalError("grid too coarse")
+def _winding(vals: np.ndarray):
+    """Winding from grid values, or None while a phase step reaches π/2."""
+    steps = _phase_steps(vals)
+    if not np.abs(steps).max() < math.pi / 2:
+        return None
+    total = math.fsum(steps.tolist()) / (2 * math.pi)
+    if abs(total - round(total)) > 1e-6:
+        raise NumericalError("grid too coarse")
+    return round(total)
 
 
 def winding_number(loop: FourierLoop) -> int:
     """Total phase change / 2π, by unwrapping on a refined grid."""
-    return _winding_grid(loop)[1]
+    return _refine(loop)[1]
+
+
+def _log_values(vals: np.ndarray, winding: int) -> np.ndarray:
+    """Continuous log of z^{−winding}·vals: the phase is fixed at θ = 0
+    and accumulates principal steps."""
+    n = len(vals)
+    theta = 2 * math.pi * np.arange(n) / n
+    g = vals * np.exp(-1j * winding * theta)
+    steps = _phase_steps(g)
+    phase = np.angle(g[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    return np.log(np.abs(g)) + 1j * phase
 
 
 def log_split(loop: FourierLoop) -> "LoopLog":
     """Factor a nonvanishing loop as zⁿ·e^{a(z)}.
 
-    The branch is fixed by Im a(0) ∈ (−π, π].
+    The branch is fixed by Im a(0) ∈ (−π, π].  The grid is refined until
+    the spectrum of the log values is resolved.
     """
-    vals, n_wind = _winding_grid(loop)
-    n = len(vals)
-    theta = 2 * math.pi * np.arange(n) / n
-    g = vals * np.exp(-1j * n_wind * theta)
-    # continuous log: fix phase at θ = 0, accumulate principal steps
-    steps = _phase_steps(g)
-    phase = np.angle(g[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
-    a_vals = np.log(np.abs(g)) + 1j * phase
     # log|g| and arg g carry absolute roundoff of about eps whatever their
     # size, so the cutoff's scale is floored at 1: for g = zⁿ the values are
     # roundoff alone and would otherwise fill the whole spectrum.
-    a = _fit_spectrum(*_spectrum(a_vals), max(1.0, np.abs(a_vals).max()))
+    vals, n_wind, a = _refine(loop, _log_values, floor=1.0)
     result = LoopLog(n_wind, a)
-    # relative to the loop's size, like the alias test of _grid_op
-    err = np.abs(result.reconstruct().eval_grid(n) - vals).max()
+    # relative to the loop's size, like the cutoff of the fit
+    err = np.abs(result.reconstruct().eval_grid(len(vals)) - vals).max()
     if err > 1e-10 * max(1.0, np.abs(vals).max()):
         raise NumericalError("grid too coarse")
     return result

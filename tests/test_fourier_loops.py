@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fredk2 import InputError, InvariantViolation, NumericalError
+from fredk2 import InputError, InvariantViolation, NumericalError, fourier_loops
 from fredk2.fourier_loops import (
     FourierLoop,
     circle_integral,
@@ -129,6 +129,18 @@ class TestLogSplit:
         assert ll.log_part.band <= 1
         assert ll.log_part.l1() + ll.log_part.tail < 1e-12
 
+    def test_monomial_log_is_constant(self):
+        # c·zᵏ has band |k|, so its log is taken on a few points, where the
+        # running phase sum leaves no sawtooth above the cutoff
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            c = complex(*rng.standard_normal(2)) * 10 ** rng.uniform(-3, 3)
+            k = int(rng.integers(-5, 6))
+            ll = log_split(FourierLoop({k: c}))
+            assert ll.winding == k
+            assert list(ll.log_part.coeffs) in ([], [0])
+            assert abs(ll.log_part[0] - np.log(c)) <= 8 * np.finfo(float).eps * max(1.0, abs(np.log(c)))
+
     def test_branch_at_zero(self):
         # a0 with large imaginary part comes back shifted into (-π, π]
         a = FourierLoop({0: 4.0j})
@@ -143,6 +155,25 @@ class TestLogSplit:
         ll = log_split(a.exp())
         assert ll.winding == 0
         assert ll.log_part.sub(a).l1() <= 1e-12 * a.l1()
+
+    @pytest.mark.parametrize("c", [0.5, 0.9])
+    def test_slow_decay_reconstructs_off_grid(self, c):
+        # log(1 + cz) decays like cᵏ/k while the loop has band 1, so the
+        # grid must follow the log; 4099 points share only θ = 0 with it
+        loop = FourierLoop({0: 1.0, 1: c})
+        recon = log_split(loop).reconstruct()
+        assert recon.sub(loop).l1() <= 1e-13
+        theta = 2 * np.pi * np.arange(4099) / 4099
+        assert np.abs(recon.eval(theta) - loop.eval(theta)).max() <= 1e-13
+
+    @pytest.mark.parametrize("c", [0.95, 0.99])
+    def test_slow_decay_band_overflow(self, c):
+        # the log and the inverse need more than 512 coefficients
+        loop = FourierLoop({0: 1.0, 1: c})
+        with pytest.raises(NumericalError, match="band overflow"):
+            log_split(loop)
+        with pytest.raises(NumericalError, match="band overflow"):
+            loop.inv()
 
 
 class TestPointwiseOps:
@@ -300,11 +331,17 @@ class TestGridPasses:
     """Each grid operation evaluates, transforms and fits its grid once."""
 
     def test_exp_transforms_once(self, monkeypatch):
-        calls = []
+        # band 6 starts on 64 points, above 8·(6 + 1); the first grid whose
+        # top-eighth spectrum is below the fit's cutoff is 256
+        calls, fits = [], []
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda v: calls.append(len(v)) or fft(v))
+        fit = fourier_loops._fit_spectrum
+        monkeypatch.setattr(fourier_loops, "_fit_spectrum",
+                            lambda spec, *a: fits.append(len(spec)) or fit(spec, *a))
         FourierLoop({-6: 0.2, 1: 0.3j, 6: 0.1}).exp()
-        assert calls == [4096]
+        assert calls == [64, 128, 256]
+        assert fits == [256]
 
     def test_log_split_evaluates_input_once(self, monkeypatch):
         loop = z_loop(2).mul(FourierLoop({-3: 0.1, 1: 0.2}).exp())
@@ -319,6 +356,22 @@ class TestGridPasses:
         monkeypatch.setattr(FourierLoop, "eval_grid", counting)
         assert log_split(loop).winding == 2
         assert len(calls) == 1
+
+    def test_inv_evaluates_each_grid_once(self, monkeypatch):
+        # the winding is read from the grid that is inverted; band 3
+        # starts on 64 points and the inverse is resolved on 256
+        loop = FourierLoop({0: 2.0, 1: 0.5, -3: 0.3j})
+        calls = []
+        eval_grid = FourierLoop.eval_grid
+
+        def counting(self, n):
+            if self is loop:
+                calls.append(n)
+            return eval_grid(self, n)
+
+        monkeypatch.setattr(FourierLoop, "eval_grid", counting)
+        loop.inv()
+        assert calls == [64, 128, 256]
 
     def test_log_split_keys_ascending(self):
         ll = log_split(z_loop(-1).mul(FourierLoop({5: 0.2, -4: 0.1j, 0: 0.3}).exp()))
@@ -360,6 +413,63 @@ class TestGridPasses:
     def test_exp_overflow_rejected(self):
         with pytest.raises(NumericalError, match="exponential overflows"):
             FourierLoop({0: 800.0}).exp()
+
+
+REF_GRID = 16384
+fine_grid_settings = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def _ref_fit(values, floor=0.0):
+    """Coefficients k = −n/2 … n/2 − 1 of values on the fixed reference
+    grid, their tolerance 16·eps·max|values| and the band a fit at the
+    cutoff max(1e-16, 8·eps·max|values|) would keep."""
+    n = len(values)
+    spec = (np.fft.fft(values) / n)[np.arange(-(n // 2), n // 2)]
+    scale = max(floor, np.abs(values).max())
+    kept = np.flatnonzero(np.abs(spec) >= max(1e-16, 8 * np.finfo(float).eps * scale))
+    band = np.abs(kept - n // 2).max(initial=0)
+    return spec, 16 * np.finfo(float).eps * scale, band
+
+
+def _matches_reference(op, values, floor=0.0, slack=1):
+    spec, tol, band = _ref_fit(values, floor)
+    if band > fourier_loops.max_band():
+        with pytest.raises(NumericalError):
+            op()
+        return
+    got = coeff_run(op(), -(REF_GRID // 2), REF_GRID)
+    assert np.abs(got - spec).max() <= slack * tol
+
+
+class TestAgainstFineGrid:
+    """exp, inv and log_split agree with the same operation on a fixed
+    16,384-point grid, for loops of band 0–12 and logs of ℓ¹ up to 8."""
+
+    @fine_grid_settings
+    @given(seed=st.integers(0, 2**32 - 1), band=st.integers(0, 12),
+           size=st.floats(0.0, 8.0), winding=st.integers(-3, 3))
+    def test_matches_fixed_grid(self, seed, band, size, winding):
+        rng = np.random.default_rng(seed)
+        f = random_loop(rng, band=band, scale=1.0)
+        f = f.scalar_mul(1 / f.l1())
+        a = f.scalar_mul(size)
+        _matches_reference(a.exp, np.exp(a.eval_grid(REF_GRID)))
+        # ℓ¹(log(1 + r·f)) ≤ −log(1 − r) = size, and 1 + r·f has winding 0
+        v = FourierLoop({0: 1.0}).add(f.scalar_mul(-math.expm1(-size)))
+        v_vals = v.eval_grid(REF_GRID)
+        _matches_reference(v.inv, 1 / v_vals)
+        u = z_loop(winding).mul(v)
+        log_vals = np.log(np.abs(v_vals)) + 1j * np.unwrap(np.angle(v_vals))
+
+        def split():
+            ll = log_split(u)
+            assert ll.winding == winding
+            return ll.log_part
+
+        # the log's phase is a running sum of principal steps, which drifts
+        # by up to about eps/4 a step: 4096 steps leave a sawtooth of
+        # about 500·eps even on a constant loop
+        _matches_reference(split, log_vals, floor=1.0, slack=64)
 
 
 class TestIntegrals:
