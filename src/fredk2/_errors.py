@@ -24,6 +24,10 @@ class NumericalError(FredK2Error):
     exit_code = 3
 
 
+class WindingError(NumericalError):
+    """A loop winds where winding zero is required, e.g. for an inverse."""
+
+
 class InvariantViolation(FredK2Error):
     """An internal consistency assertion failed, e.g. a nonzero symbol
     where a zero symbol is structurally required."""

@@ -42,7 +42,7 @@ import os
 
 import numpy as np
 
-from ._errors import InputError, InvariantViolation, NumericalError
+from ._errors import InputError, InvariantViolation, NumericalError, WindingError
 
 GRID_TOP = 16384      # largest grid below band 511; wider loops refine to 4× their first
 COEFF_CUTOFF = 1e-16  # fit truncation floor
@@ -192,7 +192,7 @@ def _exp_values(vals, winding):
 
 def _recip_values(vals, winding):
     if winding:
-        raise NumericalError("no single-valued inverse symbol of winding zero")
+        raise WindingError("no single-valued inverse symbol of winding zero")
     return 1.0 / vals
 
 

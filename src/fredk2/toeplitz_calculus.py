@@ -15,8 +15,13 @@ Products follow the Brown–Halmos identity
 
     T_φ T_ψ = T_{φψ} − H_φ H_{ψ̃},    ψ̃(z) = ψ(1/z),
 
-with the Hankel matrix H_φ = (φ_{j+k+1})_{j,k≥0}, which is supported in a
-band×band corner for band-limited symbols.  Symbol products commute
+with the Hankel matrix H_φ = (φ_{j+k+1})_{j,k≥0}.  For band-limited
+symbols H_φ lives in the p×p corner, p the highest index of φ, and H_ψ̃
+in the q×q corner, q the most negative index of ψ, negated.  So every
+correction lives in a leading corner of its window, and ``ToeplitzOp.mul``
+works on corners alone: it reads each operand's live corner once, forms
+each term of the product from those corners, and builds the result on the
+region the terms fill, not on the whole window.  Symbol products commute
 exactly (``FourierLoop.mul`` puts its operands in a fixed order before one
 extended-precision convolution), so commutators have exactly zero symbol.
 """
@@ -29,9 +34,8 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from ._errors import InputError, InvariantViolation, NumericalError
-from .fourier_loops import (FourierLoop, coeff_run, pairing_integral, winding_number,
-                            zero_loop)
+from ._errors import InputError, InvariantViolation, NumericalError, WindingError
+from .fourier_loops import FourierLoop, coeff_run, pairing_integral, zero_loop
 
 DEFAULT_WINDOW = 256
 # Symbols with at most this many coefficients (S, S*, 1, 0) are applied
@@ -104,6 +108,16 @@ def _from_section(sym: FourierLoop, section: np.ndarray, window: int,
     return ToeplitzOp(sym, corr[:window, :window], window, tail)
 
 
+def _extent(corr: np.ndarray) -> tuple[int, int]:
+    """(r, k) with every nonzero of ``corr`` in its leading r×k corner."""
+    nz = corr.view(float) != 0  # real and imaginary parts side by side
+    rows = np.flatnonzero(nz.any(axis=1))
+    if not rows.size:
+        return 0, 0
+    cols = np.flatnonzero(nz[:rows[-1] + 1].any(axis=0))
+    return int(rows[-1]) + 1, int(cols[-1]) // 2 + 1
+
+
 def _toeplitz_times(symbol: FourierLoop, block: np.ndarray, rows: int) -> np.ndarray:
     """T_φ[:rows, :n] @ block for a block with n rows."""
     n = block.shape[0]
@@ -128,7 +142,8 @@ class ToeplitzOp:
         self.window = int(window)
         if correction is None:
             correction = np.zeros((self.window, self.window), dtype=complex)
-        correction = np.asarray(correction, dtype=complex)
+        # C order, so that mul can scan it as a float array
+        correction = np.ascontiguousarray(correction, dtype=complex)
         if correction.shape != (self.window, self.window):
             raise InputError("correction window shape mismatch")
         self.correction = correction
@@ -183,46 +198,66 @@ class ToeplitzOp:
     # -- multiplication ----------------------------------------------------
 
     def mul(self, other: "ToeplitzOp") -> "ToeplitzOp":
-        """Brown–Halmos product; correction exact on an extended window,
-        then truncated back with the discarded mass bounded.
+        """Brown–Halmos product; the correction is formed exactly on the
+        region it fills, then cut to the w×w window with the discarded
+        mass bounded.
 
-        Only nonzero blocks are multiplied: T_φ·C_y fills the first w
-        columns of the extended window, C_x·T_ψ its first w rows and
-        C_x·C_y the kept w×w corner."""
+        C_x is live in its leading r_x×k_x corner and C_y in r_y×k_y.  With
+        p the highest index of φ and q the most negative index of ψ,
+        negated (0 when there is none):
+
+        - H_φ·H_ψ̃ fills rows < p and columns < q;
+        - T_φ·C_y takes C_y[:r_y, :k_y] and fills rows < r_y + p;
+        - C_x·T_ψ takes C_x[:r_x, :k_x] and fills columns < k_x + q;
+        - C_x·C_y is C_x[:r_x, :min(k_x, r_y)] times the matching rows
+          of C_y.
+
+        The operands' norms in the tail bound are read on the same corners."""
         w = max(self.window, other.window)
-        x, y = self.resized(w), other.resized(w)
-        phi, psi = x.symbol, y.symbol
-        cx, cy = x.correction, y.correction
-        x_live, y_live = cx.any(), cy.any()
-        if (not (phi.coeffs or phi.tail or x_live or x.tail_bound)
-                or not (psi.coeffs or psi.tail or y_live or y.tail_bound)):
+        phi, psi = self.symbol, other.symbol
+        rx, kx = _extent(self.correction)
+        ry, ky = _extent(other.correction)
+        if (not (phi.coeffs or phi.tail or rx or self.tail_bound)
+                or not (psi.coeffs or psi.tail or ry or other.tail_bound)):
             return ToeplitzOp(zero_loop(), None, w, 0.0)  # an exact zero operand
-        band = max(phi.band, psi.band)
-        ext = w + band
+        cx = self.correction[:rx, :kx]
+        cy = other.correction[:ry, :ky]
+        psi_r = psi.reflect()
+        p = max(max(phi.coeffs, default=0), 0)
+        q = max(max(psi_r.coeffs, default=0), 0)
+        hankel = bool(p and q)
+        t_cy = bool(ry and phi.coeffs)
+        cx_t = bool(rx and psi.coeffs)
+        cx_cy = bool(rx and ry)
 
-        corr = np.zeros((ext, ext), dtype=complex)
-        hb = min(max(band, 1), ext)
-        ha = HankelWindow(phi, hb).matrix
-        hbt = HankelWindow(psi.reflect(), hb).matrix
-        corr[:hb, :hb] -= ha @ hbt
-        if y_live and not phi.is_zero():
-            corr[:, :w] += _toeplitz_times(phi, cy, ext)
-        if x_live and not psi.is_zero():
+        # the region the live terms fill
+        rows = max(p if hankel else 0, ry + p if t_cy else 0, rx if cx_t or cx_cy else 0)
+        cols = max(q if hankel else 0, ky if t_cy or cx_cy else 0, kx + q if cx_t else 0)
+        corr = np.zeros((rows, cols), dtype=complex)
+        if hankel:
+            ha = HankelWindow(phi, p).matrix
+            hbt = HankelWindow(psi_r, q).matrix
+            corr[:p, :q] -= ha[:, :q] @ hbt[:p]
+        if t_cy:
+            corr[:ry + p, :ky] += _toeplitz_times(phi, cy, ry + p)
+        if cx_t:
             # C_x·T_ψ = (T_ψ̃·C_xᵀ)ᵀ, as T_ψᵀ = T_ψ̃
-            corr[:w, :] += _toeplitz_times(psi.reflect(), cx.T, ext).T
-        if x_live and y_live:
-            corr[:w, :w] += cx @ cy
+            corr[:rx, :kx + q] += _toeplitz_times(psi_r, cx.T, kx + q).T
+        if cx_cy:
+            m = min(kx, ry)
+            corr[:rx, :ky] += cx[:, :m] @ cy[:m]
 
-        kept = corr[:w, :w].copy()
+        kept = np.zeros((w, w), dtype=complex)
+        kept[:min(rows, w), :min(cols, w)] = corr[:w, :w]
         corr[:w, :w] = 0
         discarded = _nuclear_est(corr)
-        fx, nx = _norms(cx) if x_live else (0.0, 0.0)
-        fy, ny = _norms(cy) if y_live else (0.0, 0.0)
+        fx, nx = _norms(cx)
+        fy, ny = _norms(cy)
         # op_norm_est of each factor, with the Frobenius norm read once,
         # formed only where a nonzero tail bound multiplies it
-        x_norm = (phi.l1() + phi.tail + fx + x.tail_bound) if y.tail_bound else 0.0
-        y_norm = (psi.l1() + psi.tail + fy + y.tail_bound) if x.tail_bound else 0.0
-        tail = (x.tail_bound * y_norm + x_norm * y.tail_bound
+        x_norm = (phi.l1() + phi.tail + fx + self.tail_bound) if other.tail_bound else 0.0
+        y_norm = (psi.l1() + psi.tail + fy + other.tail_bound) if self.tail_bound else 0.0
+        tail = (self.tail_bound * y_norm + x_norm * other.tail_bound
                 + discarded
                 + phi.tail * ny
                 + nx * psi.tail)
@@ -230,9 +265,10 @@ class ToeplitzOp:
 
     def inv(self) -> "ToeplitzOp":
         """Inverse in E (winding-zero nonvanishing symbol)."""
-        if winding_number(self.symbol) != 0:
-            raise NumericalError("not invertible in E: index obstruction")
-        psi = self.symbol.inv()
+        try:
+            psi = self.symbol.inv()  # reads the winding from its own grids
+        except WindingError as exc:
+            raise WindingError("not invertible in E: index obstruction") from exc
         w = self.window
         # invert on an enlarged section so the boundary layer of the
         # finite-section inverse stays outside the kept window

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fredk2 import InputError, InvariantViolation, NumericalError
+from fredk2 import InputError, InvariantViolation, NumericalError, toeplitz_calculus
 from fredk2.fourier_loops import FourierLoop, pairing_integral
 from fredk2.invariants import hankel_op
 from fredk2.toeplitz_calculus import (
@@ -204,6 +204,14 @@ def _p0(window):
     return identity_op(window).sub(shift_op(window).mul(coshift_op(window)))
 
 
+def _corner(rng, sym, window, rows, cols, tail=1e-9):
+    """An operator whose correction is live in its leading rows×cols corner."""
+    corr = np.zeros((window, window), dtype=complex)
+    corr[:rows, :cols] = 0.1 * (rng.standard_normal((rows, cols))
+                                + 1j * rng.standard_normal((rows, cols)))
+    return ToeplitzOp(sym, corr, window, tail)
+
+
 def _mul_cases():
     rng = np.random.default_rng(71)
     tailed = FourierLoop(random_loop(rng, band=3).coeffs, tail=1e-10)
@@ -233,6 +241,18 @@ def _mul_cases():
                           _live(rng, random_loop(rng, band=4), 64)),
         "mixed_windows_shrink": (_live(rng, random_loop(rng, band=3), 64),
                                  _live(rng, few, 32)),
+        "corner_small": (_corner(rng, random_loop(rng, band=3), 64, 9, 5),
+                         _corner(rng, random_loop(rng, band=4), 64, 6, 11)),
+        "border_only": (shift_op(64).mul(toeplitz(random_loop(rng, band=5), 64))
+                        .mul(coshift_op(64)), e),
+        # rows reach the window's last row, and the band-6 symbols carry
+        # T_φ·C_y and C_x·T_ψ past it
+        "corner_at_edge": (_corner(rng, random_loop(rng, band=6), 64, 64, 3),
+                           _corner(rng, random_loop(rng, band=6), 64, 4, 64)),
+        "zero_symbol_hankels": (hankel_op(random_loop(rng, band=5), 64),
+                                hankel_op(random_loop(rng, band=7), 64)),
+        "mixed_windows_corners": (_corner(rng, random_loop(rng, band=3), 32, 32, 7),
+                                  _corner(rng, random_loop(rng, band=2), 64, 12, 40)),
     }
 
 
@@ -260,6 +280,58 @@ class TestMulBlocks:
         assert MUL_CASES["band_70"][0].window == 64
         assert (len(MUL_CASES["few_coeffs_both"][0].symbol.coeffs)
                 <= FEW_COEFFS < len(MUL_CASES["both_live"][1].symbol.coeffs))
+
+    def test_cases_cover_corners(self):
+        def extent(op):
+            rows, cols = np.nonzero(op.correction)
+            return rows.max() + 1, cols.max() + 1
+
+        border = MUL_CASES["border_only"][0]
+        assert not border.correction[1:, 1:].any()  # row 0 and column 0 only
+        assert extent(border) == (6, 6)
+        assert extent(MUL_CASES["corner_small"][0]) == (9, 5)
+        assert extent(MUL_CASES["corner_at_edge"][0]) == (64, 3)
+        x, y = MUL_CASES["zero_symbol_hankels"]
+        assert x.symbol.is_zero() and y.symbol.is_zero()
+        assert extent(x) == (5, 5) and extent(y) == (7, 7)
+        x, y = MUL_CASES["mixed_windows_corners"]
+        assert (x.window, y.window) == (32, 64)
+
+    def test_products_see_only_live_corners(self, monkeypatch):
+        # H_φ is p×p with p = 3, φ's highest index, and H_ψ̃ q×q with q = 4,
+        # ψ's most negative index negated; T_φ·C_y and C_x·T_ψ take the
+        # live corners of C_y (rows 6, columns 11) and of C_x (rows 9,
+        # columns 5), C_x·C_y reads C_x[:9, :5] and C_y[:5, :11]
+        rng = np.random.default_rng(79)
+        x = _corner(rng, FourierLoop({-2: 0.1, 3: 0.2}), 64, 9, 5)
+        y = _corner(rng, FourierLoop({-4: 0.3, 1: 0.1j}), 64, 6, 11)
+        blocks, hankels = [], []
+        times = toeplitz_calculus._toeplitz_times
+        monkeypatch.setattr(toeplitz_calculus, "_toeplitz_times",
+                            lambda sym, block, rows: blocks.append((block.shape, rows))
+                            or times(sym, block, rows))
+        window = toeplitz_calculus.HankelWindow
+        monkeypatch.setattr(toeplitz_calculus, "HankelWindow",
+                            lambda sym, n: hankels.append(n) or window(sym, n))
+        prod = x.mul(y)
+        assert blocks == [((6, 11), 6 + 3), ((5, 9), 5 + 4)]
+        assert hankels == [3, 4]
+        corr, tail = padded_brown_halmos(x, y)
+        assert np.abs(prod.correction - corr).max() <= 1e-12
+        assert abs(prod.tail_bound - tail) <= 1e-12 * tail
+
+    def test_analytic_factors_build_no_hankel(self, monkeypatch):
+        # T(e^{a₋})·T(e^{a₊}) = T(e^a) exactly: H(e^{a₋}) = 0, nothing to multiply
+        built = []
+        window = toeplitz_calculus.HankelWindow
+        monkeypatch.setattr(toeplitz_calculus, "HankelWindow",
+                            lambda sym, n: built.append(n) or window(sym, n))
+        e_minus, e_plus, _, _ = split_exponentials(FourierLoop({-2: 0.3, 1: 0.2, 3: 0.1j}))
+        prod = ToeplitzOp(e_minus, None, 64).mul(ToeplitzOp(e_plus, None, 64))
+        assert built == []
+        assert not prod.correction.any() and prod.tail_bound == 0.0
+        ToeplitzOp(e_plus, None, 64).mul(ToeplitzOp(e_minus, None, 64))
+        assert built == [e_plus.band, e_minus.band]
 
 
 class TestTrace:
@@ -355,8 +427,25 @@ class TestInvExp:
         assert np.abs(y.correction).max() < 1e-12
 
     def test_inv_winding_obstruction(self):
-        with pytest.raises(NumericalError, match="index obstruction"):
+        with pytest.raises(NumericalError, match="index obstruction") as exc:
             shift_op(16).inv()
+        assert exc.value.exit_code == 3
+
+    def test_inv_reads_the_winding_from_its_own_grids(self, monkeypatch):
+        # band 3 starts on 64 points and its inverse is resolved on 256;
+        # no separate winding pass evaluates the 64-point grid again
+        x = toeplitz(FourierLoop({0: 2.0, 1: 0.5, -3: 0.3j}), 16)
+        calls = []
+        eval_grid = FourierLoop.eval_grid
+
+        def counting(self, n):
+            if self is x.symbol:
+                calls.append(n)
+            return eval_grid(self, n)
+
+        monkeypatch.setattr(FourierLoop, "eval_grid", counting)
+        x.inv()
+        assert calls == [64, 128, 256]
 
     @pytest.mark.filterwarnings("error")
     def test_inv_singular_correction(self):
