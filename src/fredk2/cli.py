@@ -129,8 +129,8 @@ def _report_options(fn):
                    "from the bands of its lifts.")
 @click.option("--strict/--fast", "strict", default=True,
               help="Strict mode refuses a window below the one the operator "
-                   "route needs and re-takes each determinant on twice its "
-                   "window.")
+                   "route needs and bounds each determinant's change on twice "
+                   "its window from the window's own LU.")
 @_report_options
 def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
            dump_operator, window, strict, fmt, seed):

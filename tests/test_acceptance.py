@@ -130,7 +130,7 @@ def test_operator_route_roundoff_pin(corpus):
     rows, _ = corpus
     worst = max(abs(row["operator"] - row["closed"]) / abs(row["closed"])
                 for row in rows)
-    assert worst <= 2e-13, f"closed/operator rel {worst:.2e} (pin 2e-13)"
+    assert worst <= 1e-13, f"closed/operator rel {worst:.2e} (pin 1e-13)"
 
 
 def test_criterion_2_exp_character_equals_operator_det(corpus):

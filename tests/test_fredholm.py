@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.special
 
 from fredk2 import InvariantViolation, NumericalError
@@ -42,6 +43,7 @@ def rank_one_perturbation(lam, window=16):
 class TestDet1p:
     def test_identity(self):
         assert det1p(identity_op(16)) == 1
+        assert det1p(identity_op(0)) == 1
 
     def test_rank_one(self):
         lam = 0.3 - 0.7j
@@ -101,6 +103,178 @@ class TestDet1p:
         g = exp_op(toeplitz(random_loop(rng), 64))
         conj = g.mul(x).mul(g.inv())
         assert abs(det1p(conj) - det1p(x)) < 1e-9
+
+
+W = 32
+
+
+def planted_op(rng, l1, band, diagonal, correction=None, window=W):
+    """ToeplitzOp whose symbol deviates from 1 (diagonal) or 0 by a random
+    loop of ℓ¹ norm ``l1`` on indices −band … band."""
+    ks = range(-band, band + 1)
+    c = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
+    c *= l1 / np.abs(c).sum()
+    coeffs = dict(zip(ks, c))
+    if diagonal:
+        coeffs[0] = coeffs.get(0, 0) + 1.0
+    return ToeplitzOp(FourierLoop(coeffs), correction, window)
+
+
+def planted_correction(rng, kind, window=W):
+    if kind == "corner":
+        out = np.zeros((window, window), dtype=complex)
+        out[:6, :6] = 0.05 * rng.standard_normal((6, 6))
+        return out
+    if kind == "full":
+        return 0.5 * (rng.standard_normal((window, window))
+                      + 1j * rng.standard_normal((window, window))) / window
+    # 1 + correction has one eigenvalue 1e-5, its eigenvectors spread over
+    # the window
+    u = rng.standard_normal(window) + 1j * rng.standard_normal(window)
+    v = rng.standard_normal(window) + 1j * rng.standard_normal(window)
+    return -(1 - 1e-5) * np.outer(u / (v.conj() @ u), v.conj())
+
+
+def planted_block(rng, l1, band, off_only, corr):
+    """3x3 BlockOp with ``corr`` on its (2,2) block and small corner
+    corrections elsewhere; every block deviates by ``l1``, or only the
+    off-diagonal ones."""
+    return BlockOp([[planted_op(rng, 0.0 if off_only and i == j else l1, band, i == j,
+                                corr if i == j == 1 else planted_correction(rng, "corner"))
+                     for j in range(3)] for i in range(3)])
+
+
+def doubling_ratio_error(x):
+    """The test-side reference |det M_2w / det M_w − 1| on dense sections."""
+    w = x.window
+    return abs(np.linalg.det(x.dense_section(2 * w))
+               / np.linalg.det(x.dense_section(w)) - 1)
+
+
+def edge_pivot_op(pivot, window=W):
+    """Symbol 1 + 2⁻³¹(z + 1/z) with the section's last diagonal entry set
+    to ``pivot``: all entries exact, and the section's inverse is of size
+    1/pivot at the window's edge, where B and C couple it to the rest of
+    the doubled section (det M_2w / det M_w − 1 ≈ −2⁻⁶²/pivot)."""
+    corr = np.zeros((window, window), dtype=complex)
+    corr[-1, -1] = pivot - 1
+    return ToeplitzOp(FourierLoop({-1: 2.0 ** -31, 0: 1.0, 1: 2.0 ** -31}),
+                      corr, window)
+
+
+class TestDet1pWindowCheck:
+    """Strict det1p bounds the doubled-window test from the window's LU."""
+
+    def test_strict_factors_the_window_once(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        sizes, factored = [], []
+        section = ToeplitzOp.dense_section
+        getrf = scipy.linalg.lapack.zgetrf
+        monkeypatch.setattr(ToeplitzOp, "dense_section",
+                            lambda op, n: sizes.append(n) or section(op, n))
+        monkeypatch.setattr(scipy.linalg.lapack, "zgetrf",
+                            lambda a, **kw: factored.append(a.shape) or getrf(a, **kw))
+        x = planted_op(rng, 1e-14, 3, True, planted_correction(rng, "full"))
+        det1p(x)
+        assert sizes == [W] and factored == [(W, W)]
+        one = identity_op(W)
+        sizes.clear()
+        factored.clear()
+        det1p(BlockOp.diagonal(one, x, one, W))
+        assert set(sizes) == {W} and factored == [(3 * W, 3 * W)]
+
+    def test_strict_and_fast_return_the_same_value(self):
+        rng = np.random.default_rng(29)
+        one = identity_op(W)
+        for kind in ("corner", "full", "ill"):
+            x = planted_op(rng, 1e-13, 5, True, planted_correction(rng, kind))
+            block = BlockOp([[x, planted_op(rng, 1e-13, 2, False), one.scalar_mul(0)],
+                             [one.scalar_mul(0), one, planted_op(rng, 1e-13, 40, False)],
+                             [planted_op(rng, 1e-13, 1, False), one.scalar_mul(0), x]])
+            for op in (x, block):
+                assert det1p(op, strict=True) == det1p(op, strict=False)
+
+    @pytest.mark.parametrize("shape", ["toeplitz", "block", "off-diagonal"])
+    def test_parity_with_doubled_window(self, shape):
+        """Raise wherever the reference exceeds 1e-9, pass wherever it is
+        ≤ 1e-10; deviations above the class tolerance are rejected first."""
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for l1 in (1e-16, 1e-13, 1e-11, 3e-11, 1e-10, 9e-10, 1e-8):
+            for band in (0, 1, 5, W, 2 * W + 5):
+                for kind in ("corner", "full", "ill"):
+                    corr = planted_correction(rng, kind)
+                    x = (planted_op(rng, l1, band, True, corr) if shape == "toeplitz"
+                         else planted_block(rng, l1, band, shape == "off-diagonal", corr))
+                    if l1 > 1e-9:
+                        with pytest.raises(InvariantViolation):
+                            det1p(x)
+                        continue
+                    ref = doubling_ratio_error(x)
+                    try:
+                        det1p(x)
+                        outcome = "pass"
+                    except NumericalError:
+                        outcome = "raise"
+                    if ref > 1e-9:
+                        assert outcome == "raise", (l1, band, kind, ref)
+                    elif ref <= 1e-10:
+                        assert outcome == "pass", (l1, band, kind, ref)
+                    outcomes.add(outcome)
+        # off-diagonal deviations act at second order: nothing to catch
+        assert outcomes == ({"pass"} if shape == "off-diagonal" else {"pass", "raise"})
+
+    @pytest.mark.parametrize("window", [W, 3 * W])
+    def test_coupling_through_an_ill_conditioned_edge(self, window):
+        # the deviation has zero trace; only the coupling term sees it
+        x = edge_pivot_op(2.0 ** -40, window)
+        assert doubling_ratio_error(x) > 1e-7
+        with pytest.raises(NumericalError, match="window too small"):
+            det1p(x)
+        one = identity_op(window)
+        with pytest.raises(NumericalError, match="window too small"):
+            det1p(BlockOp.diagonal(one, x, one, window))
+        x = edge_pivot_op(2.0 ** -20, window)
+        assert doubling_ratio_error(x) <= 1e-10
+        assert det1p(x) == det1p(x, strict=False)
+
+    @pytest.mark.parametrize("pivot, raises", [(2.0 ** -40, True), (2.0 ** -20, False)])
+    def test_coupling_through_off_diagonal_blocks(self, pivot, raises):
+        # the (2,2) block has unit symbol; the deviation sits on the (1,2)
+        # and (2,1) blocks, which couple block 1 to the ill-conditioned edge
+        corr = np.zeros((W, W), dtype=complex)
+        corr[-1, -1] = pivot - 1
+        one, z = identity_op(W), zero_op(W)
+        x = BlockOp([[one, toeplitz(FourierLoop({1: 2.0 ** -31}), W), z],
+                     [toeplitz(FourierLoop({-1: 2.0 ** -31}), W),
+                      ToeplitzOp(FourierLoop({0: 1.0}), corr, W), z],
+                     [z, z, one]])
+        if raises:
+            assert doubling_ratio_error(x) > 1e-7
+            with pytest.raises(NumericalError, match="window too small"):
+                det1p(x)
+        else:
+            assert doubling_ratio_error(x) <= 1e-10
+            assert det1p(x) == det1p(x, strict=False)
+
+    def test_nan_is_not_returned(self):
+        # a NaN coefficient passes the class check, and makes ‖F‖₁ NaN
+        x = ToeplitzOp(FourierLoop({0: 1.0, 1: float("nan")}), None, W)
+        with pytest.raises(NumericalError):
+            det1p(x)
+
+    def test_singular_section(self):
+        # exactly singular and uncoupled (M_2w block triangular): det 0
+        x = ToeplitzOp(FourierLoop({0: 1.0, 1: 1e-12}), None, W)
+        x.correction[0, 0] = -1
+        assert det1p(x) == 0 and np.linalg.det(x.dense_section(2 * W)) == 0
+        # exactly singular with coupling: the ratio cannot be bounded
+        x = edge_pivot_op(0.0)
+        x.correction[-1, -2] = -2.0 ** -31
+        assert np.linalg.det(x.dense_section(2 * W)) != 0
+        assert det1p(x, strict=False) == 0
+        with pytest.raises(NumericalError, match="window too small"):
+            det1p(x)
 
 
 class TestDetExpPair:
