@@ -11,7 +11,7 @@ import click
 import numpy as np
 
 from ._errors import FredK2Error, InputError, InvariantViolation
-from .fourier_loops import FourierLoop, loop_from_json, max_band
+from .fourier_loops import FourierLoop, loop_from_json
 from .toeplitz_calculus import DEFAULT_WINDOW, _require_window
 from .invariants import (
     RouteParts,
@@ -27,12 +27,6 @@ from . import group_homology as gh
 
 REPORT_SCHEMA = "fredk2-report/1"
 METHODS = ("closed", "integral", "operator")
-
-
-def _check_band(band: int):
-    """The band cap."""
-    if band > max_band():
-        raise InputError("band exceeds FREDK2_MAX_BAND")
 
 
 def _jsonable(x):
@@ -138,9 +132,7 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
     try:
         alpha = _load_loop(alpha_file)
         beta = _load_loop(beta_file)
-        _check_band(max(alpha.band, beta.band))
         sym = SteinbergSymbol.from_loops(alpha, beta)
-        _check_band(max(sym.u.log_part.band, sym.v.log_part.band))
 
         wanted = METHODS if method == "all" else (method,)
         values, timings = {}, {}
@@ -226,7 +218,6 @@ def converge(alpha_file, beta_file, windows, tol, fmt, seed):
         beta = _load_loop(beta_file)
         sym = SteinbergSymbol.from_loops(alpha, beta)
         band = max(sym.u.log_part.band, sym.v.log_part.band)
-        _check_band(band)
         _require_window(sizes[0], band)
 
         reference = det_invariant_closed(sym)

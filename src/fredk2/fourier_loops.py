@@ -1,38 +1,34 @@
 """Smooth loops on the circle stored as finite Fourier series.
 
-A loop is a smooth map f : S¹ → ℂ represented by finitely many Fourier
-coefficients, f(θ) = Σ_k c_k e^{ikθ}.  Nonvanishing loops factor as
+A loop is a smooth map f : S¹ → ℂ, f(θ) = Σ_k c_k e^{ikθ}, stored as one
+coefficient run: the complex128 array c_lo, …, c_hi from its lowest to its
+highest nonzero index, +0 at the vanishing indices inside, and a ``tail``
+bounding the ℓ¹ mass that fits discarded.  Every kernel reads the run, and
+no run is written once a loop holds it, so loops share runs.  The {k: c}
+map of the constructor and of ``coeffs`` is a derived view.  Nonvanishing
+loops factor as
 
     f(z) = zⁿ · e^{a(z)},   n = winding number,
 
-and ``log_split`` produces that factorization.  Pointwise algebra (mul,
-inv, exp) is carried out on coefficient level where possible and through
-evaluation grids otherwise, with discarded ℓ¹ coefficient mass recorded
-on the result as ``tail``.
+and ``log_split`` produces that factorization.
 
-Every grid operation (``exp``, ``inv``, ``winding_number`` and
-``log_split``) runs on one refinement loop, ``_refine``, which evaluates
-the loop once per grid.  Grids are sized from the band: a loop of band B
-starts on the smallest power of two above 8·(B + 1) points, and the grid
-doubles up to ``GRID_TOP`` (four times the first grid for the widest
-loops).  A grid is accepted by one test: the top eighth of the spectrum
-of the values to be fitted lies below the cutoff the fit itself applies,
-max(COEFF_CUTOFF, 8·eps·scale), so no coefficient the fit keeps can be
-aliased.  ``log_split`` applies the test to the spectrum of its unwrapped
-log values, not to the loop's: 1 + c·z has band 1, while its log decays
-like cᵏ/k.  Operations that read a winding accept a grid only once every
-principal phase step on it is below π/2.
+Sums, shifts and products work on the runs; ``exp``, ``inv``, the winding
+and ``log_split`` work on grids sized from the band (``_grids``), through
+one refinement loop, ``_refine``, which evaluates the loop once per grid.
+A grid is accepted once the top eighth of the spectrum of the values to be
+fitted lies below the cutoff the fit itself applies, max(COEFF_CUTOFF,
+8·eps·scale), so no coefficient the fit keeps can be aliased.
+``log_split`` tests the spectrum of its unwrapped log values, not the
+loop's: 1 + c·z has band 1, while its log decays like cᵏ/k.  Operations
+that read a winding accept a grid only once every principal phase step on
+it is below π/2.
 
-A product is one dense convolution of the two coefficient runs,
-accumulated in ``np.clongdouble`` and rounded once to complex128; on
-x86-64 that is 80-bit extended precision.  ``mul`` first puts its
-operands in a fixed total order (lowest index, highest index, then the
-coefficients' bytes), so mul(f, g) and mul(g, f) run the same computation
-and give bit-identical coefficient maps.  Downstream code relies on this
-to get exactly-zero symbols for commutators.  Where ``np.longdouble`` is
-float64, products still commute exactly but lose the extra accumulation
-bits.  ``pairing_integral`` is still fsum-canonical, hence independent of
-term order.
+A product is one convolution of the two runs, accumulated in
+``np.clongdouble`` (80-bit on x86-64) and rounded once to complex128.
+``mul`` orders its operands by (lowest index, length, bytes), so mul(f, g)
+and mul(g, f) are bit-identical, and commutators get exactly-zero symbols.
+Where ``np.longdouble`` is float64, products still commute exactly but
+lose the extra bits.
 """
 
 from __future__ import annotations
@@ -54,45 +50,61 @@ def max_band() -> int:
     return int(os.environ.get("FREDK2_MAX_BAND", "512"))
 
 
-def _fsum_complex(values) -> complex:
-    vals = list(values)
-    return complex(math.fsum(v.real for v in vals),
-                   math.fsum(v.imag for v in vals))
-
-
 class FourierLoop:
-    """Finitely supported Fourier series Σ_k c_k e^{ikθ}."""
+    """Finitely supported Fourier series Σ_k c_k e^{ikθ}, held as ``lo``,
+    ``run`` = (c_lo, …, c_hi) with nonzero ends (lo = 0 and an empty run for
+    the zero loop) and ``tail``.  A run is never written after construction,
+    so ``shift``, ``reflect`` and ``split_exponentials`` share it."""
 
-    __slots__ = ("coeffs", "tail")
+    __slots__ = ("lo", "run", "tail")
 
     def __init__(self, coeffs=None, tail: float = 0.0):
-        clean = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                c = complex(c)
-                if c != 0:
-                    clean[int(k)] = c
-        self.coeffs = clean
-        self.tail = float(tail)
+        coeffs = coeffs or {}
+        keys = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+        lo = int(min(coeffs, default=0))
+        run = np.zeros(int(max(coeffs, default=-1)) - lo + 1, dtype=complex)
+        run[keys - lo] = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+        loop = FourierLoop._of(lo, run, tail)
+        self.lo, self.run, self.tail = loop.lo, loop.run, loop.tail
+
+    @classmethod
+    def _of(cls, lo: int, run: np.ndarray, tail: float = 0.0) -> "FourierLoop":
+        """The loop c_lo, c_{lo+1}, … of ``run``, cut to its nonzero ends.  A
+        writable run is fresh, and its zeros inside are made +0; a read-only
+        one is another loop's, and is shared as it is."""
+        loop = cls.__new__(cls)
+        nz = run.nonzero()[0]
+        run = run[nz[0]:nz[-1] + 1] if nz.size else run[:0]
+        if nz.size < run.size and run.flags.writeable:
+            run[run == 0] = 0
+        run.flags.writeable = False
+        loop.lo, loop.run, loop.tail = lo + int(nz[0]) if nz.size else 0, run, float(tail)
+        return loop
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients as a {k: c_k} map, ascending in k."""
+        nz = self.run.nonzero()[0]
+        return dict(zip((nz + self.lo).tolist(), self.run[nz].tolist()))
+
+    @property
     def band(self) -> int:
-        return max((abs(k) for k in self.coeffs), default=0)
+        return max(-self.lo, self.lo + self.run.size - 1, 0)
 
     def l1(self) -> float:
-        return math.fsum(abs(c) for c in self.coeffs.values())
+        return math.fsum(np.hypot(self.run.real, self.run.imag).tolist())
 
     def __getitem__(self, k: int) -> complex:
-        return self.coeffs.get(k, 0j)
+        return complex(coeff_run(self, k, 1)[0])
 
     def __repr__(self):
-        items = ", ".join(f"{k}: {c:.6g}" for k, c in sorted(self.coeffs.items()))
+        items = ", ".join(f"{k}: {c:.6g}" for k, c in self.coeffs.items())
         return f"FourierLoop({{{items}}})"
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.run.size
 
     # -- evaluation ----------------------------------------------------
 
@@ -100,75 +112,73 @@ class FourierLoop:
         """Evaluate at angle(s) theta."""
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(theta.shape, dtype=complex)
-        for k in sorted(self.coeffs):
-            out += self.coeffs[k] * np.exp(1j * k * theta)
-        if out.shape == ():
-            return complex(out)
-        return out
+        for k, c in self.coeffs.items():
+            out += c * np.exp(1j * k * theta)
+        return complex(out) if out.shape == () else out
 
     def eval_grid(self, n: int) -> np.ndarray:
         """Values at θ_j = 2πj/n, exact via spectrum folding."""
         spec = np.zeros(n, dtype=complex)
-        if self.coeffs:
-            lo, run = _dense(self)
-            # folds in ascending k, one addition at a time
-            np.add.at(spec, (lo + np.arange(len(run))) % n, run)
+        # folds in ascending k, one addition at a time
+        np.add.at(spec, (self.lo + np.arange(self.run.size)) % n, self.run)
         return np.fft.ifft(spec) * n
 
     # -- exact coefficient algebra --------------------------------------
 
     def add(self, other: "FourierLoop") -> "FourierLoop":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0j) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return FourierLoop(out, self.tail + other.tail)
+        lo = min(self.lo, other.lo)
+        out = np.zeros(max(self.lo + self.run.size, other.lo + other.run.size) - lo,
+                       dtype=complex)
+        out[self.lo - lo:self.lo - lo + self.run.size] = self.run
+        # other's nonzero coefficients only, as c + 0 turns a −0 part of c to +0
+        nz = other.run.nonzero()[0]
+        out[other.lo - lo + nz] += other.run[nz]
+        return FourierLoop._of(lo, out, self.tail + other.tail)
 
     def sub(self, other: "FourierLoop") -> "FourierLoop":
         return self.add(other.neg())
 
     def neg(self) -> "FourierLoop":
-        return FourierLoop({k: -c for k, c in self.coeffs.items()}, self.tail)
+        return FourierLoop._of(self.lo, -self.run, self.tail)
 
     def scalar_mul(self, s: complex) -> "FourierLoop":
-        s = complex(s)
-        return FourierLoop({k: s * c for k, c in self.coeffs.items()},
-                           abs(s) * self.tail)
+        s, r = complex(s), self.run
+        # Python's complex product, each step rounded (numpy's may fuse them)
+        out = (s.real * r.real - s.imag * r.imag).astype(complex)
+        out.imag = s.real * r.imag + s.imag * r.real
+        return FourierLoop._of(self.lo, out, abs(s) * self.tail)
 
     def mul(self, other: "FourierLoop") -> "FourierLoop":
         tail = ((self.tail * (other.l1() + other.tail) if self.tail else 0.0)
                 + (self.l1() * other.tail if other.tail else 0.0))
-        if not (self.coeffs and other.coeffs):
+        if not (self.run.size and other.run.size):
             return FourierLoop({}, tail)
         # a fixed operand order makes mul exactly commutative
-        (lo_f, f), (lo_g, g) = sorted((_dense(self), _dense(other)),
+        (lo_f, f), (lo_g, g) = sorted(((self.lo, self.run), (other.lo, other.run)),
                                       key=lambda d: (d[0], len(d[1]), d[1].tobytes()))
         prod = np.convolve(f.astype(np.clongdouble),
                            g.astype(np.clongdouble)).astype(complex)
-        keys = np.flatnonzero(prod)
-        return FourierLoop(dict(zip((keys + (lo_f + lo_g)).tolist(), prod[keys].tolist())),
-                           tail)
+        return FourierLoop._of(lo_f + lo_g, prod, tail)
 
     def shift(self, n: int) -> "FourierLoop":
         """Multiply by zⁿ (index shift)."""
-        return FourierLoop({k + n: c for k, c in self.coeffs.items()}, self.tail)
+        return FourierLoop._of(self.lo + n, self.run, self.tail)
 
     def reflect(self) -> "FourierLoop":
         """f̃(z) = f(1/z), i.e. k ↦ −k."""
-        return FourierLoop({-k: c for k, c in self.coeffs.items()}, self.tail)
+        return FourierLoop._of(1 - self.lo - self.run.size, self.run[::-1], self.tail)
 
     def derivative(self) -> "FourierLoop":
         """d/dθ, i.e. c_k ↦ ik·c_k."""
-        return FourierLoop({k: 1j * k * c for k, c in self.coeffs.items() if k},
-                           self.tail)
+        ks = np.arange(self.lo, self.lo + self.run.size)
+        out = 1j * ks * self.run  # i·k has real part ±0: one rounding, as in Python
+        out[ks == 0] = 0  # c₀ is dropped, even a NaN
+        return FourierLoop._of(self.lo, out, self.tail)
 
     # -- grid-based transcendental ops ----------------------------------
 
     def exp(self) -> "FourierLoop":
-        if not self.coeffs:
+        if not self.run.size:
             return FourierLoop({0: 1.0 + 0j})
         out = _refine(self, _exp_values, phase=False)[2]
         if self.tail:
@@ -198,19 +208,11 @@ def _recip_values(vals, winding):
 
 def coeff_run(loop: FourierLoop, lo: int, n: int) -> np.ndarray:
     """[c_lo, c_{lo+1}, …, c_{lo+n−1}] as a dense complex array."""
-    count = len(loop.coeffs)
-    keys = np.fromiter(loop.coeffs, dtype=np.int64, count=count) - lo
-    vals = np.fromiter(loop.coeffs.values(), dtype=complex, count=count)
-    inside = (keys >= 0) & (keys < n)
-    run = np.zeros(n, dtype=complex)
-    run[keys[inside]] = vals[inside]
-    return run
-
-
-def _dense(loop: FourierLoop) -> tuple[int, np.ndarray]:
-    """(lowest index, coefficient run up to the highest) of a nonzero loop."""
-    lo = min(loop.coeffs)
-    return lo, coeff_run(loop, lo, max(loop.coeffs) - lo + 1)
+    out = np.zeros(n, dtype=complex)
+    a, b = max(lo, loop.lo), min(lo + n, loop.lo + loop.run.size)
+    if a < b:
+        out[a - lo:b - lo] = loop.run[a - loop.lo:b - loop.lo]
+    return out
 
 
 def fit_grid_values(values: np.ndarray) -> FourierLoop:
@@ -277,10 +279,12 @@ def _fit_spectrum(spec: np.ndarray, mags: np.ndarray, scale: float) -> FourierLo
     n = len(spec)
     ks = np.arange(-(n // 2), n // 2)
     kept = ~(mags[ks] < _cutoff(scale))  # a NaN is kept and fails the band cap
-    if np.abs(ks[kept]).max(initial=0) > max_band():
+    band = int(np.abs(ks[kept]).max(initial=0))
+    if band > max_band():
         raise NumericalError("band overflow")
-    return FourierLoop(dict(zip(ks[kept].tolist(), spec[ks[kept]].tolist())),
-                       math.fsum(mags[ks[~kept]].tolist()))
+    inner = slice(n // 2 - band, n // 2 + band + 1)
+    return FourierLoop._of(-band, np.where(kept[inner], spec[ks[inner]], 0),
+                           math.fsum(mags[ks[~kept]].tolist()))
 
 
 def zero_loop() -> FourierLoop:
@@ -300,8 +304,8 @@ def from_samples(samples, band: int) -> FourierLoop:
     if n < 2 * band + 1:
         raise InputError("insufficient resolution")
     spec, mags = _spectrum(samples)
-    return FourierLoop({k: spec[k] for k in range(-band, band + 1)
-                        if mags[k] >= COEFF_CUTOFF})
+    ks = np.arange(-band, band + 1)
+    return FourierLoop._of(-band, np.where(mags[ks] >= COEFF_CUTOFF, spec[ks], 0))
 
 
 def _phase_steps(values: np.ndarray) -> np.ndarray:
@@ -383,19 +387,18 @@ def circle_integral(loop: FourierLoop) -> complex:
 
 
 def pairing_integral(a: FourierLoop, b: FourierLoop) -> complex:
-    """(1/2πi)∫₀^{2π} a(θ) b′(θ) dθ = Σ_k k·a_{−k}·b_k.
-
-    fsum-canonical, so pairing(a, b) == −pairing(b, a) exactly.
-    """
-    return _fsum_complex(k * (a.coeffs[-k] * c)
-                         for k, c in b.coeffs.items() if -k in a.coeffs)
+    """(1/2πi)∫₀^{2π} a(θ) b′(θ) dθ = Σ_k k·a_{−k}·b_k, fsum-canonical, so
+    pairing(a, b) == −pairing(b, a) exactly."""
+    ac = a.coeffs
+    terms = [k * (ac[-k] * c) for k, c in b.coeffs.items() if -k in ac]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 # -- JSON formats -----------------------------------------------------
 
 
 def loop_to_json(loop: FourierLoop) -> dict:
-    return {"coeffs": [[k, c.real, c.imag] for k, c in sorted(loop.coeffs.items())]}
+    return {"coeffs": [[k, c.real, c.imag] for k, c in loop.coeffs.items()]}
 
 
 def _parse_coeff_list(raw, what: str) -> dict:
@@ -409,6 +412,8 @@ def _parse_coeff_list(raw, what: str) -> dict:
                 or not isinstance(entry[1], (int, float))
                 or not isinstance(entry[2], (int, float))):
             raise InputError(f"bad {what} entry: {entry!r}")
+        if abs(entry[0]) > max_band():  # a loop is stored densely over its span
+            raise InputError("band exceeds FREDK2_MAX_BAND")
         out[entry[0]] = complex(entry[1], entry[2])
     return out
 

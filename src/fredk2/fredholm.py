@@ -48,7 +48,9 @@ def det1p(x, strict: bool = True) -> complex:
     for i, row in enumerate(getattr(x, "rows", ((x,),))):
         for j, blk in enumerate(row):
             dev = blk.symbol.sub(FourierLoop({0: 1.0})) if i == j else blk.symbol
-            if (l1 := dev.l1()) > UNIT_SYMBOL_TOL:
+            if not np.isfinite(l1 := dev.l1()):
+                raise NumericalError("non-finite symbol coefficient")
+            if l1 > UNIT_SYMBOL_TOL:
                 raise InvariantViolation("not determinant class")
             trace += dev[0] if i == j else 0
             d_norm += l1 + dev.tail

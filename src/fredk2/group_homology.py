@@ -825,14 +825,11 @@ def boundary_to_relative(cycle, hom):
     and return the degree-1 cone cycle (0, -d(t_* x))."""
     if cycle.group is not hom.target or cycle.degree != 2:
         raise InputError("not a 2-cycle")
-    if not bar_boundary(cycle).is_zero():
+    boundary = bar_boundary(hom.lift(cycle))
+    # phi_* is a chain map and phi t = id, so phi_* d(t_* x) = dx
+    if not hom.push(boundary).is_zero():
         raise InputError("not a 2-cycle")
-    lifted = hom.lift(cycle)
-    return ConeChain(
-        hom,
-        GroupChain(hom.target, 2),
-        bar_boundary(lifted).scale(-1),
-    )
+    return ConeChain(hom, GroupChain(hom.target, 2), boundary.scale(-1))
 
 
 class CokerChain:

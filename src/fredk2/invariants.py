@@ -327,7 +327,7 @@ class LoopLabel:
         return LoopLabel(-self.winding, self.log_part.neg())
 
     def _key(self):
-        return (self.winding, tuple(sorted(self.log_part.coeffs.items())))
+        return (self.winding, tuple(self.log_part.coeffs.items()))
 
     def __eq__(self, other):
         if not isinstance(other, LoopLabel):
@@ -338,7 +338,7 @@ class LoopLabel:
         return hash(self._key())
 
     def __repr__(self):
-        return f"LoopLabel({self.winding}, {dict(self.log_part.coeffs)!r})"
+        return f"LoopLabel({self.winding}, {self.log_part.coeffs!r})"
 
 
 class Diag3Label:

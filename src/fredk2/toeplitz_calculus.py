@@ -121,7 +121,7 @@ def _extent(corr: np.ndarray) -> tuple[int, int]:
 def _toeplitz_times(symbol: FourierLoop, block: np.ndarray, rows: int) -> np.ndarray:
     """T_φ[:rows, :n] @ block for a block with n rows."""
     n = block.shape[0]
-    if len(symbol.coeffs) > FEW_COEFFS:
+    if np.count_nonzero(symbol.run) > FEW_COEFFS:
         return toeplitz_matrix(symbol, rows, n) @ block
     out = np.zeros((rows, block.shape[1]), dtype=complex)
     for k, c in symbol.coeffs.items():
@@ -217,17 +217,17 @@ class ToeplitzOp:
         phi, psi = self.symbol, other.symbol
         rx, kx = _extent(self.correction)
         ry, ky = _extent(other.correction)
-        if (not (phi.coeffs or phi.tail or rx or self.tail_bound)
-                or not (psi.coeffs or psi.tail or ry or other.tail_bound)):
+        if (not (phi.run.size or phi.tail or rx or self.tail_bound)
+                or not (psi.run.size or psi.tail or ry or other.tail_bound)):
             return ToeplitzOp(zero_loop(), None, w, 0.0)  # an exact zero operand
         cx = self.correction[:rx, :kx]
         cy = other.correction[:ry, :ky]
         psi_r = psi.reflect()
-        p = max(max(phi.coeffs, default=0), 0)
-        q = max(max(psi_r.coeffs, default=0), 0)
+        p = max(phi.lo + phi.run.size - 1, 0)
+        q = max(-psi.lo, 0)
         hankel = bool(p and q)
-        t_cy = bool(ry and phi.coeffs)
-        cx_t = bool(rx and psi.coeffs)
+        t_cy = bool(ry and phi.run.size)
+        cx_t = bool(rx and psi.run.size)
         cx_cy = bool(rx and ry)
 
         # the region the live terms fill
@@ -357,9 +357,10 @@ def exp_op(x: ToeplitzOp) -> ToeplitzOp:
 def split_exponentials(a: FourierLoop) -> tuple[FourierLoop, ...]:
     """(e^{a₋}, e^{a₊}, e^{−a₊}, e^{−a₋}) with a₋ the k < 0 and a₊ the
     k ≥ 0 part of the log a.  The log's tail bounds the ℓ¹ mass it lost
-    on either side of the split."""
-    minus = FourierLoop({k: c for k, c in a.coeffs.items() if k < 0}, a.tail)
-    plus = FourierLoop({k: c for k, c in a.coeffs.items() if k >= 0}, a.tail)
+    on either side of the split.  The halves share the log's run."""
+    cut = min(max(-a.lo, 0), a.run.size)
+    minus = FourierLoop._of(a.lo, a.run[:cut], a.tail)
+    plus = FourierLoop._of(a.lo + cut, a.run[cut:], a.tail)
     return minus.exp(), plus.exp(), plus.neg().exp(), minus.neg().exp()
 
 

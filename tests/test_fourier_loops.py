@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fredk2 import InputError, InvariantViolation, NumericalError, fourier_loops
 from fredk2.fourier_loops import (
@@ -22,6 +22,7 @@ from fredk2.fourier_loops import (
     z_loop,
     zero_loop,
 )
+from fredk2.toeplitz_calculus import split_exponentials
 
 
 def coeffs_close(loop, expected, tol=1e-12):
@@ -327,6 +328,116 @@ class TestMulProperties:
                 assert f.eval_grid(n).tobytes() == (np.fft.ifft(spec) * n).tobytes()
 
 
+def _bits(coeffs):
+    """A coefficient map as exact (k, re, im) bit patterns, signed zeros included."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in sorted(coeffs.items())]
+
+
+def _ref_sum(f, g):
+    """f + g one key at a time, as a {k: c} map: exact zeros dropped."""
+    out = dict(f)
+    for k, c in g.items():
+        s = out.get(k, 0j) + c
+        if s == 0:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def _ref_map(coeffs, fn):
+    return {k2: c2 for k, c in coeffs.items() for k2, c2 in [fn(k, c)] if c2 != 0}
+
+
+def _ref_product(f, g):
+    """The product's map from per-coefficient dense runs, convolved in the
+    canonical operand order (lowest index, length, bytes)."""
+    if not (f and g):
+        return {}
+
+    def dense(d):
+        lo = min(d)
+        run = np.zeros(max(d) - lo + 1, dtype=complex)
+        for k, c in d.items():
+            run[k - lo] = c
+        return lo, run
+
+    (lo_f, a), (lo_g, b) = sorted((dense(f), dense(g)),
+                                  key=lambda d: (d[0], len(d[1]), d[1].tobytes()))
+    prod = np.convolve(a.astype(np.clongdouble), b.astype(np.clongdouble)).astype(complex)
+    return {lo_f + lo_g + i: complex(c) for i, c in enumerate(prod) if c != 0}
+
+
+run_coeffs = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]),
+    st.builds(complex, st.floats(-0.5, 0.5), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    st.builds(lambda m, e: complex(m, -m) * 2.0 ** e, st.floats(0.5, 1.0), st.integers(-1074, -1000)),
+)
+run_loops = st.builds(FourierLoop, st.dictionaries(st.integers(-12, 12), run_coeffs, max_size=8),
+                      st.sampled_from([0.0, 1e-300, 3e-17, 0.25]))
+run_settings = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+class TestCanonicalRun:
+    """Every loop holds a run with nonzero ends (or the empty run at lo = 0)
+    and +0 at the zeros inside, whose map is the one the operation gives
+    when carried out one coefficient at a time."""
+
+    @staticmethod
+    def _canonical(f, want=None, tail=None):
+        assert f.run.dtype == complex and not f.run.flags.writeable
+        if f.run.size:
+            assert f.run[0] != 0 and f.run[-1] != 0
+        else:
+            assert f.lo == 0
+        assert not np.signbit(f.run[f.run == 0].view(float)).any()
+        again = FourierLoop(f.coeffs, f.tail)
+        assert (again.lo, again.run.size, again.coeffs) == (f.lo, f.run.size, f.coeffs)
+        assert again.run.tobytes() == f.run.tobytes() and again.tail == f.tail
+        if want is not None:
+            assert _bits(f.coeffs) == _bits(want)
+        if tail is not None:
+            assert f.tail == tail
+
+    @run_settings
+    # g's gap at 0 must leave the −0 imaginary part of f's c₀ as it is
+    @example(f=FourierLoop({0: complex(1, -0.0)}), g=FourierLoop({-1: 1.0, 1: 1.0}), n=0, s=0)
+    @given(f=run_loops, g=run_loops, n=st.integers(-20, 20),
+           s=st.sampled_from([0, -1.5, 2j, complex(0.3, -0.7), 1e-320]))
+    def test_algebra_matches_per_coefficient_reference(self, f, g, n, s):
+        fc, gc = f.coeffs, g.coeffs
+        self._canonical(f)
+        self._canonical(f.add(g), _ref_sum(fc, gc), f.tail + g.tail)
+        neg_g = _ref_map(gc, lambda k, c: (k, -c))
+        self._canonical(g.neg(), neg_g, g.tail)
+        self._canonical(f.sub(g), _ref_sum(fc, neg_g), f.tail + g.tail)
+        s = complex(s)
+        self._canonical(f.scalar_mul(s), _ref_map(fc, lambda k, c: (k, s * c)),
+                        abs(s) * f.tail)
+        self._canonical(f.mul(g), _ref_product(fc, gc),
+                        f.tail * (g.l1() + g.tail) + f.l1() * g.tail)
+        self._canonical(f.shift(n), _ref_map(fc, lambda k, c: (k + n, c)), f.tail)
+        self._canonical(f.reflect(), _ref_map(fc, lambda k, c: (-k, c)), f.tail)
+        self._canonical(f.derivative(),
+                        _ref_map(fc, lambda k, c: (k, 1j * k * c if k else 0)), f.tail)
+
+    def test_derivative_drops_c0_even_nan(self):
+        f = FourierLoop({0: complex("nan"), 1: 1.0})
+        self._canonical(f.derivative(), {1: 1j}, 0.0)
+
+    @run_settings
+    @given(f=run_loops)
+    def test_exp_and_split_exponentials(self, f):
+        self._canonical(f.exp())
+        halves = (FourierLoop({k: c for k, c in f.coeffs.items() if k < 0}, f.tail),
+                  FourierLoop({k: c for k, c in f.coeffs.items() if k >= 0}, f.tail))
+        got = split_exponentials(f)
+        want = (halves[0].exp(), halves[1].exp(), halves[1].neg().exp(), halves[0].neg().exp())
+        for x, y in zip(got, want):
+            self._canonical(x, y.coeffs, y.tail)
+
+
 class TestGridPasses:
     """Each grid operation evaluates, transforms and fits its grid once."""
 
@@ -526,3 +637,12 @@ class TestJson:
     def test_loop_log_unknown_field(self):
         with pytest.raises(InputError, match="unknown loop-log fields"):
             loop_log_from_json({"winding": 0, "log_coeffs": [], "w": 1})
+
+    def test_key_beyond_band_cap_rejected(self):
+        # a loop is stored densely from its lowest to its highest index, so
+        # keys 2·10⁹ apart are refused before anything is allocated
+        for parse, field in ((loop_from_json, "coeffs"),
+                             (lambda d: loop_log_from_json({"winding": 0, **d}), "log_coeffs")):
+            with pytest.raises(InputError, match="FREDK2_MAX_BAND"):
+                parse({field: [[-10**9, 1.0, 0.0], [10**9, 1.0, 0.0]]})
+        assert loop_from_json({"coeffs": [[512, 1.0, 0.0]]}).band == 512

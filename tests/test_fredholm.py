@@ -262,6 +262,9 @@ class TestDet1pWindowCheck:
         x = ToeplitzOp(FourierLoop({0: 1.0, 1: float("nan")}), None, W)
         with pytest.raises(NumericalError):
             det1p(x)
+        for strict in (True, False):
+            with pytest.raises(NumericalError, match="non-finite symbol"):
+                det1p(x, strict=strict)
 
     def test_singular_section(self):
         # exactly singular and uncoupled (M_2w block triangular): det 0

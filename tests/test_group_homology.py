@@ -380,6 +380,20 @@ class TestConeAndCoker:
             b = cone.boundary()
             assert b.is_zero()
 
+    def test_boundary_to_relative_takes_one_bar_boundary(self, monkeypatch):
+        # the cycle check reads phi_* of the lifted boundary, which is dx
+        calls = []
+        inner = group_homology.bar_boundary
+        monkeypatch.setattr(group_homology, "bar_boundary",
+                            lambda chain: calls.append(chain) or inner(chain))
+        rng = np.random.default_rng(41)
+        hom = builtin_catalog()["Q8->Z2xZ2"]
+        basis = cycle_basis(hom.target, 2)
+        for _ in range(5):
+            calls.clear()
+            boundary_to_relative(random_cycle(rng, hom.target, basis), hom)
+            assert len(calls) == 1
+
     def test_boundary_to_relative_rejects_non_cycles(self):
         hom = builtin_catalog()["Q8->Z2xZ2"]
         with pytest.raises(InputError, match="not a 2-cycle"):
