@@ -332,7 +332,7 @@ def selftest(fmt, seed):
 
         prod = rho_z(w).mul(rho_zinv(w))
         ident = all(prod.block(i, j).symbol.is_zero() if i != j
-                    else not np.any(prod.block(i, j).correction)
+                    else not prod.block(i, j).corner.size
                     for i in (1, 2) for j in (1, 2))
         checks["rho_z_inverse_pair"] = ident
         checks["shift_commutator_trace"] = op_trace(

@@ -32,8 +32,9 @@ def det1p(x, strict: bool = True) -> complex:
     """Fredholm determinant of a determinant-class operator: a ToeplitzOp
     with unit symbol, or a square BlockOp of ToeplitzOps whose diagonal
     symbols are 1 and off-diagonal symbols 0.  The value is det M_w, M_w
-    the window section, from one LU; strict mode raises NumericalError
-    when a bound on |det M_2w / det M_w − 1| from that LU exceeds 1e-9.
+    the window section, from one LU.  NumericalError on a non-finite symbol
+    or correction entry, and in strict mode when a bound on
+    |det M_2w / det M_w − 1| from that LU exceeds 1e-9.
 
     With each block's first w indices first, M_2w = [[M_w, B], [C, D]], B, C,
     D − 1 Toeplitz in the deviations δ, and det M_2w / det M_w = det(1 + F),
@@ -52,6 +53,8 @@ def det1p(x, strict: bool = True) -> complex:
                 raise NumericalError("non-finite symbol coefficient")
             if l1 > UNIT_SYMBOL_TOL:
                 raise InvariantViolation("not determinant class")
+            if not np.isfinite(blk.corner).all():
+                raise NumericalError("non-finite correction")
             trace += dev[0] if i == j else 0
             d_norm += l1 + dev.tail
             mass = weight * np.abs(coeff_run(dev, -2 * w, 4 * w + 1)) ** 2

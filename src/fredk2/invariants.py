@@ -81,14 +81,16 @@ class SteinbergSymbol:
 def _schatten2_est(x: ToeplitzOp) -> float:
     if not x.symbol.is_zero():
         raise InvariantViolation("not Hilbert-Schmidt: nonzero symbol part")
-    return float(np.linalg.norm(x.correction)) + x.tail_bound
+    return float(np.linalg.norm(x.corner)) + x.tail_bound
 
 
 def hankel_op(f: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzOp:
     """H_f as an operator with zero symbol; finite rank and exact inside
     the window for band-limited f."""
     _require_window(window, f.band)
-    return ToeplitzOp(zero_loop(), HankelWindow(f, window).matrix, window, 0.0)
+    # H_f is live in its p×p corner, p the highest index of f
+    p = max(f.lo + f.run.size - 1, 0)
+    return ToeplitzOp._of(zero_loop(), HankelWindow(f, p).matrix, window)
 
 
 def rho(f: FourierLoop, window: int = DEFAULT_WINDOW) -> BlockOp:
@@ -171,8 +173,9 @@ def det_invariant_integral(sym: SteinbergSymbol) -> complex:
     mean = circle_integral(a.scalar_mul(m).sub(b.scalar_mul(n)))
     pairing = pairing_integral(a, b)
     grid = 1 << max(4, (2 * (a.band + b.band) + 2).bit_length())
-    quad = complex(np.mean(a.eval_grid(grid) * b.derivative().eval_grid(grid))) / 1j
-    if abs(quad - pairing) > 1e-10 * max(1.0, a.l1() * b.derivative().l1()):
+    db = b.derivative()
+    quad = complex(np.mean(a.eval_grid(grid) * db.eval_grid(grid))) / 1j
+    if abs(quad - pairing) > 1e-10 * max(1.0, a.l1() * db.l1()):
         raise InvariantViolation("quadrature disagrees with coefficient read-off")
     return _winding_sign(n, m) * cmath.exp(mean + pairing)
 

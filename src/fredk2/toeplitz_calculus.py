@@ -2,9 +2,12 @@
 
 An element of the extension algebra E = {T_φ + trace class} is stored as
 
-    symbol φ   (a FourierLoop; T_φ has matrix (φ_{j−k})_{j,k≥0})
-    correction C   (dense M×M window, the trace-class part)
-    tail_bound     (bound on the trace norm of whatever fell off the window)
+    symbol φ     (a FourierLoop; T_φ has matrix (φ_{j−k})_{j,k≥0})
+    corner       (the live r×k corner of the trace-class correction C kept
+                  on the M×M window: read-only, with a nonzero in its last
+                  row and its last column, and 0×0 when C = 0)
+    window M
+    tail_bound   (bound on the trace norm of whatever fell off the window)
 
 Bare truncated matrices are never used as operator models: the trace of a
 commutator of finite matrices is identically zero, so finite sections
@@ -19,11 +22,12 @@ with the Hankel matrix H_φ = (φ_{j+k+1})_{j,k≥0}.  For band-limited
 symbols H_φ lives in the p×p corner, p the highest index of φ, and H_ψ̃
 in the q×q corner, q the most negative index of ψ, negated.  So every
 correction lives in a leading corner of its window, and ``ToeplitzOp.mul``
-works on corners alone: it reads each operand's live corner once, forms
-each term of the product from those corners, and builds the result on the
-region the terms fill, not on the whole window.  Symbol products commute
-exactly (``FourierLoop.mul`` puts its operands in a fixed order before one
-extended-precision convolution), so commutators have exactly zero symbol.
+works on corners alone: it forms each term of the product from the
+operands' corners and builds the result on the region the terms fill, cut
+to the window and trimmed once, never on the whole window.  Symbol
+products commute exactly (``FourierLoop.mul`` puts its operands in a fixed
+order before one extended-precision convolution), so commutators have
+exactly zero symbol.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from ._errors import InputError, InvariantViolation, NumericalError, WindingError
 from .fourier_loops import FourierLoop, coeff_run, pairing_integral, zero_loop
@@ -49,10 +54,11 @@ def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> 
         cols = rows
     if rows == 0 or cols == 0:
         return np.zeros((rows, cols), dtype=complex)
-    # diag[d + cols − 1] = φ_d for every offset d = j − k in the section
+    # diag[d + cols − 1] = φ_d for every offset d = j − k in the section;
+    # entry (j, k) sits j − k steps past diag[cols − 1]
     diag = coeff_run(symbol, 1 - cols, rows + cols - 1)
-    windows = np.lib.stride_tricks.sliding_window_view(diag, cols)
-    return windows[:, ::-1].copy()
+    step = diag.strides[0]
+    return as_strided(diag[cols - 1:], (rows, cols), (step, -step)).copy()
 
 
 class HankelWindow:
@@ -66,7 +72,8 @@ class HankelWindow:
             return
         # anti[j + l] = φ_{j+l+1} for every anti-diagonal of the window
         anti = coeff_run(symbol, 1, 2 * window - 1)
-        self.matrix = np.lib.stride_tricks.sliding_window_view(anti, window).copy()
+        step = anti.strides[0]
+        self.matrix = as_strided(anti, (window, window), (step, step)).copy()
 
 
 def _norms(block: np.ndarray) -> tuple[float, float]:
@@ -79,33 +86,21 @@ def _norms(block: np.ndarray) -> tuple[float, float]:
     return fro, math.sqrt(r) * fro
 
 
-def _nuclear_est(block: np.ndarray) -> float:
-    """Cheap upper bound ‖·‖₁ ≤ sqrt(rank)·‖·‖_F."""
-    return _norms(block)[1]
-
-
-def _interior_spill_est(corr: np.ndarray, window: int, inner: int) -> float:
-    """Estimate the trace norm of correction content outside the kept
-    window, using only the interior of the computed section: the outer
-    strip of a finite-section computation is boundary pollution, not
-    operator content.  Doubled as a margin for the unsampled remainder."""
-    inner = min(inner, corr.shape[0])
-    block = corr[:inner, :inner].copy()
-    w = min(window, inner)
-    block[:w, :w] = 0
-    return 2.0 * _nuclear_est(block)
-
-
 def _from_section(sym: FourierLoop, section: np.ndarray, window: int,
                   inner: int, tail: float) -> "ToeplitzOp":
     """Operator with symbol ``sym`` read off a dense section of it: the
-    correction is the section minus T_sym, kept on the window, and the
-    tail adds the spill estimated on the first ``inner`` rows/columns,
-    the only part of the section that is read."""
+    correction is the section minus T_sym, kept on the window.  The tail
+    adds twice the trace-norm estimate of what lies outside the window in
+    the first ``inner`` rows/columns, the only part of the section that is
+    read: the outer strip of a finite-section computation is boundary
+    pollution, not operator content, and the factor 2 is a margin for the
+    unsampled remainder."""
     inner = min(inner, section.shape[0])
     corr = section[:inner, :inner] - toeplitz_matrix(sym, inner)
-    tail += _interior_spill_est(corr, window, inner)
-    return ToeplitzOp(sym, corr[:window, :window], window, tail)
+    spill = corr.copy()
+    spill[:window, :window] = 0
+    return ToeplitzOp._of(sym, corr[:window, :window], window,
+                          tail + 2.0 * _norms(spill)[1])
 
 
 def _extent(corr: np.ndarray) -> tuple[int, int]:
@@ -116,6 +111,13 @@ def _extent(corr: np.ndarray) -> tuple[int, int]:
         return 0, 0
     cols = np.flatnonzero(nz[:rows[-1] + 1].any(axis=0))
     return int(rows[-1]) + 1, int(cols[-1]) // 2 + 1
+
+
+def _live(region: np.ndarray) -> np.ndarray:
+    """The leading block of ``region`` that holds all its nonzeros, with a
+    nonzero in its last row and its last column (0×0 if there is none)."""
+    r, k = _extent(region)
+    return region[:r, :k]
 
 
 def _toeplitz_times(symbol: FourierLoop, block: np.ndarray, rows: int) -> np.ndarray:
@@ -132,96 +134,119 @@ def _toeplitz_times(symbol: FourierLoop, block: np.ndarray, rows: int) -> np.nda
 
 
 class ToeplitzOp:
-    """T_φ + C with C supported (up to tail_bound) in an M×M window."""
+    """T_φ + C with C supported (up to tail_bound) in an M×M window and
+    stored as its live corner.  ``ToeplitzOp(φ, C, M, tail)`` takes C as
+    the whole window (None for C = 0) and keeps a trimmed copy of its
+    corner; ``correction`` reads the window back, zero-padded, read-only."""
 
-    __slots__ = ("symbol", "correction", "window", "tail_bound")
+    __slots__ = ("symbol", "corner", "window", "tail_bound")
 
     def __init__(self, symbol: FourierLoop, correction: np.ndarray | None = None,
                  window: int = DEFAULT_WINDOW, tail_bound: float = 0.0):
-        self.symbol = symbol
-        self.window = int(window)
-        if correction is None:
-            correction = np.zeros((self.window, self.window), dtype=complex)
-        # C order, so that mul can scan it as a float array
-        correction = np.ascontiguousarray(correction, dtype=complex)
-        if correction.shape != (self.window, self.window):
-            raise InputError("correction window shape mismatch")
-        self.correction = correction
-        self.tail_bound = float(tail_bound)
+        corner = np.zeros((0, 0), dtype=complex)
+        if correction is not None:
+            # C order, so that _extent can scan it as a float array
+            region = np.ascontiguousarray(correction, dtype=complex)
+            if region.shape != (window, window):
+                raise InputError("correction window shape mismatch")
+            corner = _live(region).copy()  # the caller keeps its array
+        self._keep(symbol, corner, window, tail_bound)
+
+    @classmethod
+    def _of(cls, symbol: FourierLoop, region: np.ndarray, window: int,
+            tail_bound: float = 0.0) -> "ToeplitzOp":
+        """The operator whose correction is ``region``, a C-ordered leading
+        block of the window, trimmed but not copied: the region must be
+        fresh, or another operator's corner."""
+        op = cls.__new__(cls)
+        op._keep(symbol, np.ascontiguousarray(_live(region)), window, tail_bound)
+        return op
+
+    def _keep(self, symbol, corner, window, tail_bound):
+        corner.flags.writeable = False
+        self.symbol, self.corner = symbol, corner
+        self.window, self.tail_bound = int(window), float(tail_bound)
+
+    @property
+    def correction(self) -> np.ndarray:
+        """C on the whole M×M window, read-only."""
+        out = np.zeros((self.window, self.window), dtype=complex)
+        r, k = self.corner.shape
+        out[:r, :k] = self.corner
+        out.flags.writeable = False
+        return out
 
     # -- structure -------------------------------------------------------
 
     def dense_section(self, n: int) -> np.ndarray:
         """Dense n×n section of T_φ + C."""
         out = toeplitz_matrix(self.symbol, n)
-        m = min(n, self.window)
-        out[:m, :m] += self.correction[:m, :m]
+        c = self.corner[:n, :n]
+        out[:c.shape[0], :c.shape[1]] += c
         return out
 
     def resized(self, window: int) -> "ToeplitzOp":
         if window == self.window:
             return self
-        out = np.zeros((window, window), dtype=complex)
-        m = min(window, self.window)
-        out[:m, :m] = self.correction[:m, :m]
-        tail = self.tail_bound
-        if window < self.window:
-            spill = self.correction.copy()
+        c, tail = self.corner, self.tail_bound
+        if max(c.shape) > window:
+            spill = c.copy()
             spill[:window, :window] = 0
-            tail += _nuclear_est(spill)
-        return ToeplitzOp(self.symbol, out, window, tail)
+            tail += _norms(spill)[1]
+        return ToeplitzOp._of(self.symbol, c[:window, :window], window, tail)
 
     def op_norm_est(self) -> float:
         # Frobenius bounds the spectral norm; cheap and an honest over-estimate
         return (self.symbol.l1() + self.symbol.tail
-                + float(np.linalg.norm(self.correction)) + self.tail_bound)
+                + float(np.linalg.norm(self.corner)) + self.tail_bound)
 
     # -- linear ops --------------------------------------------------------
 
     def add(self, other: "ToeplitzOp") -> "ToeplitzOp":
         w = max(self.window, other.window)
-        a, b = self.resized(w), other.resized(w)
-        return ToeplitzOp(a.symbol.add(b.symbol), a.correction + b.correction,
-                          w, a.tail_bound + b.tail_bound)
+        a, b = self.resized(w).corner, other.resized(w).corner
+        corr = np.zeros(np.maximum(a.shape, b.shape), dtype=complex)
+        corr[:a.shape[0], :a.shape[1]] = a
+        corr[:b.shape[0], :b.shape[1]] += b
+        return ToeplitzOp._of(self.symbol.add(other.symbol), corr, w,
+                              self.tail_bound + other.tail_bound)
 
     def sub(self, other: "ToeplitzOp") -> "ToeplitzOp":
         return self.add(other.neg())
 
     def neg(self) -> "ToeplitzOp":
-        return ToeplitzOp(self.symbol.neg(), -self.correction, self.window,
-                          self.tail_bound)
+        return ToeplitzOp._of(self.symbol.neg(), -self.corner, self.window,
+                              self.tail_bound)
 
     def scalar_mul(self, s: complex) -> "ToeplitzOp":
-        return ToeplitzOp(self.symbol.scalar_mul(s), complex(s) * self.correction,
-                          self.window, abs(s) * self.tail_bound)
+        return ToeplitzOp._of(self.symbol.scalar_mul(s), complex(s) * self.corner,
+                              self.window, abs(s) * self.tail_bound)
 
     # -- multiplication ----------------------------------------------------
 
     def mul(self, other: "ToeplitzOp") -> "ToeplitzOp":
         """Brown–Halmos product; the correction is formed exactly on the
         region it fills, then cut to the w×w window with the discarded
-        mass bounded.
+        mass bounded, and trimmed to its live corner.
 
-        C_x is live in its leading r_x×k_x corner and C_y in r_y×k_y.  With
-        p the highest index of φ and q the most negative index of ψ,
-        negated (0 when there is none):
+        C_x has the r_x×k_x corner and C_y the r_y×k_y one.  With p the
+        highest index of φ and q the most negative index of ψ, negated
+        (0 when there is none):
 
         - H_φ·H_ψ̃ fills rows < p and columns < q;
-        - T_φ·C_y takes C_y[:r_y, :k_y] and fills rows < r_y + p;
-        - C_x·T_ψ takes C_x[:r_x, :k_x] and fills columns < k_x + q;
-        - C_x·C_y is C_x[:r_x, :min(k_x, r_y)] times the matching rows
+        - T_φ·C_y takes C_y's corner and fills rows < r_y + p;
+        - C_x·T_ψ takes C_x's corner and fills columns < k_x + q;
+        - C_x·C_y is C_x[:, :min(k_x, r_y)] times the matching rows
           of C_y.
 
         The operands' norms in the tail bound are read on the same corners."""
         w = max(self.window, other.window)
         phi, psi = self.symbol, other.symbol
-        rx, kx = _extent(self.correction)
-        ry, ky = _extent(other.correction)
+        cx, cy = self.corner, other.corner
+        (rx, kx), (ry, ky) = cx.shape, cy.shape
         if (not (phi.run.size or phi.tail or rx or self.tail_bound)
                 or not (psi.run.size or psi.tail or ry or other.tail_bound)):
             return ToeplitzOp(zero_loop(), None, w, 0.0)  # an exact zero operand
-        cx = self.correction[:rx, :kx]
-        cy = other.correction[:ry, :ky]
         psi_r = psi.reflect()
         p = max(phi.lo + phi.run.size - 1, 0)
         q = max(-psi.lo, 0)
@@ -247,10 +272,11 @@ class ToeplitzOp:
             m = min(kx, ry)
             corr[:rx, :ky] += cx[:, :m] @ cy[:m]
 
-        kept = np.zeros((w, w), dtype=complex)
-        kept[:min(rows, w), :min(cols, w)] = corr[:w, :w]
-        corr[:w, :w] = 0
-        discarded = _nuclear_est(corr)
+        kept, discarded = corr[:w, :w], 0.0
+        if rows > w or cols > w:
+            kept = kept.copy()
+            corr[:w, :w] = 0
+            discarded = _norms(corr)[1]
         fx, nx = _norms(cx)
         fy, ny = _norms(cy)
         # op_norm_est of each factor, with the Frobenius norm read once,
@@ -261,7 +287,7 @@ class ToeplitzOp:
                 + discarded
                 + phi.tail * ny
                 + nx * psi.tail)
-        return ToeplitzOp(phi.mul(psi), kept, w, tail)
+        return ToeplitzOp._of(phi.mul(psi), kept, w, tail)
 
     def inv(self) -> "ToeplitzOp":
         """Inverse in E (winding-zero nonvanishing symbol)."""
@@ -303,7 +329,7 @@ class ToeplitzOp:
     def op_trace(self) -> complex:
         if not self.symbol.is_zero():
             raise InvariantViolation("trace undefined: nonzero symbol part")
-        return complex(np.trace(self.correction))
+        return complex(np.trace(self.corner))
 
     # -- serialization ----------------------------------------------------
 

@@ -268,16 +268,33 @@ class TestDet1pWindowCheck:
 
     def test_singular_section(self):
         # exactly singular and uncoupled (M_2w block triangular): det 0
-        x = ToeplitzOp(FourierLoop({0: 1.0, 1: 1e-12}), None, W)
-        x.correction[0, 0] = -1
+        corr = np.zeros((W, W), dtype=complex)
+        corr[0, 0] = -1
+        x = ToeplitzOp(FourierLoop({0: 1.0, 1: 1e-12}), corr, W)
         assert det1p(x) == 0 and np.linalg.det(x.dense_section(2 * W)) == 0
         # exactly singular with coupling: the ratio cannot be bounded
-        x = edge_pivot_op(0.0)
-        x.correction[-1, -2] = -2.0 ** -31
+        edge = edge_pivot_op(0.0)
+        corr = edge.correction.copy()
+        corr[-1, -2] = -2.0 ** -31
+        x = ToeplitzOp(edge.symbol, corr, W)
         assert np.linalg.det(x.dense_section(2 * W)) != 0
         assert det1p(x, strict=False) == 0
         with pytest.raises(NumericalError, match="window too small"):
             det1p(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_correction_is_rejected(self, bad):
+        corr = np.zeros((16, 16), dtype=complex)
+        corr[0, 0] = bad
+        x = ToeplitzOp(FourierLoop({0: 1.0}), corr, 16)
+        corr = planted_correction(np.random.default_rng(97), "corner")
+        corr[5, 0] = bad
+        block = BlockOp([[identity_op(W), ToeplitzOp(FourierLoop(), corr, W)],
+                         [zero_op(W), identity_op(W)]])
+        for op in (x, block):
+            for strict in (True, False):
+                with pytest.raises(NumericalError, match="non-finite correction"):
+                    det1p(op, strict=strict)
 
 
 class TestDetExpPair:

@@ -248,6 +248,17 @@ class TestDetInvariant:
         assert abs(det_invariant_closed(sym) - want) < 1e-15
         assert abs(det_invariant_integral(sym) - want) < 1e-12
 
+    def test_integral_route_takes_one_derivative(self, monkeypatch):
+        sym = SteinbergSymbol(LoopLog(1, FourierLoop({1: 0.3, -2: 0.1j})),
+                              LoopLog(0, FourierLoop({-1: 0.2, 2: 0.05})))
+        want = det_invariant_integral(sym)
+        taken = []
+        derivative = FourierLoop.derivative
+        monkeypatch.setattr(FourierLoop, "derivative",
+                            lambda f: taken.append(f) or derivative(f))
+        assert det_invariant_integral(sym) == want
+        assert len(taken) == 1
+
     def test_z_exp_operator_route(self):
         sym = SteinbergSymbol(LoopLog(1, zero_loop()),
                               LoopLog(0, FourierLoop({0: 0.7})))

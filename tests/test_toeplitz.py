@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,130 @@ class TestMulBlocks:
         assert not prod.correction.any() and prod.tail_bound == 0.0
         ToeplitzOp(e_plus, None, 64).mul(ToeplitzOp(e_minus, None, 64))
         assert built == [e_plus.band, e_minus.band]
+
+
+def assert_canonical(op):
+    """The stored corner is the exact live block of the correction: its
+    last row and last column each hold a nonzero (0×0 for C = 0), it is
+    read-only, and ``correction`` is it zero-padded to the window."""
+    c = op.corner
+    assert not c.flags.writeable
+    if c.size:
+        assert (c[-1] != 0).any() and (c[:, -1] != 0).any()
+    else:
+        assert c.shape == (0, 0)
+    padded = np.zeros((op.window, op.window), dtype=complex)
+    padded[:c.shape[0], :c.shape[1]] = c
+    assert np.array_equal(op.correction, padded, equal_nan=True)
+
+
+def _construction_cases():
+    rng = np.random.default_rng(83)
+    sym = random_loop(rng, band=3)
+    corr = np.zeros((16, 16), dtype=complex)
+    corr[:5, :3] = rng.standard_normal((5, 3))
+    corr[6:, 4:] = -0.0  # signed zeros are not live
+    nan_edge = corr.copy()
+    nan_edge[9, 0] = np.nan
+    x = _corner(rng, random_loop(rng, band=2), 16, 7, 10)
+    e = exp_op(toeplitz(random_loop(rng, band=2, scale=0.2), 16))
+    p0 = _p0(16)
+    low_rows = x.correction.copy()
+    low_rows[:4] = 0
+    return {
+        "none": ToeplitzOp(sym, None, 16),
+        "full_array": ToeplitzOp(sym, corr, 16),
+        "zero_array": ToeplitzOp(sym, np.zeros((16, 16)), 16),
+        "nan_at_edge": ToeplitzOp(sym, nan_edge, 16),
+        **{f"mul_{name}": a.mul(b) for name, (a, b) in MUL_CASES.items()},
+        "add": x.add(e),
+        "add_cancels_rows": x.add(ToeplitzOp(FourierLoop(), -low_rows, 16)),
+        "sub_self": x.sub(x),
+        "p0": p0,
+        "neg": x.neg(),
+        "scalar_mul": x.scalar_mul(0.5 - 2j),
+        "scalar_mul_zero": x.scalar_mul(0),
+        "scalar_mul_underflow": ToeplitzOp(sym, np.diag([1.0, 1e-300]), 2).scalar_mul(1e-300),
+        "resized_down": x.resized(6),
+        "resized_up": x.resized(40),
+        "inv": toeplitz(FourierLoop({0: 2.0, 1: 0.5, -2: 0.3j}), 16).inv(),
+        "exp": e,
+        "hankel_op": hankel_op(random_loop(rng, band=5), 16),
+        "hankel_op_coanalytic": hankel_op(FourierLoop({-3: 0.2, 0: 1.0}), 16),
+    }
+
+
+CONSTRUCTION_CASES = _construction_cases()
+
+
+class TestCorner:
+    """A ToeplitzOp holds only the live corner of its correction."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTION_CASES))
+    def test_every_construction_stores_the_canonical_corner(self, name):
+        assert_canonical(CONSTRUCTION_CASES[name])
+
+    def test_cases_reach_the_edge_shapes(self):
+        shape = {name: op.corner.shape for name, op in CONSTRUCTION_CASES.items()}
+        assert shape["none"] == shape["zero_array"] == shape["sub_self"] == (0, 0)
+        assert shape["scalar_mul_zero"] == (0, 0) and shape["p0"] == (1, 1)
+        assert shape["full_array"] == (5, 3) and shape["nan_at_edge"] == (10, 3)
+        assert shape["scalar_mul_underflow"] == (1, 1)
+        assert shape["resized_down"] == (6, 6) and shape["resized_up"] == (7, 10)
+        assert shape["hankel_op"] == (5, 5) and shape["hankel_op_coanalytic"] == (0, 0)
+        assert shape["add_cancels_rows"] == (4, 10)
+
+    def test_correction_is_read_only(self):
+        x = CONSTRUCTION_CASES["full_array"]
+        with pytest.raises(ValueError):
+            x.correction[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            x.corner[0, 0] = 1.0
+        assert x.correction[0, 0] == x.corner[0, 0] != 1.0
+
+    def test_constructor_keeps_no_reference_to_its_argument(self):
+        corr = np.zeros((8, 8), dtype=complex)
+        corr[1, 2] = 3.0
+        x = ToeplitzOp(FourierLoop({0: 1.0}), corr, 8)
+        corr[1, 2] = 5.0
+        assert x.corner.shape == (2, 3) and x.corner[1, 2] == 3.0
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTION_CASES))
+    def test_correction_round_trips_bit_for_bit(self, name):
+        x = CONSTRUCTION_CASES[name]
+        y = ToeplitzOp(x.symbol, x.correction, x.window, x.tail_bound)
+        assert y.symbol is x.symbol and y.window == x.window
+        assert y.tail_bound.hex() == x.tail_bound.hex()
+        assert y.corner.shape == x.corner.shape
+        assert y.corner.tobytes() == x.corner.tobytes()
+
+    def test_mul_never_touches_the_window(self, monkeypatch):
+        # 3×3 corners at window 4096: a product scans its own small region
+        # only, and allocates nothing of the window's size
+        rng = np.random.default_rng(89)
+        x = _corner(rng, FourierLoop({-2: 0.1, 0: 1.0, 2: 0.2}), 8, 3, 3).resized(4096)
+        y = _corner(rng, FourierLoop({-1: 0.3, 1: 0.1j}), 8, 3, 3).resized(4096)
+        assert x.window == y.window == 4096
+        assert x.corner.shape == y.corner.shape == (3, 3)
+        x.mul(y)  # first-call imports and caches stay out of the count
+        scanned = []
+        extent = toeplitz_calculus._extent
+        monkeypatch.setattr(toeplitz_calculus, "_extent",
+                            lambda corr: scanned.append(corr.shape) or extent(corr))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prod = x.mul(y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert scanned == [(5, 4)]  # the region the product's terms fill
+        # the smallest array with a side of 4096 holds 4096 complex numbers
+        assert peak < 4096 * 16
+        assert prod.window == 4096 and prod.corner.shape == (5, 4)
+        small = x.resized(8).mul(y.resized(8))
+        assert np.array_equal(prod.corner, small.corner)
+        assert prod.tail_bound == small.tail_bound
 
 
 class TestTrace:
