@@ -329,6 +329,10 @@ def selftest(fmt, seed):
         checks["det_z_z_integral"] = det_invariant_integral(zz) == -1.0
         checks["det_z_z_operator"] = abs(det_invariant_operator(zz, window=w) + 1) < 1e-8
         checks["character_z_z"] = mult_character(zz) == complex(0.0, math.pi)
+        ee = SteinbergSymbol(LoopLog(1, FourierLoop({1: 0.3})),
+                             LoopLog(1, FourierLoop({-1: 0.2})))
+        checks["integral_matches_closed"] = abs(
+            det_invariant_integral(ee) - det_invariant_closed(ee)) < 1e-12
 
         prod = rho_z(w).mul(rho_zinv(w))
         ident = all(prod.block(i, j).symbol.is_zero() if i != j

@@ -39,6 +39,11 @@ def exp_pair_files(tmp_path):
             write_loop(tmp_path / "beta.json", beta))
 
 
+def overflow_files(tmp_path):
+    return (write_loop(tmp_path / "big.json", FourierLoop({0: 1e300})),
+            write_loop(tmp_path / "z3.json", FourierLoop({3: 1.0})))
+
+
 class TestSymbolCommand:
     def test_z_z_all_methods(self, runner, tmp_path):
         zf = z_file(tmp_path)
@@ -112,6 +117,14 @@ class TestSymbolCommand:
         res = runner.invoke(main, ["symbol", vanishing, zf, "--window", "32"])
         assert res.exit_code == 3
         assert "loop not invertible" in res.output
+
+    @pytest.mark.parametrize("method", ["closed", "integral", "operator", "all"])
+    def test_overflowing_exponent_exits_3(self, runner, tmp_path, method):
+        # a₀ = ln 1e300 and m = 3: e^{m·a₀} is past the largest float
+        big, z3 = overflow_files(tmp_path)
+        res = runner.invoke(main, ["symbol", big, z3, "--method", method])
+        assert res.exit_code == 3
+        assert "exponential overflows" in res.output
 
     def test_strict_window_band_rule(self, runner, tmp_path):
         wide = write_loop(tmp_path / "w.json",
@@ -248,6 +261,11 @@ class TestConvergeCommand:
         res = runner.invoke(main, ["converge", vanishing, zf])
         assert res.exit_code == 3
         assert "loop not invertible" in res.output
+
+    def test_overflowing_exponent_exits_3(self, runner, tmp_path):
+        res = runner.invoke(main, ["converge", *overflow_files(tmp_path)])
+        assert res.exit_code == 3
+        assert "exponential overflows" in res.output
 
     def test_windows_must_increase(self, runner, tmp_path):
         zf = z_file(tmp_path)

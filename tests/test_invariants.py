@@ -33,7 +33,7 @@ from fredk2.invariants import (
     t1_section,
     w0_representative,
 )
-from fredk2 import invariants
+from fredk2 import fourier_loops, invariants, toeplitz_calculus
 from fredk2.toeplitz_calculus import (
     HankelWindow,
     ToeplitzOp,
@@ -300,20 +300,52 @@ class TestDetInvariant:
             n1, n2, m = (int(k) for k in rng.integers(-2, 3, size=3))
             a1, a2, b = (rand_log(rng, band=4) for _ in range(3))
             v = LoopLog(m, b)
-            left = det_invariant_closed(
-                SteinbergSymbol(LoopLog(n1 + n2, a1.add(a2)), v))
-            right = (det_invariant_closed(SteinbergSymbol(LoopLog(n1, a1), v))
-                     * det_invariant_closed(SteinbergSymbol(LoopLog(n2, a2), v)))
-            assert abs(left - right) < 1e-9 * abs(right)
+            for route in (det_invariant_closed, det_invariant_integral):
+                left = route(SteinbergSymbol(LoopLog(n1 + n2, a1.add(a2)), v))
+                right = (route(SteinbergSymbol(LoopLog(n1, a1), v))
+                         * route(SteinbergSymbol(LoopLog(n2, a2), v)))
+                assert abs(left - right) < 1e-9 * abs(right)
 
     def test_skew_symmetry(self, rng=np.random.default_rng(9)):
         for _ in range(5):
             sym = rand_symbol(rng, band=4)
-            prod = det_invariant_closed(sym) * det_invariant_closed(sym.swap())
-            assert abs(prod - 1.0) < 1e-12
+            for route in (det_invariant_closed, det_invariant_integral):
+                prod = route(sym) * route(sym.swap())
+                assert abs(prod - 1.0) < 1e-12
         sym = rand_symbol(rng, band=3, wind=2)
         prod = det_invariant_operator(sym) * det_invariant_operator(sym.swap())
         assert abs(prod - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("u", [
+        FourierLoop({0: 0.3, 1: 0.2}),
+        FourierLoop({0: 0.5, 1: 2.0}),
+        FourierLoop({0: -1.0, 1: 0.4, -1: 0.3}),
+    ])
+    def test_steinberg_relation(self, u):
+        # {u, 1 − u} = 1
+        sym = SteinbergSymbol.from_loops(u, FourierLoop({0: 1.0}).sub(u))
+        for route in (det_invariant_closed, det_invariant_integral,
+                      det_invariant_operator):
+            assert abs(route(sym) - 1.0) < 1e-12
+
+    def test_integral_route_reads_no_coefficient(self, monkeypatch):
+        # a wrong coefficient read-off, of the pairing sum or of a single
+        # coefficient such as c₀, moves the closed route only, and
+        # criterion 1 (closed vs integral, 1e-10) then sees it
+        sym = SteinbergSymbol(LoopLog(1, FourierLoop({1: 0.3, -2: 0.1j})),
+                              LoopLog(-1, FourierLoop({-1: 0.2, 2: 0.05})))
+        closed, integral = det_invariant_closed(sym), det_invariant_integral(sym)
+        right = fourier_loops.pairing_integral
+        for mod in (fourier_loops, toeplitz_calculus, invariants):
+            if hasattr(mod, "pairing_integral"):
+                monkeypatch.setattr(mod, "pairing_integral",
+                                    lambda a, b: right(a, b) + 1e-6)
+        getitem = FourierLoop.__getitem__
+        monkeypatch.setattr(FourierLoop, "__getitem__", lambda f, k: getitem(f, k) + 1e-6)
+        wrong = det_invariant_closed(sym)
+        assert wrong != closed
+        assert det_invariant_integral(sym) == integral
+        assert abs(wrong - integral) > 1e-10 * abs(integral)
 
     def test_helton_howe_reduction(self, rng=np.random.default_rng(17)):
         w = 128
