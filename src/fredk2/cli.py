@@ -317,7 +317,7 @@ def homology(catalog_file, samples, fmt, seed):
 def selftest(fmt, seed):
     """Fast built-in checks across all modules."""
     try:
-        from .fourier_loops import LoopLog, zero_loop
+        from .fourier_loops import LoopLog, log_split, zero_loop
         from .toeplitz_calculus import commutator, coshift_op, op_trace, shift_op
         from .cyclic_chains import CyclicChain, tau_cocycle
         from .invariants import relative_boundary_trace, rho, rho_z, rho_zinv
@@ -333,6 +333,9 @@ def selftest(fmt, seed):
                              LoopLog(1, FourierLoop({-1: 0.2})))
         checks["integral_matches_closed"] = abs(
             det_invariant_integral(ee) - det_invariant_closed(ee)) < 1e-12
+        a = FourierLoop({1: 0.3, -1: 0.1})
+        ll = log_split(a.exp().shift(-2))
+        checks["log_split_round_trip"] = ll.winding == -2 and ll.log_part.sub(a).l1() < 1e-12
 
         prod = rho_z(w).mul(rho_zinv(w))
         ident = all(prod.block(i, j).symbol.is_zero() if i != j

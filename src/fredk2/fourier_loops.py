@@ -16,12 +16,11 @@ Sums, shifts and products work on the runs; ``exp``, ``inv``, the winding
 and ``log_split`` work on grids sized from the band (``_grids``), through
 one refinement loop, ``_refine``, which evaluates the loop once per grid.
 A grid is accepted once the top eighth of the spectrum of the values to be
-fitted lies below the cutoff the fit itself applies, max(COEFF_CUTOFF,
-8·eps·scale), so no coefficient the fit keeps can be aliased.
-``log_split`` tests the spectrum of its unwrapped log values, not the
-loop's: 1 + c·z has band 1, while its log decays like cᵏ/k.  Operations
-that read a winding accept a grid only once every principal phase step on
-it is below π/2.
+fitted lies below the fit's own cutoff, max(COEFF_CUTOFF, 8·eps·scale), so
+no kept coefficient can be aliased; a winding also needs every principal
+phase step below π/2.  ``log_split`` is one such pass: its log's phase sums
+those steps, it tests the log's spectrum, not the loop's (1 + c·z has band
+1, its log decays like cᵏ/k), and it checks zⁿ·e^{a} on the accepted grid.
 
 A product is one convolution of the two runs, accumulated in
 ``np.clongdouble`` (80-bit on x86-64) and rounded once to complex128.
@@ -192,7 +191,7 @@ class FourierLoop:
         return out
 
 
-def _exp_values(vals, winding):
+def _exp_values(vals, *_):
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(vals)
     if not np.isfinite(out).all():
@@ -200,7 +199,7 @@ def _exp_values(vals, winding):
     return out
 
 
-def _recip_values(vals, winding):
+def _recip_values(vals, winding, _steps):
     if winding:
         raise WindingError("no single-valued inverse symbol of winding zero")
     return 1.0 / vals
@@ -247,20 +246,21 @@ def _refine(loop: FourierLoop, fn=None, floor: float = 0.0, phase: bool = True):
 
     Evaluates ``loop`` once on each grid of ``_grids(loop.band)``.  With
     ``phase`` the grid counts only once its phase steps are resolved, and
-    the winding is read from it.  ``fn(vals, winding)`` gives the values
-    to fit; the grid is accepted when the top eighth of their spectrum is
-    below the fit's cutoff at scale max(floor, max|values|).  Returns
-    (loop values, winding, fit); without ``fn`` there is nothing to fit
-    and the first grid with resolved phase is accepted.
+    the winding is read from them.  ``fn(vals, winding, steps)`` gives the
+    values to fit; the grid is accepted when the top eighth of their
+    spectrum is below the fit's cutoff at scale max(floor, max|values|).
+    Returns (loop values, winding, fit); without ``fn`` there is nothing to
+    fit and the first grid with resolved phase is accepted.
     """
     for n in _grids(loop.band):
         vals = loop.eval_grid(n)
-        winding = _winding(vals) if phase else None
+        steps = _phase_steps(vals) if phase else None
+        winding = _winding(steps) if phase else None
         if phase and winding is None:
             continue
         if fn is None:
             return vals, winding, None
-        out = fn(vals, winding)
+        out = fn(vals, winding, steps)
         spec, mags = _spectrum(out)
         scale = max(floor, np.abs(out).max())
         if mags[3 * n // 8: 5 * n // 8].max() < _cutoff(scale):
@@ -316,9 +316,8 @@ def _phase_steps(values: np.ndarray) -> np.ndarray:
     return np.angle(ratios)
 
 
-def _winding(vals: np.ndarray):
-    """Winding from grid values, or None while a phase step reaches π/2."""
-    steps = _phase_steps(vals)
+def _winding(steps: np.ndarray):
+    """Winding from the phase steps, or None while one reaches π/2."""
     if not np.abs(steps).max() < math.pi / 2:
         return None
     total = math.fsum(steps.tolist()) / (2 * math.pi)
@@ -332,33 +331,34 @@ def winding_number(loop: FourierLoop) -> int:
     return _refine(loop)[1]
 
 
-def _log_values(vals: np.ndarray, winding: int) -> np.ndarray:
+def _log_values(vals: np.ndarray, winding: int, steps: np.ndarray) -> np.ndarray:
     """Continuous log of z^{−winding}·vals: the phase is fixed at θ = 0
-    and accumulates principal steps."""
-    n = len(vals)
-    theta = 2 * math.pi * np.arange(n) / n
-    g = vals * np.exp(-1j * winding * theta)
-    steps = _phase_steps(g)
-    phase = np.angle(g[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
-    return np.log(np.abs(g)) + 1j * phase
+    and accumulates the loop's principal ``steps``, each less 2π·winding/n.
+    A loop of band b has |winding| ≤ b (z^b·f is a polynomial of degree
+    2b), and its grids have n > 8·(b + 1) points, so |2π·winding/n| < π/4;
+    every step is below π/2, so no shifted step wraps past ±π."""
+    shifted = steps[:-1] - 2 * math.pi * winding / len(vals)
+    phase = np.angle(vals[0]) + np.concatenate([[0.0], np.cumsum(shifted)])
+    return np.log(np.abs(vals)) + 1j * phase
 
 
 def log_split(loop: FourierLoop) -> "LoopLog":
     """Factor a nonvanishing loop as zⁿ·e^{a(z)}.
 
-    The branch is fixed by Im a(0) ∈ (−π, π].  The grid is refined until
-    the spectrum of the log values is resolved.
+    The branch is fixed by Im a(0) ∈ (−π, π].  One grid pass finds the
+    grid that resolves the log's spectrum and checks zⁿ·e^{a} on it.
     """
-    # log|g| and arg g carry absolute roundoff of about eps whatever their
-    # size, so the cutoff's scale is floored at 1: for g = zⁿ the values are
-    # roundoff alone and would otherwise fill the whole spectrum.
+    # the log's modulus and phase carry absolute roundoff of about eps whatever
+    # their size, so the cutoff's scale is floored at 1: for the loop zⁿ the
+    # log values are roundoff alone and would otherwise fill the whole spectrum.
     vals, n_wind, a = _refine(loop, _log_values, floor=1.0)
-    result = LoopLog(n_wind, a)
-    # relative to the loop's size, like the cutoff of the fit
-    err = np.abs(result.reconstruct().eval_grid(len(vals)) - vals).max()
-    if err > 1e-10 * max(1.0, np.abs(vals).max()):
+    # zⁿ·e^{a} = e^{a + inθ} on the accepted grid, against a bound relative to
+    # the loop's size like the fit's cutoff
+    n = len(vals)
+    recon = _exp_values(a.eval_grid(n) + 2j * math.pi * n_wind / n * np.arange(n))
+    if np.abs(recon - vals).max() > 1e-10 * max(1.0, np.abs(vals).max()):
         raise NumericalError("grid too coarse")
-    return result
+    return LoopLog(n_wind, a)
 
 
 class LoopLog:
@@ -416,7 +416,12 @@ def _parse_coeff_list(raw, what: str) -> dict:
             raise InputError(f"bad {what} entry: {entry!r}")
         if abs(entry[0]) > max_band():  # a loop is stored densely over its span
             raise InputError("band exceeds FREDK2_MAX_BAND")
-        out[entry[0]] = complex(entry[1], entry[2])
+        try:
+            out[entry[0]] = c = complex(entry[1], entry[2])
+        except OverflowError:  # an integer past the largest float
+            c = math.inf
+        if not np.isfinite(c):
+            raise InputError("non-finite coefficient")
     return out
 
 

@@ -37,7 +37,6 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-from numpy.lib.stride_tricks import as_strided
 
 from ._errors import InputError, InvariantViolation, NumericalError, WindingError
 from .fourier_loops import FourierLoop, coeff_run, pairing_integral, zero_loop
@@ -58,7 +57,7 @@ def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> 
     # entry (j, k) sits j − k steps past diag[cols − 1]
     diag = coeff_run(symbol, 1 - cols, rows + cols - 1)
     step = diag.strides[0]
-    return as_strided(diag[cols - 1:], (rows, cols), (step, -step)).copy()
+    return np.ndarray((rows, cols), complex, diag, (cols - 1) * step, (step, -step)).copy()
 
 
 class HankelWindow:
@@ -73,7 +72,7 @@ class HankelWindow:
         # anti[j + l] = φ_{j+l+1} for every anti-diagonal of the window
         anti = coeff_run(symbol, 1, 2 * window - 1)
         step = anti.strides[0]
-        self.matrix = as_strided(anti, (window, window), (step, step)).copy()
+        self.matrix = np.ndarray((window, window), complex, anti, 0, (step, step)).copy()
 
 
 def _norms(block: np.ndarray) -> tuple[float, float]:

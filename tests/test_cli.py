@@ -105,6 +105,13 @@ class TestSymbolCommand:
         assert res.exit_code == 2
         assert "invalid JSON" in res.output
 
+    def test_non_finite_coefficient_exits_2(self, runner, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"coeffs": [[0, 1.0, 0], [1, NaN, 0]]}')
+        res = runner.invoke(main, ["symbol", str(bad), z_file(tmp_path)])
+        assert res.exit_code == 2
+        assert "non-finite coefficient" in res.output
+
     def test_unknown_loop_fields_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"coefs": []}))
@@ -397,6 +404,10 @@ class TestSelftest:
         report = json.loads(res.output)
         assert report["passed"] is True
         assert all(report["checks"].values())
+
+    def test_selftest_checks_log_split(self, runner):
+        report = json.loads(runner.invoke(main, ["selftest"]).output)
+        assert report["checks"]["log_split_round_trip"] is True
 
     def test_selftest_takes_no_window(self, runner):
         res = runner.invoke(main, ["selftest", "--window", "128"])

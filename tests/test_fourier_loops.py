@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -175,6 +176,62 @@ class TestLogSplit:
             log_split(loop)
         with pytest.raises(NumericalError, match="band overflow"):
             loop.inv()
+
+    def test_one_grid_pass(self, monkeypatch):
+        # the check reads zⁿ·e^{a} on the accepted grid, with no exponential
+        # of its own, and each grid's phase steps are taken once
+        loop = z_loop(-2).mul(FourierLoop({0: 1.0, 1: 0.5, -3: 0.2j}))
+        calls = {"steps": 0, "passes": 0}
+        phase_steps, eval_grid = fourier_loops._phase_steps, FourierLoop.eval_grid
+
+        def count_steps(vals):
+            calls["steps"] += 1
+            return phase_steps(vals)
+
+        def count_passes(self, n):
+            calls["passes"] += self is loop
+            return eval_grid(self, n)
+
+        def no_exp(self):
+            raise AssertionError("log_split called FourierLoop.exp")
+
+        monkeypatch.setattr(fourier_loops, "_phase_steps", count_steps)
+        monkeypatch.setattr(FourierLoop, "eval_grid", count_passes)
+        monkeypatch.setattr(FourierLoop, "exp", no_exp)
+        assert log_split(loop).winding == -2
+        assert calls["steps"] == calls["passes"] >= 2
+
+    def test_reconstruction_check_can_fail(self, monkeypatch):
+        # a log off by 1e-8 in one coefficient is accepted by the grid
+        # ladder and must then fail the check on that grid
+        loop = FourierLoop({1: 0.2, -1: 0.1}).exp().shift(1)
+        fit, fits = fourier_loops._fit_spectrum, []
+
+        def off_fit(*args):
+            fits.append(fit(*args).add(FourierLoop({1: 1e-8})))
+            return fits[-1]
+
+        monkeypatch.setattr(fourier_loops, "_fit_spectrum", off_fit)
+        with pytest.raises(NumericalError, match="grid too coarse"):
+            log_split(loop)
+        assert len(fits) == 1
+
+    @pytest.mark.parametrize("band", [1, 4, 12])
+    @pytest.mark.parametrize("n", range(-5, 6))
+    def test_phase_from_the_loops_steps(self, n, band):
+        # the log's phase sums the loop's own steps less 2πn/N; it matches
+        # the phase summed from the steps of g = z⁻ⁿ·loop
+        rng = np.random.default_rng(100 * band + n + 5)
+        loop = z_loop(n).mul(random_loop(rng, band=band, scale=0.3 / band).exp())
+        vals, winding, _ = fourier_loops._refine(loop)
+        assert winding == n
+        theta = 2 * np.pi * np.arange(len(vals)) / len(vals)
+        g = vals * np.exp(-1j * n * theta)
+        g_steps = np.angle(np.roll(g, -1) / g)
+        g_log = np.log(np.abs(g)) + 1j * (
+            np.angle(g[0]) + np.concatenate([[0.0], np.cumsum(g_steps[:-1])]))
+        log = fourier_loops._log_values(vals, n, fourier_loops._phase_steps(vals))
+        assert np.abs(log - g_log).max() <= 1e-13
 
 
 class TestPointwiseOps:
@@ -641,3 +698,13 @@ class TestJson:
             with pytest.raises(InputError, match="FREDK2_MAX_BAND"):
                 parse({field: [[-10**9, 1.0, 0.0], [10**9, 1.0, 0.0]]})
         assert loop_from_json({"coeffs": [[512, 1.0, 0.0]]}).band == 512
+
+    @pytest.mark.parametrize("entry", ["[1, NaN, 0]", "[1, Infinity, 0]", "[1, -Infinity, 0]",
+                                       "[1, 0, NaN]", "[1, 1e999, 0]", "[1, 1" + "0" * 400 + ", 0]"],
+                             ids=["nan", "inf", "-inf", "nan-imag", "float-overflow", "int-overflow"])
+    def test_non_finite_coefficient_rejected(self, entry):
+        raw = json.loads(f"[[0, 1.0, 0], {entry}]")
+        with pytest.raises(InputError, match="non-finite coefficient"):
+            loop_from_json({"coeffs": raw})
+        with pytest.raises(InputError, match="non-finite coefficient"):
+            loop_log_from_json({"winding": 0, "log_coeffs": raw})
