@@ -217,8 +217,7 @@ def converge(alpha_file, beta_file, windows, tol, fmt, seed):
         alpha = _load_loop(alpha_file)
         beta = _load_loop(beta_file)
         sym = SteinbergSymbol.from_loops(alpha, beta)
-        band = max(sym.u.log_part.band, sym.v.log_part.band)
-        _require_window(sizes[0], band)
+        _require_window(sizes[0], sym.u.log_part, sym.v.log_part)
 
         reference = det_invariant_closed(sym)
         parts = RouteParts(sym)
@@ -318,8 +317,9 @@ def selftest(fmt, seed):
     """Fast built-in checks across all modules."""
     try:
         from .fourier_loops import LoopLog, log_split, zero_loop
-        from .toeplitz_calculus import commutator, coshift_op, op_trace, shift_op
-        from .cyclic_chains import CyclicChain, tau_cocycle
+        from .toeplitz_calculus import (ToeplitzOp, commutator, coshift_op, identity_op,
+                                        op_trace, shift_op, zero_op)
+        from .cyclic_chains import CyclicChain, SimplexPath, tau_cocycle, tilde_gamma
         from .invariants import relative_boundary_trace, rho, rho_z, rho_zinv
 
         w = 64
@@ -350,6 +350,13 @@ def selftest(fmt, seed):
         chain = CyclicChain(1, [(1.0, (rho(f, w), rho(g, w)))])
         checks["tau1_boundary_bridge"] = abs(
             tau_cocycle(1, chain) - relative_boundary_trace(chain)) < 1e-9
+        # I + t·N against I, N rank one with eigenvalue 0.4: −log det(I + N)
+        rank_one = ToeplitzOp(zero_loop(), np.diag([0.4] + [0.0] * (w - 1)), w)
+        one = identity_op(w)
+        line = SimplexPath(1, lambda t: one + t * rank_one, lambda _i, t: rank_one)
+        const = SimplexPath(1, lambda t: one, lambda _i, t: zero_op(w))
+        checks["tilde_gamma_toeplitz_rank_one"] = abs(
+            tilde_gamma(line, const) + math.log1p(0.4)) < 1e-9
 
         hom = gh.builtin_catalog()["Z4->Z2"]
         gen = gh.homology(hom.target, 2)

@@ -12,15 +12,18 @@ stabilized lifts in invariants.
 Degree-0 chains are formal sums of group elements; the boundary of a
 1-simplex is -sigma(0) + sigma(1)sigma(1)^{-1}, which vanishes for based
 loops.  Entries of a simplex may be dense complex matrices or operator
-objects carrying mul/inv/add/scalar_mul/op_trace (windowed Toeplitz
-elements); chains materialize only over dense matrices.
+objects (windowed Toeplitz elements, BlockOp) that carry a dense matrix's
+operators @, +, - and scalar *, plus inv and op_trace; chains materialize
+only over dense matrices.
 
 Sign conventions are fixed by the defining integral of gamma_log,
 including its (-1)^n prefactor, and every identity in the tests is stated
 against that convention.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -38,30 +41,6 @@ FD_STEP = 1e-4    # step of the central differences in SimplexPath.partial
 
 def _is_mat(x):
     return isinstance(x, np.ndarray)
-
-
-def _e_mul(x, y):
-    if _is_mat(x) and _is_mat(y):
-        return x @ y
-    return x.mul(y)
-
-
-def _e_add(x, y):
-    if _is_mat(x) and _is_mat(y):
-        return x + y
-    return x.add(y)
-
-
-def _e_sub(x, y):
-    if _is_mat(x) and _is_mat(y):
-        return x - y
-    return x.sub(y)
-
-
-def _e_scale(c, x):
-    if _is_mat(x):
-        return c * x
-    return x.scalar_mul(c)
 
 
 def _e_inv(x):
@@ -84,8 +63,8 @@ class SimplexPath:
 
     value is a callable of n floats; partials is either None (fourth-order
     central differences, requiring value to extend slightly past the
-    simplex), a callable (i, *t) for i in 1..n, or a tuple of per-variable
-    callables.  based asserts sigma(0) = 1.
+    simplex) or a callable (i, *t) for i in 1..n.  based asserts
+    sigma(0) = 1.
     """
 
     def __init__(self, dimension, value, partials=None, based=True):
@@ -93,13 +72,7 @@ class SimplexPath:
             raise InputError("simplex dimension must be 1 or 2")
         self.n = dimension
         self._value = value
-        if partials is None or callable(partials):
-            self._partials = partials
-        else:
-            ps = tuple(partials)
-            if len(ps) != dimension:
-                raise InputError("one partial per simplex coordinate required")
-            self._partials = lambda i, *t: ps[i - 1](*t)
+        self._partials = partials
         self.based = bool(based)
         if self.based:
             v0 = self.at(*([0.0] * self.n))
@@ -123,9 +96,9 @@ class SimplexPath:
             u[i - 1] += d
             return self._value(*u)
 
-        far = _e_sub(shifted(-2.0 * h), shifted(2.0 * h))
-        near = _e_sub(shifted(h), shifted(-h))
-        return _e_scale(1.0 / (12.0 * h), _e_add(far, _e_scale(8.0, near)))
+        far = shifted(-2.0 * h) - shifted(2.0 * h)
+        near = shifted(h) - shifted(-h)
+        return (1.0 / (12.0 * h)) * (far + 8.0 * near)
 
     def vertex(self, k):
         pts = ((0.0,), (1.0,)) if self.n == 1 else ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -149,8 +122,7 @@ def face(i, sigma):
         return sigma.at(1.0) if i == 0 else sigma.at(0.0)
     if i == 0:
         val = lambda t: sigma.at(1.0 - t, t)
-        part = lambda _j, t: _e_sub(sigma.partial(2, 1.0 - t, t),
-                                    sigma.partial(1, 1.0 - t, t))
+        part = lambda _j, t: sigma.partial(2, 1.0 - t, t) - sigma.partial(1, 1.0 - t, t)
         return SimplexPath(1, val, part, based=False)
     if i == 1:
         val = lambda t: sigma.at(0.0, t)
@@ -165,10 +137,10 @@ def based_zero_face(sigma):
     """d_0(sigma) right-translated by sigma(1-vertex)^{-1}."""
     g = _e_inv(sigma.vertex(1))
     if sigma.n == 1:
-        return _e_mul(face(0, sigma), g)
+        return face(0, sigma) @ g
     f0 = face(0, sigma)
-    val = lambda t: _e_mul(f0.at(t), g)
-    part = lambda _j, t: _e_mul(f0.partial(1, t), g)
+    val = lambda t: f0.at(t) @ g
+    part = lambda _j, t: f0.partial(1, t) @ g
     return SimplexPath(1, val, part, based=sigma.based)
 
 
@@ -191,11 +163,8 @@ class FormalChain:
     def materialize(self):
         if self.n != 0:
             raise InputError("only dimension-0 chains materialize")
-        total = None
-        for c, g in self.terms:
-            piece = _e_scale(c, g)
-            total = piece if total is None else _e_add(total, piece)
-        return total
+        pieces = [c * g for c, g in self.terms]
+        return functools.reduce(operator.add, pieces) if pieces else None
 
 
 def dN(sigma):
@@ -299,9 +268,9 @@ def cyclic_b(c):
     out = []
     for co, x in c.terms:
         for i in range(q):
-            merged = x[:i] + (_e_mul(x[i], x[i + 1]),) + x[i + 2:]
+            merged = x[:i] + (x[i] @ x[i + 1],) + x[i + 2:]
             out.append((co * (-1) ** i, merged))
-        out.append((co * (-1) ** q, (_e_mul(x[q], x[0]),) + x[1:q]))
+        out.append((co * (-1) ** q, (x[q] @ x[0],) + x[1:q]))
     return CyclicChain(q - 1, out)
 
 
@@ -356,12 +325,7 @@ def gamma_log(sigma):
                 t1 = float(u)
                 t2 = float(v * (1.0 - u))
                 w = float(wu * wv * (1.0 - u))
-                f = sigma.at(t1, t2)
-                try:
-                    finv = np.linalg.inv(f)
-                except np.linalg.LinAlgError as exc:
-                    raise NumericalError(
-                        "singular simplex value at a quadrature node") from exc
+                finv = _e_inv(sigma.at(t1, t2))
                 a = sigma.partial(1, t1, t2) @ finv
                 b = sigma.partial(2, t1, t2) @ finv
                 terms.append((0.5 * w, (a, b)))
@@ -375,6 +339,7 @@ def gamma_log(sigma):
 class BlockOp:
     """n x n block element over dense matrices or windowed Toeplitz
     operators, built from its rows of blocks; block(i, j) is 1-based.
+    ``@``, ``+``, ``-`` and scalar ``*`` are mul, add, sub and scalar_mul.
 
     Optionally carries a companion operator ``first`` whose difference from
     the (1,1) block is trace class; the membership holds by construction
@@ -420,27 +385,23 @@ class BlockOp:
                        self._firsts(other, op))
 
     def mul(self, other):
-        rows = []
-        for ra in self.rows:
-            row = []
-            for j in range(len(other.rows)):
-                acc = None
-                for a, rb in zip(ra, other.rows):
-                    term = _e_mul(a, rb[j])
-                    acc = term if acc is None else _e_add(acc, term)
-                row.append(acc)
-            rows.append(row)
-        return BlockOp(rows, self._firsts(other, _e_mul))
+        cols = list(zip(*other.rows))
+        return BlockOp([[functools.reduce(operator.add, map(operator.matmul, ra, col))
+                         for col in cols] for ra in self.rows],
+                       self._firsts(other, operator.matmul))
 
     def add(self, other):
-        return self._blockwise(other, _e_add)
+        return self._blockwise(other, operator.add)
 
     def sub(self, other):
-        return self._blockwise(other, _e_sub)
+        return self._blockwise(other, operator.sub)
 
     def scalar_mul(self, c):
-        return BlockOp([[_e_scale(c, b) for b in r] for r in self.rows],
-                       None if self.first is None else _e_scale(c, self.first))
+        return BlockOp([[c * b for b in r] for r in self.rows],
+                       None if self.first is None else c * self.first)
+
+    __matmul__, __add__, __sub__, __rmul__ = mul, add, sub, scalar_mul
+    __array_ufunc__ = None  # as for ToeplitzOp
 
     def dense_section(self, n):
         """Dense section of every (windowed operator) block, n x n each."""
@@ -477,11 +438,11 @@ def tau_cocycle(p, chain):
         for k in range(1, 2 * p):
             el = x[k]
             if k % 2 == 1:
-                top = _e_mul(top, el.block(2, 1))
-                bot = _e_mul(bot, el.block(1, 2))
+                top = top @ el.block(2, 1)
+                bot = bot @ el.block(1, 2)
             else:
-                top = _e_mul(top, el.block(1, 2))
-                bot = _e_mul(bot, el.block(2, 1))
+                top = top @ el.block(1, 2)
+                bot = bot @ el.block(2, 1)
         total += co * (_e_trace(top) - _e_trace(bot))
     return pref * total
 
@@ -524,10 +485,9 @@ def tilde_gamma(s1, s2, tol=1e-9):
         inv1 = _e_inv(f1)
         inv2 = _e_inv(f2)
         # d/dt (s1 s2^{-1}) = s1' s2^{-1} - s1 s2^{-1} s2' s2^{-1}
-        deriv = _e_sub(_e_mul(f1p, inv2),
-                       _e_mul(_e_mul(_e_mul(f1, inv2), f2p), inv2))
-        prod = _e_mul(deriv, _e_mul(f2, inv1))
-        diff = _e_sub(_e_mul(f2p, inv2), _e_mul(f1p, inv1))
+        deriv = f1p @ inv2 - f1 @ inv2 @ f2p @ inv2
+        prod = deriv @ (f2 @ inv1)
+        diff = f2p @ inv2 - f1p @ inv1
         return np.array([-_e_trace(prod), _e_trace(diff)])
 
     try:

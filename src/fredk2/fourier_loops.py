@@ -317,13 +317,12 @@ def _phase_steps(values: np.ndarray) -> np.ndarray:
 
 
 def _winding(steps: np.ndarray):
-    """Winding from the phase steps, or None while one reaches π/2."""
+    """Winding from the phase steps, or None while one reaches π/2 (or is
+    NaN).  The principal steps of a closed sampled loop sum to 2π·k up to
+    roundoff, since the ratios between neighbouring values multiply to 1."""
     if not np.abs(steps).max() < math.pi / 2:
         return None
-    total = math.fsum(steps.tolist()) / (2 * math.pi)
-    if abs(total - round(total)) > 1e-6:
-        raise NumericalError("grid too coarse")
-    return round(total)
+    return round(math.fsum(steps.tolist()) / (2 * math.pi))
 
 
 def winding_number(loop: FourierLoop) -> int:

@@ -95,8 +95,6 @@ def det_exp_pair_verify(x: np.ndarray, y: np.ndarray) -> complex:
 def _as_matrix(v):
     if isinstance(v, np.ndarray):
         return v
-    if hasattr(v, "dense_section"):
-        return v.dense_section(v.window)
     raise TypeError(f"path value of unsupported type {type(v)!r}")
 
 
@@ -211,9 +209,7 @@ def endpoint_check(f0: np.ndarray, f1: np.ndarray, log_det: complex) -> None:
 
 
 def path_log_det(path) -> complex:
-    """∫₀¹ Tr(F⁻¹F′) dt by adaptive Gauss–Legendre quadrature."""
-    if not isinstance(path, OperatorPath):
-        path = OperatorPath(path)
+    """∫₀¹ Tr(F⁻¹F′) dt along an OperatorPath, by adaptive Gauss–Legendre."""
 
     def integrand(t: float):
         try:

@@ -892,13 +892,10 @@ def coker_representative(cone, hom=None):
     if cone.degree != 1:
         raise InputError("representative extraction implemented in degree 1")
     adjusted = cone.x.add(bar_boundary(hom.lift(cone.y)))
-    fibers = {}
-    for (g,), z in adjusted.coeffs.items():
-        key = hom.mapping[g]
-        fibers[key] = fibers.get(key, 0) + z
-    if any(v != 0 for v in fibers.values()):
-        raise InvariantViolation("not in image")
-    return CokerChain(hom, 1, adjusted.coeffs)
+    try:
+        return CokerChain(hom, 1, adjusted.coeffs)
+    except InputError as exc:  # not fiberwise balanced
+        raise InvariantViolation("not in image") from exc
 
 
 def psi(coker_chain):

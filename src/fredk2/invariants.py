@@ -34,6 +34,7 @@ from .toeplitz_calculus import (
     coshift_op,
     identity_op,
     mul,
+    needed_window,
     op_trace,
     shift_conjugation_trace,
     shift_op,
@@ -87,7 +88,7 @@ def _schatten2_est(x: ToeplitzOp) -> float:
 def hankel_op(f: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzOp:
     """H_f as an operator with zero symbol; finite rank and exact inside
     the window for band-limited f."""
-    _require_window(window, f.band)
+    _require_window(window, f)
     # H_f is live in its p×p corner, p the highest index of f
     p = max(f.lo + f.run.size - 1, 0)
     return ToeplitzOp._of(zero_loop(), HankelWindow(f, p).matrix, window)
@@ -247,24 +248,17 @@ def _with_exps(f: FourierLoop):
     return f, split_exponentials(f)
 
 
-def _needed_window(*loops: FourierLoop) -> int:
-    """2·B + 2 for B the widest band among the loops: the window holds the
-    band-wide corners of every Brown–Halmos correction among their
-    Toeplitz operators."""
-    return 2 * max(f.band for f in loops) + 2
-
-
 def route_windows(parts: RouteParts, cap: float) -> tuple:
     """(cross, Helton–Howe) windows of the operator route, each at most
     ``cap``.  The cross window covers c, its split exponentials and the
     shift; the Helton–Howe window covers a, b and theirs (None when that
     part is not taken)."""
     c, c_exps = parts.cross
-    w_c = _needed_window(c, *c_exps, z_loop(1))
+    w_c = needed_window(c, *c_exps, z_loop(1))
     if parts.helton is None:
         return min(cap, w_c), None
     (a, a_exps), (b, b_exps) = parts.helton
-    return min(cap, w_c), min(cap, _needed_window(a, *a_exps, b, *b_exps))
+    return min(cap, w_c), min(cap, needed_window(a, *a_exps, b, *b_exps))
 
 
 def operator_route_at(parts: RouteParts, windows: tuple, strict: bool):

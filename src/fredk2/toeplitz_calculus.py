@@ -136,7 +136,10 @@ class ToeplitzOp:
     """T_φ + C with C supported (up to tail_bound) in an M×M window and
     stored as its live corner.  ``ToeplitzOp(φ, C, M, tail)`` takes C as
     the whole window (None for C = 0) and keeps a trimmed copy of its
-    corner; ``correction`` reads the window back, zero-padded, read-only."""
+    corner; ``correction`` reads the window back, zero-padded, read-only.
+
+    The operators are those of a dense matrix: ``x @ y``, ``x + y``,
+    ``x - y``, ``-x`` and ``c * x`` are mul, add, sub, neg and scalar_mul."""
 
     __slots__ = ("symbol", "corner", "window", "tail_bound")
 
@@ -288,6 +291,11 @@ class ToeplitzOp:
                 + nx * psi.tail)
         return ToeplitzOp._of(phi.mul(psi), kept, w, tail)
 
+    __matmul__, __add__, __sub__, __neg__, __rmul__ = mul, add, sub, neg, scalar_mul
+    # a numpy scalar times an operator then reaches __rmul__ instead of
+    # building an object array
+    __array_ufunc__ = None
+
     def inv(self) -> "ToeplitzOp":
         """Inverse in E (winding-zero nonvanishing symbol)."""
         try:
@@ -341,15 +349,21 @@ class ToeplitzOp:
                 "tail_bound": self.tail_bound}
 
 
-def _require_window(window: int, band: int) -> None:
-    """The window must hold the band-wide corners of a band-``band`` symbol."""
-    if window < 2 * band + 2:
+def needed_window(*loops: FourierLoop) -> int:
+    """2·B + 2 for B the widest band among the loops: the smallest window
+    that holds the band-wide corners of every Brown–Halmos correction
+    among their Toeplitz operators."""
+    return 2 * max(f.band for f in loops) + 2
+
+
+def _require_window(window: int, *loops: FourierLoop) -> None:
+    if window < needed_window(*loops):
         raise InputError("window must dominate band")
 
 
 def toeplitz(a: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzOp:
     """T_a with zero correction."""
-    _require_window(window, a.band)
+    _require_window(window, a)
     return ToeplitzOp(a, None, window, 0.0)
 
 
@@ -402,7 +416,7 @@ def wiener_hopf_pair(a: FourierLoop, window: int = DEFAULT_WINDOW,
     than half the window; mul's tail carries what falls past it.
     ``exps`` is split_exponentials(a), passed by a caller that already
     has it (the operator route sizes its windows from their bands)."""
-    _require_window(window, a.band)
+    _require_window(window, a)
     e_minus, e_plus, e_plus_inv, e_minus_inv = exps or split_exponentials(a)
 
     def t(f: FourierLoop) -> ToeplitzOp:

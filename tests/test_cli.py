@@ -409,6 +409,10 @@ class TestSelftest:
         report = json.loads(runner.invoke(main, ["selftest"]).output)
         assert report["checks"]["log_split_round_trip"] is True
 
+    def test_selftest_checks_toeplitz_relative_log(self, runner):
+        report = json.loads(runner.invoke(main, ["selftest"]).output)
+        assert report["checks"]["tilde_gamma_toeplitz_rank_one"] is True
+
     def test_selftest_takes_no_window(self, runner):
         res = runner.invoke(main, ["selftest", "--window", "128"])
         assert res.exit_code == 2

@@ -379,6 +379,57 @@ class TestCyclicOperators:
             CyclicChain(1, [(1.0, (np.eye(2),))])
 
 
+class TestBlockOperators:
+    """``@``, ``+``, ``-`` and scalar ``*`` on BlockOp are mul, add, sub and
+    scalar_mul, over Toeplitz and over dense blocks."""
+
+    @staticmethod
+    def blocks(x):
+        def key(b):
+            if isinstance(b, np.ndarray):
+                return b.shape, b.tobytes()
+            return (b.corner.shape, b.corner.tobytes(), b.symbol.lo,
+                    b.symbol.run.tobytes(), b.window, b.tail_bound)
+        return ([key(b) for r in x.rows for b in r],
+                None if x.first is None else key(x.first))
+
+    def toeplitz_pair(self, rng):
+        from fredk2.fourier_loops import FourierLoop
+        w = 16
+
+        def op(symbol):
+            corr = np.zeros((w, w), dtype=complex)
+            corr[:3, :4] = rand_mat(rng, 4)[:3]
+            return ToeplitzOp(symbol, corr, w, 1e-12)
+
+        def block():
+            # zero symbols off the diagonal, so that products keep ``first``
+            top = op(FourierLoop({0: 1.0, 1: 0.3 - 0.1j}))
+            first = top.add(ToeplitzOp(zero_loop(), 0.2 * np.eye(w), w))
+            return BlockOp([[top, op(zero_loop())],
+                            [op(zero_loop()), op(FourierLoop({0: 1.0, -1: 0.2j}))]], first)
+
+        return block(), block()
+
+    def test_toeplitz_blocks(self):
+        x, y = self.toeplitz_pair(np.random.default_rng(151))
+        assert (x @ y).first is not None
+        assert self.blocks(x @ y) == self.blocks(x.mul(y))
+        assert self.blocks(x + y) == self.blocks(x.add(y))
+        assert self.blocks(x - y) == self.blocks(x.sub(y))
+        for c in (0.7 + 0.2j, np.complex128(0.7 + 0.2j)):
+            assert self.blocks(c * x) == self.blocks(x.scalar_mul(c))
+
+    def test_dense_blocks(self):
+        rng = np.random.default_rng(157)
+        x, y = (BlockOp([[rand_mat(rng, 2) for _ in range(3)] for _ in range(3)])
+                for _ in range(2))
+        assert (x @ y).dense().tobytes() == x.mul(y).dense().tobytes()
+        assert np.allclose((x @ y).dense(), x.dense() @ y.dense(), atol=1e-14)
+        assert (x - y).dense().tobytes() == x.sub(y).dense().tobytes()
+        assert (np.complex128(2j) * x).dense().tobytes() == (2j * x.dense()).tobytes()
+
+
 class TestTauCocycle:
     def test_block_names_alias_one_type(self):
         assert fredk2.Block2 is fredk2.Block3 is fredk2.TwoByTwoOp is BlockOp

@@ -727,3 +727,47 @@ class TestSerialization:
         assert len(doc["correction"]) == 64
         assert doc["tail_bound"] >= 0
         assert doc["symbol"]["coeffs"] == [[0, 1.0, 0.0]]
+
+
+def op_bytes(op):
+    """Everything an operator stores, as exact bytes."""
+    return (op.corner.shape, op.corner.tobytes(), op.symbol.lo, op.symbol.run.tobytes(),
+            op.symbol.tail, op.window, op.tail_bound)
+
+
+def _operator_pairs():
+    rng = np.random.default_rng(83)
+    out = []
+    for wx, wy in ((48, 48), (32, 48), (48, 32)):
+        x = _corner(rng, FourierLoop(random_loop(rng, band=3).coeffs, tail=1e-10),
+                    wx, 7, 5, tail=2e-9)
+        y = _corner(rng, FourierLoop(random_loop(rng, band=4).coeffs, tail=3e-10),
+                    wy, 6, 9, tail=4e-9)
+        out.append((x, y))
+    return out
+
+
+class TestOperators:
+    """``@``, ``+``, ``-``, unary ``-`` and scalar ``*`` are mul, add, sub,
+    neg and scalar_mul, bit for bit."""
+
+    @pytest.mark.parametrize("pair", _operator_pairs(), ids=["same", "wider_y", "wider_x"])
+    def test_binary_operators(self, pair):
+        x, y = pair
+        assert x.corner.size and y.corner.size and x.symbol.tail and y.tail_bound
+        assert op_bytes(x @ y) == op_bytes(x.mul(y))
+        assert op_bytes(x + y) == op_bytes(x.add(y))
+        assert op_bytes(x - y) == op_bytes(x.sub(y))
+        assert op_bytes(-x) == op_bytes(x.neg())
+
+    @pytest.mark.parametrize("c", [0.3 - 1.2j, np.complex128(0.3 - 1.2j)],
+                             ids=["complex", "complex128"])
+    def test_scalar_times_operator(self, c):
+        x, _ = _operator_pairs()[0]
+        assert op_bytes(c * x) == op_bytes(x.scalar_mul(c))
+
+    def test_numpy_scalar_times_operator_is_an_operator(self):
+        x, _ = _operator_pairs()[0]
+        for c in (np.complex128(2), np.float64(2.0)):
+            assert isinstance(c * x, ToeplitzOp)
+            assert op_bytes(c * x) == op_bytes(x.scalar_mul(c))
