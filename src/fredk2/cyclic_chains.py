@@ -29,7 +29,7 @@ import numpy as np
 
 from ._errors import InputError, InvariantViolation, NumericalError
 from .fredholm import endpoint_check, gl_adaptive, gl_nodes, gl_sum
-from .toeplitz_calculus import zero_op
+from .toeplitz_calculus import identity_op, zero_op
 
 LINE_MAX_ORDER = 512
 TRI_MAX_ORDER = 128
@@ -76,10 +76,17 @@ class SimplexPath:
         self.based = bool(based)
         if self.based:
             v0 = self.at(*([0.0] * self.n))
+            if isinstance(v0, BlockOp) and _is_mat(v0.block(1, 1)):
+                v0 = v0.dense()
             if _is_mat(v0):
-                m = v0.shape[0]
-                if np.linalg.norm(v0 - np.eye(m)) > 1e-9 * max(1.0, np.linalg.norm(v0)):
-                    raise InputError("based simplex must start at the identity")
+                gap, size = np.linalg.norm(v0 - np.eye(v0.shape[0])), np.linalg.norm(v0)
+            elif isinstance(v0, BlockOp):
+                one = BlockOp.diagonal(*[identity_op(v0.window)] * len(v0.rows), v0.window)
+                gap, size = v0.deviation_from(one), v0.deviation_from(0 * one)
+            else:
+                gap, size = (v0 - identity_op(v0.window)).op_norm_est(), v0.op_norm_est()
+            if gap > 1e-9 * max(1.0, size):
+                raise InputError("based simplex must start at the identity")
 
     def at(self, *t):
         return self._value(*t)

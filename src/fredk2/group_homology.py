@@ -20,7 +20,6 @@ elements are indices 0..order-1.
 """
 
 import heapq
-import itertools
 import json
 
 import numpy as np
@@ -96,12 +95,6 @@ class FiniteGroup:
     def commutator(self, a, b):
         """a b a^{-1} b^{-1}."""
         return self.op(self.op(a, b), self.op(self.inv(a), self.inv(b)))
-
-    def prod(self, elems):
-        out = self.identity
-        for g in elems:
-            out = self.op(out, g)
-        return out
 
     def power(self, g, k):
         if k < 0:
@@ -295,19 +288,17 @@ class GroupHom:
         """Image chain phi_*: apply the map to every tuple coordinate."""
         if chain.group is not self.source:
             raise InputError("chain group does not match homomorphism source")
-        m = self.mapping
+        m = self.mapping.__getitem__
         return _summed_chain(self.target, chain.degree,
-                             ((tuple(m[g] for g in cell), z)
-                              for cell, z in chain.coeffs.items()))
+                             ((tuple(map(m, cell)), z) for cell, z in chain.coeffs.items()))
 
     def lift(self, chain):
         """Section lift t_*: apply the section to every tuple coordinate."""
         if chain.group is not self.target:
             raise InputError("chain group does not match homomorphism target")
-        sec = self.section_table()
+        sec = self.section_table().__getitem__
         return _summed_chain(self.source, chain.degree,
-                             ((tuple(sec[h] for h in cell), z)
-                              for cell, z in chain.coeffs.items()))
+                             ((tuple(map(sec, cell)), z) for cell, z in chain.coeffs.items()))
 
     def to_json(self):
         data = {"map": self.mapping}
@@ -329,7 +320,9 @@ class GroupHom:
 
 class GroupChain:
     """Integer chain in the bar complex: a finite Z-combination of
-    degree-tuples of group elements.  Degree-0 cells are the empty tuple."""
+    degree-tuples of group elements.  Degree-0 cells are the empty tuple.
+    coeffs is a validated {cell: nonzero int} map; chain operations build
+    their results unchecked (``_of``) and never share an operand's map."""
 
     def __init__(self, group, degree, coeffs=None):
         if degree < 0:
@@ -357,17 +350,30 @@ class GroupChain:
             self.coeffs.pop(cell, None)
         return self
 
+    @classmethod
+    def _of(cls, group, degree, coeffs):
+        """Chain owning coeffs, a fresh {valid cell: nonzero int} map, unchecked."""
+        out = cls.__new__(cls)
+        out.group, out.degree, out.coeffs = group, degree, coeffs
+        return out
+
     def add(self, other):
         if other.group is not self.group or other.degree != self.degree:
             raise InputError("chain mismatch in addition")
-        return _summed_chain(self.group, self.degree,
-                             itertools.chain(self.coeffs.items(), other.coeffs.items()))
+        out = dict(self.coeffs)
+        for cell, z in other.coeffs.items():
+            c = out.get(cell, 0) + z
+            if c:
+                out[cell] = c
+            else:
+                del out[cell]
+        return GroupChain._of(self.group, self.degree, out)
 
     def scale(self, z):
         if not isinstance(z, int):
             raise InputError("chain coefficients must be integers")
-        return _summed_chain(self.group, self.degree,
-                             ((cell, z * c) for cell, c in self.coeffs.items()))
+        return GroupChain._of(self.group, self.degree,
+                              {cell: z * c for cell, c in self.coeffs.items()} if z else {})
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -400,9 +406,7 @@ def _summed_chain(group, degree, terms):
     get = sums.get
     for cell, z in terms:
         sums[cell] = get(cell, 0) + z
-    out = GroupChain(group, degree)
-    out.coeffs = {cell: z for cell, z in sums.items() if z}
-    return out
+    return GroupChain._of(group, degree, {cell: z for cell, z in sums.items() if z})
 
 
 def _bar_terms(cell, mul):
@@ -418,16 +422,13 @@ def _bar_terms(cell, mul):
 
 
 def bar_boundary(chain):
-    """Bar-complex boundary d(g_1,...,g_n) =
-    (g_2,...,g_n) + sum_i (-1)^i (g_1,...,g_i g_{i+1},...,g_n)
-    + (-1)^n (g_1,...,g_{n-1}).  Degree 1 maps to zero.
-    """
+    """Bar-complex boundary, face by face as in _bar_terms; degree 1 maps to zero."""
     if chain.degree == 0:
         raise InputError("degree-0 chains have no boundary")
-    op = chain.group.op
+    table = chain.group.table
     return _summed_chain(chain.group, chain.degree - 1,
                          ((face, sgn * z) for cell, z in chain.coeffs.items()
-                          for face, sgn in _bar_terms(cell, op)))
+                          for face, sgn in _bar_terms(cell, lambda a, b: table[a][b])))
 
 
 def _all_cells(group, degree):
@@ -531,9 +532,9 @@ def smith_normal_form(mat):
     """Smith normal form over Z with unimodular transforms.
 
     Returns (S, U, V, Uinv, Vinv) with U.dot(A).dot(V) == S, S diagonal with
-    nonnegative entries d_1 | d_2 | ..., and U.dot(Uinv) == Vinv.dot(V)... ==
-    identity.  Pivoting is deterministic (smallest absolute value, then
-    row-major position), all arithmetic on python ints.
+    nonnegative entries d_1 | d_2 | ..., U.dot(Uinv) == I and Vinv.dot(V) == I.
+    Pivoting is deterministic (smallest absolute value, then row-major
+    position), all arithmetic on python ints.
     """
     A = np.array(mat, dtype=object)
     if A.ndim != 2:
@@ -686,8 +687,7 @@ def homology(group, degree):
 
 
 def _vector_to_chain(group, degree, cells, vec):
-    return _summed_chain(group, degree,
-                         ((cell, int(z)) for cell, z in zip(cells, vec) if z))
+    return GroupChain._of(group, degree, {cell: int(z) for cell, z in zip(cells, vec) if z})
 
 
 def cycle_basis(group, degree):
@@ -753,28 +753,27 @@ def f_phi_section(hom, cycle, section=None):
         raise InputError("not a 2-cycle")
     if not bar_boundary(cycle).is_zero():
         raise InputError("not a 2-cycle")
-    t = list(section) if section is not None else hom.section_table()
-    if len(t) != H.order or any(hom.mapping[t[h]] != h for h in range(H.order)):
-        raise InputError("section is not a right inverse of the map")
-    plus, minus = [], []
+    if section is None:
+        t = hom.section_table()
+    else:
+        t = list(section)
+        if len(t) != H.order or any(hom.mapping[t[h]] != h for h in range(H.order)):
+            raise InputError("section is not a right inverse of the map")
+    tab, inv, e = G.table, G._inv, H.identity
+    plus, minus = [], []  # defects t(a) t(b) t(ab)^{-1}, |z| times each
     for (a, b), z in sorted(cycle.coeffs.items()):
-        if z > 0:
-            plus.extend([(a, b)] * z)
-        else:
-            minus.extend([(a, b)] * (-z))
+        d = tab[tab[t[a]][t[b]]][inv[t[H.table[a][b]]]]
+        (plus if z > 0 else minus).extend([d] * abs(z))
     # genuine cycles are balanced; pad degenerate inputs with identity cells
-    while len(plus) < len(minus):
-        plus.append((H.identity, H.identity))
-    while len(minus) < len(plus):
-        minus.append((H.identity, H.identity))
-
-    def defect(a, b):
-        return G.op(G.op(t[a], t[b]), G.inv(t[H.op(a, b)]))
-
-    quot = _kernel_quotient(hom)
-    num = G.prod(defect(a, b) for a, b in plus)
-    den = G.prod(defect(a, b) for a, b in minus)
-    return quot.rep(G.op(num, G.inv(den)))
+    pad = tab[tab[t[e]][t[e]]][inv[t[e]]]
+    plus += [pad] * (len(minus) - len(plus))
+    minus += [pad] * (len(plus) - len(minus))
+    num = den = G.identity
+    for d in plus:
+        num = tab[num][d]
+    for d in minus:
+        den = tab[den][d]
+    return _kernel_quotient(hom).rep(tab[num][inv[den]])
 
 
 class ConeChain:
@@ -835,12 +834,18 @@ class CokerChain:
     def __init__(self, hom, degree, coeffs=None):
         self.hom = hom
         self.chain = GroupChain(hom.source, degree, coeffs)
-        fibers = {}
-        for cell, z in self.chain.coeffs.items():
-            key = tuple(hom.mapping[g] for g in cell)
-            fibers[key] = fibers.get(key, 0) + z
-        if any(v != 0 for v in fibers.values()):
+        if not hom.push(self.chain).is_zero():
             raise InputError("cokernel chain is not fiberwise balanced")
+
+    @classmethod
+    def _of(cls, hom, chain):
+        """Cokernel chain owning chain, a checked chain over the source
+        whose map nothing else holds; only the fiber balance is checked."""
+        out = cls.__new__(cls)
+        out.hom, out.chain = hom, chain
+        if not hom.push(chain).is_zero():
+            raise InputError("cokernel chain is not fiberwise balanced")
+        return out
 
     @property
     def degree(self):
@@ -861,16 +866,16 @@ class CokerChain:
     def boundary(self):
         if self.degree == 0:
             raise InputError("degree-0 chains have no boundary")
-        return CokerChain(self.hom, self.degree - 1, bar_boundary(self.chain).coeffs)
+        return CokerChain._of(self.hom, bar_boundary(self.chain))
 
     def is_zero(self):
         return self.chain.is_zero()
 
     def add(self, other):
-        return CokerChain(self.hom, self.degree, self.chain.add(other.chain).coeffs)
+        return CokerChain._of(self.hom, self.chain.add(other.chain))
 
     def scale(self, z):
-        return CokerChain(self.hom, self.degree, self.chain.scale(z).coeffs)
+        return CokerChain._of(self.hom, self.chain.scale(z))
 
     def __eq__(self, other):
         return (
@@ -891,9 +896,12 @@ def coker_representative(cone, hom=None):
         raise InputError("cone chain does not belong to this homomorphism")
     if cone.degree != 1:
         raise InputError("representative extraction implemented in degree 1")
-    adjusted = cone.x.add(bar_boundary(hom.lift(cone.y)))
+    if cone.y.is_zero():  # as on every cone from boundary_to_relative
+        adjusted = GroupChain._of(hom.source, 1, dict(cone.x.coeffs))
+    else:
+        adjusted = cone.x.add(bar_boundary(hom.lift(cone.y)))
     try:
-        return CokerChain(hom, 1, adjusted.coeffs)
+        return CokerChain._of(hom, adjusted)
     except InputError as exc:  # not fiberwise balanced
         raise InvariantViolation("not in image") from exc
 

@@ -182,6 +182,23 @@ class TestFaces:
         with pytest.raises(InputError):
             SimplexPath(1, lambda t: np.diag([2.0 + 0j, 1.0]))  # not based
 
+    def test_based_check_on_operator_values(self):
+        with pytest.raises(InputError, match="based simplex must start at the identity"):
+            SimplexPath(1, lambda t: 2.0 * identity_op(16))
+        w = 16
+        corr = np.zeros((w, w), dtype=complex)
+        corr[0, 0] = 0.4
+        N = ToeplitzOp(zero_loop(), corr, window=w)
+        one = identity_op(w)
+        SimplexPath(1, lambda t: one + t * N, lambda _i, t: N)
+        SimplexPath(1, lambda t: BlockOp.diagonal(one + t * N, one, w))
+        with pytest.raises(InputError, match="based simplex must start at the identity"):
+            SimplexPath(1, lambda t: BlockOp.diagonal(one, one + N, w))
+        z = np.zeros((2, 2), dtype=complex)
+        SimplexPath(1, lambda t: BlockOp([[np.eye(2), z], [z, np.eye(2)]]))
+        with pytest.raises(InputError, match="based simplex must start at the identity"):
+            SimplexPath(1, lambda t: BlockOp([[np.eye(2), z], [z, 2.0 * np.eye(2)]]))
+
 
 class TestGammaLog:
     def test_exponential_line(self):

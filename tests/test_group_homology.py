@@ -394,6 +394,26 @@ class TestConeAndCoker:
             boundary_to_relative(random_cycle(rng, hom.target, basis), hom)
             assert len(calls) == 1
 
+    def test_coker_representative_bounds_only_a_nonzero_y(self, monkeypatch):
+        # boundary_to_relative's cones have y = 0: d(t_* 0) is not computed
+        calls = []
+        inner = group_homology.bar_boundary
+        monkeypatch.setattr(group_homology, "bar_boundary",
+                            lambda chain: calls.append(chain) or inner(chain))
+        hom = builtin_catalog()["Q8->Z2xZ2"]
+        cycle = random_cycle(np.random.default_rng(47), hom.target,
+                             cycle_basis(hom.target, 2))
+        cone = boundary_to_relative(cycle, hom)
+        calls.clear()
+        coker_representative(cone, hom)
+        assert calls == []
+        w = random_chain(np.random.default_rng(53), hom.target, 3, ncells=3)
+        moved = cone.add(ConeChain(hom, w, GroupChain(hom.source, 2)).boundary())
+        assert not moved.y.is_zero()
+        calls.clear()
+        coker_representative(moved, hom)
+        assert len(calls) == 1
+
     def test_boundary_to_relative_rejects_non_cycles(self):
         hom = builtin_catalog()["Q8->Z2xZ2"]
         with pytest.raises(InputError, match="not a 2-cycle"):
@@ -433,6 +453,25 @@ class TestConeAndCoker:
         # (g1, g2) in one fiber maps to the class of g1 g2^{-1}
         c = CokerChain.from_pairs(hom, 1, [((3,), (2,), 1)])  # -i vs i
         assert psi(c) == KernelQuotient(hom).rep(G.op(3, G.inv(2)))
+
+    def test_not_in_image_with_a_target_part(self):
+        # (y, x) is balanced only if phi_* x + d y = 0; here it is 3(1) - (0)
+        hom = builtin_catalog()["Z4->Z2"]
+        cone = ConeChain(
+            hom,
+            GroupChain(hom.target, 2, {(1, 1): 1}),
+            GroupChain(hom.source, 1, {(1,): 1}),
+        )
+        with pytest.raises(InvariantViolation, match="not in image"):
+            coker_representative(cone, hom)
+
+    def test_public_constructors_still_validate(self):
+        hom = builtin_catalog()["Z4->Z2"]
+        for bad in ({(4,): 1, (2,): -1}, {(1,): 1.0, (3,): -1.0}):
+            with pytest.raises(InputError):
+                GroupChain(hom.source, 1, bad)
+            with pytest.raises(InputError):
+                CokerChain(hom, 1, bad)
 
     def test_not_in_image(self):
         hom = builtin_catalog()["Z4->Z2"]
@@ -632,3 +671,46 @@ class TestChainArithmeticChecks:
         assert hom.push(c).coeffs == {(0,): 4}
         assert hom.lift(hom.push(c)).coeffs == {(0,): 4}
         assert c.add(c.scale(-1)).coeffs == {}
+
+
+class TestResultsOwnTheirMaps:
+    """Chain operations build their results unchecked from checked
+    operands; no result may hand back an operand's coefficient map."""
+
+    @staticmethod
+    def assert_fresh(result, *operands):
+        before = [dict(op.coeffs) for op in operands]
+        assert all(result.coeffs is not op.coeffs for op in operands)
+        result.add_cell((0,) * result.degree, 7)
+        assert [op.coeffs for op in operands] == before
+
+    def test_add_sub_scale(self):
+        s3 = FiniteGroup.dihedral(3)
+        a = GroupChain(s3, 2, {(1, 2): 3, (4, 5): -1})
+        b = GroupChain(s3, 2, {(1, 2): -3, (2, 2): 2})
+        empty = GroupChain(s3, 2)
+        for x, y in ((a, b), (a, empty), (empty, a), (empty, empty)):
+            self.assert_fresh(x.add(y), x, y)
+            self.assert_fresh(x.sub(y), x, y)
+        for z in (0, 1, -1):
+            self.assert_fresh(a.scale(z), a)
+            self.assert_fresh(empty.scale(z), empty)
+
+    def test_boundary_push_lift(self):
+        hom = builtin_catalog()["Q8->Z2xZ2"]
+        G = hom.source
+        ident = GroupHom(G, G, list(range(G.order)), section=list(range(G.order)))
+        c = GroupChain(G, 2, {(2, 4): 1, (3, 3): -2})
+        self.assert_fresh(bar_boundary(c), c)
+        flat = GroupChain(G, 1, {(5,): 2})
+        self.assert_fresh(bar_boundary(flat), flat)
+        self.assert_fresh(hom.push(c), c)
+        self.assert_fresh(hom.lift(hom.push(c)), c)
+        self.assert_fresh(ident.push(c), c)
+        self.assert_fresh(ident.lift(c), c)
+
+    def test_coker_representative(self):
+        hom = builtin_catalog()["Z4->Z2"]
+        x = GroupChain(hom.source, 1, {(1,): 1, (3,): -1})
+        rep = coker_representative(ConeChain(hom, GroupChain(hom.target, 2), x), hom)
+        self.assert_fresh(rep.chain, x)
