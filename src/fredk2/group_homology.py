@@ -49,22 +49,14 @@ class FiniteGroup:
                     raise InputError("group table entry out of range")
         self.order = n
         self.table = [list(row) for row in table]
-        ident = None
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                ident = e
-                break
+        ident = next((e for e in range(n) if all(
+            self.table[e][x] == x and self.table[x][e] == x for x in range(n))), None)
         if ident is None:
             raise InputError("group table has no identity")
         self.identity = ident
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == ident:
-                    inv[a] = b
-                    break
-            if inv[a] is None or self.table[inv[a]][a] != ident:
-                raise InputError("group table has a non-invertible element")
+        inv = [row.index(ident) if ident in row else None for row in self.table]
+        if any(b is None or self.table[b][a] != ident for a, b in enumerate(inv)):
+            raise InputError("group table has a non-invertible element")
         self._inv = inv
         for a in range(n):
             ra = self.table[a]
@@ -90,34 +82,33 @@ class FiniteGroup:
 
     def conj(self, g, x):
         """g x g^{-1}."""
-        return self.op(self.op(g, x), self.inv(g))
+        return self.table[self.table[g][x]][self._inv[g]]
 
     def commutator(self, a, b):
         """a b a^{-1} b^{-1}."""
-        return self.op(self.op(a, b), self.op(self.inv(a), self.inv(b)))
+        tab, inv = self.table, self._inv
+        return tab[tab[a][b]][tab[inv[a]][inv[b]]]
 
     def power(self, g, k):
-        if k < 0:
-            return self.power(self.inv(g), -k)
+        """g^k in k mod |G| products, since g^|G| is the identity."""
         out = self.identity
-        for _ in range(k):
-            out = self.op(out, g)
+        for _ in range(k % self.order):
+            out = self.table[out][g]
         return out
 
     def subgroup_closure(self, gens):
-        """Smallest subgroup containing gens, as a sorted list."""
+        """Smallest subgroup containing gens, as a sorted list: the identity
+        closed under right multiplication by gens, which in a finite group
+        reaches every element of the subgroup."""
+        gens = set(gens)
         closed = {self.identity}
-        closed.update(gens)
-        frontier = list(closed)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(closed):
-                    for p in (self.op(a, b), self.op(b, a)):
-                        if p not in closed:
-                            closed.add(p)
-                            nxt.append(p)
-            frontier = nxt
+        reached = [self.identity]
+        for a in reached:  # grows while it is read
+            for g in gens:
+                p = self.table[a][g]
+                if p not in closed:
+                    closed.add(p)
+                    reached.append(p)
         return sorted(closed)
 
     def is_abelian(self):
@@ -138,19 +129,12 @@ class FiniteGroup:
 
     @classmethod
     def direct_product(cls, g1, g2):
+        """G1 x G2 with componentwise product; index = a * |G2| + b."""
         n1, n2 = g1.order, g2.order
-
-        def idx(a, b):
-            return a * n2 + b
-
-        table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-        for a1 in range(n1):
-            for b1 in range(n2):
-                for a2 in range(n1):
-                    for b2 in range(n2):
-                        table[idx(a1, b1)][idx(a2, b2)] = idx(
-                            g1.op(a1, a2), g2.op(b1, b2)
-                        )
+        t1, t2 = g1.table, g2.table
+        pairs = [divmod(x, n2) for x in range(n1 * n2)]
+        table = [[t1[a1][a2] * n2 + t2[b1][b2] for a2, b2 in pairs]
+                 for a1, b1 in pairs]
         labels = [
             "%s|%s" % (g1.labels[a], g2.labels[b])
             for a in range(n1)
@@ -163,27 +147,13 @@ class FiniteGroup:
 
     @classmethod
     def dihedral(cls, n):
-        """Symmetries of the regular n-gon, order 2n.  Index = flip*n + k."""
+        """Symmetries of the regular n-gon, order 2n.  Index = flip*n + k, and
+        (f1, k1)(f2, k2) = (f1 xor f2, (-1)^f2 k1 + k2 mod n)."""
         if n < 1:
             raise InputError("dihedral parameter must be positive")
-
-        def mul(f1, k1, f2, k2):
-            if f1 == 0 and f2 == 0:
-                return (0, (k1 + k2) % n)
-            if f1 == 0 and f2 == 1:
-                return (1, (k2 - k1) % n)
-            if f1 == 1 and f2 == 0:
-                return (1, (k1 + k2) % n)
-            return (0, (k2 - k1) % n)
-
-        size = 2 * n
-        table = [[0] * size for _ in range(size)]
-        for f1 in range(2):
-            for k1 in range(n):
-                for f2 in range(2):
-                    for k2 in range(n):
-                        f, k = mul(f1, k1, f2, k2)
-                        table[f1 * n + k1][f2 * n + k2] = f * n + k
+        elements = [divmod(x, n) for x in range(2 * n)]
+        table = [[(f1 ^ f2) * n + ((-1) ** f2 * k1 + k2) % n for f2, k2 in elements]
+                 for f1, k1 in elements]
         labels = ["e"] + ["r%d" % k for k in range(1, n)]
         labels += ["s"] + ["sr%d" % k for k in range(1, n)]
         return cls(table, labels=labels, name="D%d" % n)
@@ -221,10 +191,15 @@ class FiniteGroup:
             raise InputError("unknown group record keys: %s" % sorted(extra))
         if "order" not in data or "table" not in data:
             raise InputError("group record needs order and table")
-        table = data["table"]
+        table, labels = data["table"], data.get("labels")
         if not isinstance(table, list) or len(table) != data["order"]:
             raise InputError("group table does not match declared order")
-        return cls(table, labels=data.get("labels"), name=data.get("name"))
+        if not all(isinstance(row, list) for row in table):
+            raise InputError("group table rows must be lists")
+        if labels is not None and not (isinstance(labels, list) and all(
+                isinstance(s, (str, int, float)) for s in labels)):
+            raise InputError("group labels must be a list of strings or numbers")
+        return cls(table, labels=labels, name=data.get("name"))
 
 
 class GroupHom:
@@ -240,10 +215,10 @@ class GroupHom:
         for v in mapping:
             if not isinstance(v, int) or not 0 <= v < target.order:
                 raise InputError("homomorphism image out of range")
-        for a in range(source.order):
-            for b in range(source.order):
-                if mapping[source.op(a, b)] != target.op(mapping[a], mapping[b]):
-                    raise InputError("map is not a homomorphism")
+        for a, row in enumerate(source.table):
+            image_row = target.table[mapping[a]]
+            if any(mapping[ab] != image_row[mapping[b]] for b, ab in enumerate(row)):
+                raise InputError("map is not a homomorphism")
         self.source = source
         self.target = target
         self.mapping = list(mapping)
@@ -315,7 +290,10 @@ class GroupHom:
             raise InputError("unknown homomorphism record keys: %s" % sorted(extra))
         if "map" not in data:
             raise InputError("homomorphism record needs a map")
-        return cls(source, target, data["map"], section=data.get("section"))
+        mapping, section = data["map"], data.get("section")
+        if not isinstance(mapping, list) or not isinstance(section, (list, type(None))):
+            raise InputError("homomorphism map and section must be lists")
+        return cls(source, target, mapping, section=section)
 
 
 class GroupChain:
@@ -444,10 +422,15 @@ def _boundary_columns(group, degree):
     rows = _all_cells(group, degree - 1)
     cols = _all_cells(group, degree)
     index = {c: i for i, c in enumerate(rows)}
+    table = group.table
+
+    def mul(a, b):
+        return table[a][b]
+
     columns = []
     for cell in cols:
         col = {}
-        for face, sgn in _bar_terms(cell, group.op):
+        for face, sgn in _bar_terms(cell, mul):
             i = index[face]
             col[i] = col.get(i, 0) + sgn
         columns.append({i: z for i, z in col.items() if z})
@@ -573,67 +556,46 @@ def smith_normal_form(mat):
         U[i, :] = -U[i, :]
         Uinv[:, i] = -Uinv[:, i]
 
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = A[i, j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
+    for t in range(min(m, n)):
+        pivot = min(((abs(v), i, j) for i, row in enumerate(A[t:, t:].tolist(), t)
+                     for j, v in enumerate(row, t) if v), default=None)
         if pivot is None:
             break
-        row_swap(pivot[0], t)
-        col_swap(pivot[1], t)
+        row_swap(pivot[1], t)
+        col_swap(pivot[2], t)
         while True:
             if A[t, t] < 0:
                 row_neg(t)
-            restart = False
+            # clear column t, then row t; a nonzero remainder is a smaller
+            # pivot: swap it in and start over
             for i in range(t + 1, m):
-                if A[i, t] != 0:
-                    q = A[i, t] // A[t, t]
-                    row_sub(i, t, q)
-                    if A[i, t] != 0:
+                if A[i, t]:
+                    row_sub(i, t, A[i, t] // A[t, t])
+                    if A[i, t]:
                         row_swap(i, t)
-                        restart = True
                         break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if A[t, j] != 0:
-                    q = A[t, j] // A[t, t]
-                    col_sub(j, t, q)
-                    if A[t, j] != 0:
-                        col_swap(j, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # divisibility of the remaining block by the pivot
-            fixed = False
-            for i in range(t + 1, m):
+            else:
                 for j in range(t + 1, n):
-                    if A[i, j] % A[t, t] != 0:
-                        row_sub(t, i, -1)
-                        fixed = True
+                    if A[t, j]:
+                        col_sub(j, t, A[t, j] // A[t, t])
+                        if A[t, j]:
+                            col_swap(j, t)
+                            break
+                else:
+                    # divisibility of the remaining block by the pivot: add
+                    # the first failing row to row t and start over
+                    p = A[t, t]
+                    bad = next((i for i, row in enumerate(A[t + 1:, t + 1:].tolist(), t + 1)
+                                if any(v % p for v in row)), None)
+                    if bad is None:
                         break
-                if fixed:
-                    break
-            if not fixed:
-                break
-        t += 1
+                    row_sub(t, bad, -1)
     return A, U, V, Uinv, Vinv
 
 
 def snf_divisors(S):
     """Nonzero diagonal entries of a Smith form, in order."""
-    out = []
-    for i in range(min(S.shape)):
-        if S[i, i] != 0:
-            out.append(int(S[i, i]))
-    return out
+    return [int(S[i, i]) for i in range(min(S.shape)) if S[i, i] != 0]
 
 
 class HomologyResult:
@@ -710,15 +672,9 @@ class KernelQuotient:
         G = hom.source
         self.hom = hom
         self.kernel = hom.kernel()
-        gens = set()
-        for g in range(G.order):
-            for k in self.kernel:
-                gens.add(G.commutator(g, k))
-        self.gamma = G.subgroup_closure(gens)
-        gset = self.gamma
-        self._rep = {}
-        for k in self.kernel:
-            self._rep[k] = min(G.op(k, c) for c in gset)
+        self.gamma = G.subgroup_closure(
+            {G.commutator(g, k) for g in range(G.order) for k in self.kernel})
+        self._rep = {k: min(G.table[k][c] for c in self.gamma) for k in self.kernel}
         self.classes = sorted(set(self._rep.values()))
 
     def rep(self, g):
@@ -730,9 +686,6 @@ class KernelQuotient:
     def identity(self):
         return self._rep[self.hom.source.identity]
 
-    def label(self, rep):
-        return self.hom.source.labels[rep]
-
 
 def _kernel_quotient(hom):
     if hom._quotient is None:
@@ -742,9 +695,9 @@ def _kernel_quotient(hom):
 
 def f_phi_section(hom, cycle, section=None):
     """Class of a 2-cycle x = sum z_i (a_i, b_i) over the target in
-    ker(phi)/[G, ker(phi)]: expand coefficients into plus and minus lists,
-    multiply the defect terms t(a) t(b) t(ab)^{-1} over the plus list and
-    divide by the product over the minus list.
+    ker(phi)/[G, ker(phi)]: with d_i = t(a_i) t(b_i) t(a_i b_i)^{-1} the
+    defect of cell i, multiply the powers d_i^{z_i} of the positive cells
+    and divide by the product of the powers d_i^{-z_i} of the negative ones.
 
     Returns the minimal-index representative of the class.
     """
@@ -760,19 +713,21 @@ def f_phi_section(hom, cycle, section=None):
         if len(t) != H.order or any(hom.mapping[t[h]] != h for h in range(H.order)):
             raise InputError("section is not a right inverse of the map")
     tab, inv, e = G.table, G._inv, H.identity
-    plus, minus = [], []  # defects t(a) t(b) t(ab)^{-1}, |z| times each
+    num = den = G.identity
     for (a, b), z in sorted(cycle.coeffs.items()):
         d = tab[tab[t[a]][t[b]]][inv[t[H.table[a][b]]]]
-        (plus if z > 0 else minus).extend([d] * abs(z))
-    # genuine cycles are balanced; pad degenerate inputs with identity cells
-    pad = tab[tab[t[e]][t[e]]][inv[t[e]]]
-    plus += [pad] * (len(minus) - len(plus))
-    minus += [pad] * (len(plus) - len(minus))
-    num = den = G.identity
-    for d in plus:
-        num = tab[num][d]
-    for d in minus:
-        den = tab[den][d]
+        if z > 0:
+            num = tab[num][G.power(d, z)]
+        else:
+            den = tab[den][G.power(d, -z)]
+    # genuine cycles are balanced (sum z = 0); degenerate inputs are padded
+    # with identity cells on the short side
+    excess = sum(cycle.coeffs.values())
+    pad = G.power(tab[tab[t[e]][t[e]]][inv[t[e]]], abs(excess))
+    if excess > 0:
+        den = tab[den][pad]
+    else:
+        num = tab[num][pad]
     return _kernel_quotient(hom).rep(tab[num][inv[den]])
 
 
@@ -917,14 +872,11 @@ def psi(coker_chain):
         raise InputError("psi is defined on degree-1 chains")
     hom = coker_chain.hom
     G = hom.source
-    t = hom.section_table()
-    quot = _kernel_quotient(hom)
+    tab, inv, t = G.table, G._inv, hom.section_table()
     out = G.identity
     for (g,), z in sorted(coker_chain.chain.coeffs.items()):
-        base = t[hom.mapping[g]]
-        k = G.op(g, G.inv(base))
-        out = G.op(out, G.power(k, z))
-    return quot.rep(out)
+        out = tab[out][G.power(tab[g][inv[t[hom.mapping[g]]]], z)]
+    return _kernel_quotient(hom).rep(out)
 
 
 def builtin_catalog():
@@ -956,14 +908,19 @@ def load_catalog_file(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InputError("catalog must be a JSON object")
+    group_recs, hom_recs = data.get("groups", {}), data.get("surjections", {})
+    if not isinstance(group_recs, dict) or not isinstance(hom_recs, dict):
+        raise InputError("catalog groups and surjections must be JSON objects")
     groups = {}
-    for name, rec in data.get("groups", {}).items():
+    for name, rec in group_recs.items():
         groups[name] = FiniteGroup.from_json(rec)
         groups[name].name = name
     homs = {}
-    for name, rec in data.get("surjections", {}).items():
+    for name, rec in hom_recs.items():
         if not isinstance(rec, dict) or "source" not in rec or "target" not in rec:
             raise InputError("surjection record needs source and target")
+        if not isinstance(rec["source"], str) or not isinstance(rec["target"], str):
+            raise InputError("surjection source and target must be group names")
         src = groups.get(rec["source"])
         tgt = groups.get(rec["target"])
         if src is None or tgt is None:

@@ -343,6 +343,9 @@ def catalog_file(tmp_path, with_q8=False):
     return str(path)
 
 
+Z2_GROUPS = {"Z2": {"order": 2, "table": [[0, 1], [1, 0]]}}
+
+
 class TestHomologyCommand:
     def test_cyclic_catalog(self, runner, tmp_path):
         cat = catalog_file(tmp_path)
@@ -379,6 +382,26 @@ class TestHomologyCommand:
              "surjections": {}}))
         res = runner.invoke(main, ["homology", str(path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("catalog", [
+        {"groups": [], "surjections": {}},
+        {"groups": {}, "surjections": []},
+        {"groups": {"G": {"order": 2, "table": [0, 1]}}},
+        {"groups": Z2_GROUPS, "surjections": {"f": {"source": "Z2", "target": "Z2", "map": 5}}},
+        {"groups": Z2_GROUPS, "surjections": {"f": {"source": ["A"], "target": "Z2",
+                                                    "map": [0, 1]}}},
+        {"groups": Z2_GROUPS, "surjections": {"f": {"source": "Z2", "target": "Z2",
+                                                    "map": [0, 1], "section": 3}}},
+    ], ids=["groups-list", "surjections-list", "flat-table", "map-int",
+            "source-list", "section-int"])
+    def test_malformed_catalog_exits_2(self, runner, tmp_path, catalog):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(catalog))
+        res = runner.invoke(main, ["homology", str(path)])
+        assert res.exit_code == 2
+        assert "error:" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
 
     def test_determinism(self, runner, tmp_path):
         cat = catalog_file(tmp_path)

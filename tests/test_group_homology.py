@@ -714,3 +714,105 @@ class TestResultsOwnTheirMaps:
         x = GroupChain(hom.source, 1, {(1,): 1, (3,): -1})
         rep = coker_representative(ConeChain(hom, GroupChain(hom.target, 2), x), hom)
         self.assert_fresh(rep.chain, x)
+
+
+def _brute_closure(group, gens):
+    closed = {group.identity, *gens}
+    while True:
+        grown = closed | {group.table[a][b] for a in closed for b in closed}
+        if grown == closed:
+            return sorted(closed)
+        closed = grown
+
+
+class TestGroupLaws:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dihedral_acts_on_the_polygon(self, n):
+        """Index f*n + k sends vertex v of the n-gon to (-1)^f v + k, and
+        a*b acts as a, then b."""
+        d = FiniteGroup.dihedral(n)
+        assert d.order == 2 * n
+        perms = [tuple(((-1) ** (x // n) * v + x % n) % n for v in range(n))
+                 for x in range(2 * n)]
+        for a in range(2 * n):
+            for b in range(2 * n):
+                assert perms[d.table[a][b]] == tuple(perms[b][v] for v in perms[a])
+        if n >= 3:  # the vertex action is faithful
+            assert len(set(perms)) == 2 * n
+
+    @pytest.mark.parametrize("g1, g2", [
+        (FiniteGroup.cyclic(3), FiniteGroup.dihedral(4)),
+        (FiniteGroup.quaternion(), FiniteGroup.cyclic(2)),
+    ])
+    def test_direct_product_is_componentwise(self, g1, g2):
+        p = FiniteGroup.direct_product(g1, g2)
+        index = {lab: x for x, lab in enumerate(p.labels)}
+        pair = "{}|{}".format
+        for a1, a2 in np.ndindex(g1.order, g1.order):
+            for b1, b2 in np.ndindex(g2.order, g2.order):
+                x = index[pair(g1.labels[a1], g2.labels[b1])]
+                y = index[pair(g1.labels[a2], g2.labels[b2])]
+                assert p.table[x][y] == index[pair(g1.labels[g1.table[a1][a2]],
+                                                    g2.labels[g2.table[b1][b2]])]
+
+    @pytest.mark.parametrize("group", [
+        FiniteGroup.dihedral(4), FiniteGroup.quaternion(), FiniteGroup.dihedral(6),
+        _product(FiniteGroup.cyclic(3), FiniteGroup.dihedral(4)),
+        _product(FiniteGroup.cyclic(2), FiniteGroup.quaternion()),
+    ])
+    def test_subgroup_closure_matches_brute_force(self, group):
+        rng = np.random.default_rng(group.order)
+        for _ in range(25):
+            gens = [int(g) for g in rng.integers(group.order, size=int(rng.integers(0, 4)))]
+            assert group.subgroup_closure(gens) == _brute_closure(group, gens)
+
+    @pytest.mark.parametrize("group", [
+        FiniteGroup.cyclic(7), FiniteGroup.dihedral(5), FiniteGroup.quaternion(),
+        _product(FiniteGroup.cyclic(3), FiniteGroup.dihedral(4)),
+    ])
+    def test_power_is_repeated_multiplication(self, group):
+        n = group.order
+        for g in range(n):
+            step = {1: g, -1: group.inv(g)}
+            for k in range(-2 * n, 2 * n + 1):
+                want = group.identity
+                for _ in range(abs(k)):
+                    want = group.op(want, step[1 if k > 0 else -1])
+                assert group.power(g, k) == want
+            for r in (-1, 0, 1, 5):  # g^|G| is the identity
+                assert group.power(g, n * 10**12 + r) == group.power(g, r)
+
+    @pytest.mark.parametrize("name", sorted(builtin_catalog()))
+    def test_huge_multiples_cost_no_more(self, name):
+        """Every class lies in a group of order dividing 2^12 (the catalog's
+        kernel quotients are Z2 or trivial), so (10^12 + 1) x has the class
+        of x; both paths take one power per cell, not 10^12 products."""
+        hom = builtin_catalog()[name]
+        rng = np.random.default_rng(3)
+        cycles = [random_cycle(rng, hom.target, cycle_basis(hom.target, 2)) for _ in range(5)]
+        gen = homology(hom.target, 2).generator
+        for x in cycles + ([gen] if gen is not None else []):
+            big = x.scale(10**12 + 1)
+            assert f_phi_section(hom, big) == f_phi_section(hom, x)
+            via = psi(coker_representative(boundary_to_relative(big, hom), hom))
+            assert via == psi(coker_representative(boundary_to_relative(x, hom), hom))
+
+    def test_records_of_the_wrong_type_are_input_errors(self):
+        z2 = FiniteGroup.cyclic(2)
+        for record in ({"order": 2, "table": [0, 1]},
+                       {"order": 2, "table": [[0, 1], [1, 0]], "labels": 5},
+                       {"order": 2, "table": [[0, 1], [1, 0]], "labels": [["a"], ["b"]]}):
+            with pytest.raises(InputError):
+                FiniteGroup.from_json(record)
+        for record in ({"map": 5}, {"map": [0, 1], "section": 3}):
+            with pytest.raises(InputError):
+                GroupHom.from_json(record, z2, z2)
+        assert GroupHom.from_json({"map": [0, 1], "section": None}, z2, z2).section is None
+
+    def test_psi_inverts_negative_coefficients(self):
+        """Z9 -> Z3 has kernel {0, 3, 6} = Z3, so k^-1 != k: the pair
+        (1, 4) with coefficient -1 goes to 1 * 4^-1 = 6, not to 3."""
+        z9 = FiniteGroup.cyclic(9)
+        hom = GroupHom(z9, FiniteGroup.cyclic(3), [g % 3 for g in range(9)])
+        assert psi(CokerChain.from_pairs(hom, 1, [((4,), (1,), -1)])) == 6
+        assert psi(CokerChain.from_pairs(hom, 1, [((4,), (1,), -2)])) == 3
