@@ -97,6 +97,13 @@ def main():
     homological machinery."""
 
 
+def _tolerance(_ctx, param, value):
+    """A tolerance option: finite and >= 0 (click's FloatRange lets NaN through)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter("must be finite and >= 0", param=param)
+    return value
+
+
 def _report_options(fn):
     fn = click.option("--format", "fmt", default="json", show_default=True,
                       type=click.Choice(["json", "csv", "text"]))(fn)
@@ -110,9 +117,9 @@ def _report_options(fn):
 @click.argument("beta_file", type=click.Path())
 @click.option("--method", default="all", show_default=True,
               type=click.Choice(list(METHODS) + ["all"]))
-@click.option("--tol-pair", default=1e-10, show_default=True,
+@click.option("--tol-pair", default=1e-10, show_default=True, callback=_tolerance,
               help="Closed vs integral agreement tolerance (relative).")
-@click.option("--tol-operator", default=1e-8, show_default=True,
+@click.option("--tol-operator", default=1e-8, show_default=True, callback=_tolerance,
               help="Operator route agreement tolerance (relative).")
 @click.option("--dump-operator", default=None, type=click.Path(),
               help="Write the operator route's cross-part representative "
@@ -173,11 +180,9 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
                 scale = max(abs(values[x]), abs(values[y]), 1e-300)
                 discrepancies[f"{x}_vs_{y}"] = abs(values[x] - values[y]) / scale
 
-        ok = True
-        for key, delta in discrepancies.items():
-            tol = tol_operator if "operator" in key else tol_pair
-            if delta > tol:
-                ok = False
+        # a NaN discrepancy is a disagreement
+        ok = all(delta <= (tol_operator if "operator" in key else tol_pair)
+                 for key, delta in discrepancies.items())
         report = {"schema": REPORT_SCHEMA, "command": "symbol",
                   "config": {"method": method, "window": window,
                              "strict": strict, "format": fmt, "seed": seed},
@@ -201,7 +206,7 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
 @click.argument("beta_file", type=click.Path())
 @click.option("--windows", default="32,64,128,256", show_default=True,
               help="Comma-separated increasing window sizes.")
-@click.option("--tol", default=1e-8, show_default=True,
+@click.option("--tol", default=1e-8, show_default=True, callback=_tolerance,
               help="Final-window agreement tolerance vs the closed form.")
 @_report_options
 def converge(alpha_file, beta_file, windows, tol, fmt, seed):
@@ -266,7 +271,7 @@ def _sample_cycles(hom, samples, rng):
 
 @main.command()
 @click.argument("catalog_file", type=click.Path())
-@click.option("--samples", default=100, show_default=True,
+@click.option("--samples", default=100, show_default=True, type=click.IntRange(min=0),
               help="Random 2-cycles sampled per surjection.")
 @_report_options
 def homology(catalog_file, samples, fmt, seed):

@@ -28,7 +28,7 @@ import operator
 import numpy as np
 
 from ._errors import InputError, InvariantViolation, NumericalError
-from .fredholm import endpoint_check, gl_adaptive, gl_nodes, gl_sum
+from .fredholm import central_difference, endpoint_check, gl_adaptive, gl_nodes, gl_sum
 from .toeplitz_calculus import identity_op, zero_op
 
 LINE_MAX_ORDER = 512
@@ -36,7 +36,6 @@ TRI_MAX_ORDER = 128
 LINE_TOL = 1e-11
 TRI_TOL = 1e-9
 CHAIN_TOL = 1e-10
-FD_STEP = 1e-4    # step of the central differences in SimplexPath.partial
 
 
 def _is_mat(x):
@@ -61,10 +60,10 @@ def _e_trace(x):
 class SimplexPath:
     """C^2 map from the n-simplex into invertible m x m elements.
 
-    value is a callable of n floats; partials is either None (fourth-order
-    central differences, requiring value to extend slightly past the
-    simplex) or a callable (i, *t) for i in 1..n.  based asserts
-    sigma(0) = 1.
+    value is a callable of n floats; partials is either None
+    (``central_difference`` in each coordinate, requiring value to extend
+    slightly past the simplex) or a callable (i, *t) for i in 1..n.
+    based asserts sigma(0) = 1.
     """
 
     def __init__(self, dimension, value, partials=None, based=True):
@@ -96,16 +95,7 @@ class SimplexPath:
             raise InputError("partial index out of range")
         if self._partials is not None:
             return self._partials(i, *t)
-        h = FD_STEP
-
-        def shifted(d):
-            u = list(t)
-            u[i - 1] += d
-            return self._value(*u)
-
-        far = shifted(-2.0 * h) - shifted(2.0 * h)
-        near = shifted(h) - shifted(-h)
-        return (1.0 / (12.0 * h)) * (far + 8.0 * near)
+        return central_difference(lambda s: self._value(*t[:i - 1], s, *t[i:]), t[i - 1])
 
     def vertex(self, k):
         pts = ((0.0,), (1.0,)) if self.n == 1 else ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -174,13 +164,17 @@ class FormalChain:
         return functools.reduce(operator.add, pieces) if pieces else None
 
 
+def _linear_extension(fn, chain):
+    """sum c * fn(s) over the terms c * s of a FormalChain, summed in their
+    order; None for a chain with no terms."""
+    pieces = [fn(s).scaled(c) for c, s in chain.terms]
+    return functools.reduce(lambda x, y: x.plus(y), pieces) if pieces else None
+
+
 def dN(sigma):
     """Boundary sum_{i>=1} (-1)^i d_i + (zeroth face translated to base)."""
     if isinstance(sigma, FormalChain):
-        out = None
-        for c, s in sigma.terms:
-            piece = dN(s).scaled(c)
-            out = piece if out is None else out.plus(piece)
+        out = _linear_extension(dN, sigma)
         if out is None:
             raise InputError("empty chain has no boundary dimension")
         return out
@@ -300,10 +294,7 @@ def gamma_log(sigma):
     if isinstance(sigma, FormalChain):
         if sigma.n != 1:
             raise InputError("linear extension is defined on 1-simplex chains")
-        out = None
-        for c, s in sigma.terms:
-            piece = gamma_log(s).scaled(c)
-            out = piece if out is None else out.plus(piece)
+        out = _linear_extension(gamma_log, sigma)
         return out if out is not None else CyclicChain(0, [])
     if not sigma.based:
         raise InputError("logarithm requires a based simplex")

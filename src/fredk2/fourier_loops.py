@@ -361,7 +361,9 @@ def log_split(loop: FourierLoop) -> "LoopLog":
 
 
 class LoopLog:
-    """A nonvanishing loop in factored form zⁿ·e^{a(z)}."""
+    """A nonvanishing loop in factored form zⁿ·e^{a(z)}, in the group of such
+    loops: products add windings and logs, so x·x⁻¹ is the identity exactly,
+    and equality and hashing are exact on (n, {k: a_k})."""
 
     __slots__ = ("winding", "log_part")
 
@@ -369,8 +371,33 @@ class LoopLog:
         self.winding = int(winding)
         self.log_part = log_part
 
+    @classmethod
+    def from_log(cls, ll: "LoopLog") -> "LoopLog":
+        return cls(ll.winding, ll.log_part)
+
+    @classmethod
+    def identity(cls) -> "LoopLog":
+        return cls(0, zero_loop())
+
+    def mul(self, other: "LoopLog") -> "LoopLog":
+        return LoopLog(self.winding + other.winding, self.log_part.add(other.log_part))
+
+    def inv(self) -> "LoopLog":
+        return LoopLog(-self.winding, self.log_part.neg())
+
     def reconstruct(self) -> FourierLoop:
         return self.log_part.exp().shift(self.winding)
+
+    def _key(self):
+        return (self.winding, tuple(self.log_part.coeffs.items()))
+
+    def __eq__(self, other):
+        if not isinstance(other, LoopLog):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"LoopLog(winding={self.winding}, log_part={self.log_part!r})"
@@ -395,33 +422,11 @@ def pairing_integral(a: FourierLoop, b: FourierLoop) -> complex:
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
-# -- JSON formats -----------------------------------------------------
+# -- JSON format ------------------------------------------------------
 
 
 def loop_to_json(loop: FourierLoop) -> dict:
     return {"coeffs": [[k, c.real, c.imag] for k, c in loop.coeffs.items()]}
-
-
-def _parse_coeff_list(raw, what: str) -> dict:
-    if not isinstance(raw, list):
-        raise InputError(f"{what} must be a list of [k, re, im] triples")
-    out = {}
-    for entry in raw:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 3
-                or any(isinstance(v, bool) for v in entry)
-                or not isinstance(entry[0], int)
-                or not isinstance(entry[1], (int, float))
-                or not isinstance(entry[2], (int, float))):
-            raise InputError(f"bad {what} entry: {entry!r}")
-        if abs(entry[0]) > max_band():  # a loop is stored densely over its span
-            raise InputError("band exceeds FREDK2_MAX_BAND")
-        try:
-            out[entry[0]] = c = complex(entry[1], entry[2])
-        except OverflowError:  # an integer past the largest float
-            c = math.inf
-        if not np.isfinite(c):
-            raise InputError("non-finite coefficient")
-    return out
 
 
 def loop_from_json(data: dict) -> FourierLoop:
@@ -432,22 +437,23 @@ def loop_from_json(data: dict) -> FourierLoop:
         raise InputError(f"unknown loop fields: {sorted(unknown)}")
     if "coeffs" not in data:
         raise InputError("loop JSON missing 'coeffs'")
-    return FourierLoop(_parse_coeff_list(data["coeffs"], "coeffs"))
-
-
-def loop_log_to_json(ll: LoopLog) -> dict:
-    return {"winding": ll.winding, "log_coeffs": loop_to_json(ll.log_part)["coeffs"]}
-
-
-def loop_log_from_json(data: dict) -> LoopLog:
-    if not isinstance(data, dict):
-        raise InputError("loop-log JSON must be an object")
-    unknown = set(data) - {"winding", "log_coeffs"}
-    if unknown:
-        raise InputError(f"unknown loop-log fields: {sorted(unknown)}")
-    if "winding" not in data or "log_coeffs" not in data:
-        raise InputError("loop-log JSON needs 'winding' and 'log_coeffs'")
-    if not isinstance(data["winding"], int) or isinstance(data["winding"], bool):
-        raise InputError("'winding' must be an integer")
-    return LoopLog(data["winding"],
-                   FourierLoop(_parse_coeff_list(data["log_coeffs"], "log_coeffs")))
+    raw = data["coeffs"]
+    if not isinstance(raw, list):
+        raise InputError("coeffs must be a list of [k, re, im] triples")
+    out = {}
+    for entry in raw:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 3
+                or any(isinstance(v, bool) for v in entry)
+                or not isinstance(entry[0], int)
+                or not isinstance(entry[1], (int, float))
+                or not isinstance(entry[2], (int, float))):
+            raise InputError(f"bad coeffs entry: {entry!r}")
+        if abs(entry[0]) > max_band():  # a loop is stored densely over its span
+            raise InputError("band exceeds FREDK2_MAX_BAND")
+        try:
+            out[entry[0]] = c = complex(entry[1], entry[2])
+        except OverflowError:  # an integer past the largest float
+            c = math.inf
+        if not np.isfinite(c):
+            raise InputError("non-finite coefficient")
+    return FourierLoop(out)

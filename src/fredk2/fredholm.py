@@ -26,6 +26,7 @@ from .toeplitz_calculus import ToeplitzOp
 
 UNIT_SYMBOL_TOL = 1e-9
 GL_START_ORDER = 8
+FD_STEP = 1e-4    # step of central_difference
 
 
 def det1p(x, strict: bool = True) -> complex:
@@ -92,6 +93,15 @@ def det_exp_pair_verify(x: np.ndarray, y: np.ndarray) -> complex:
     return value
 
 
+def central_difference(f, t: float):
+    """f′(t) by the fourth-order central difference of step FD_STEP; f may be
+    matrix- or operator-valued and must extend 2·FD_STEP past its interval."""
+    h = FD_STEP
+    far = f(t - 2.0 * h) - f(t + 2.0 * h)
+    near = f(t + h) - f(t - h)
+    return (1.0 / (12.0 * h)) * (far + 8.0 * near)
+
+
 def _as_matrix(v):
     if isinstance(v, np.ndarray):
         return v
@@ -101,9 +111,8 @@ def _as_matrix(v):
 class OperatorPath:
     """C² path t ∈ [0,1] ↦ invertible matrix, as value/derivative callables.
 
-    When no derivative is supplied, a fourth-order central difference is
-    used; the value callable must then tolerate arguments slightly
-    outside [0, 1].
+    When no derivative is supplied, ``central_difference`` is used; the
+    value callable must then tolerate arguments slightly outside [0, 1].
     """
 
     __slots__ = ("value", "derivative")
@@ -118,9 +127,7 @@ class OperatorPath:
     def deriv(self, t: float) -> np.ndarray:
         if self.derivative is not None:
             return _as_matrix(self.derivative(t))
-        h = 1e-3
-        return (self(t - 2 * h) - 8 * self(t - h)
-                + 8 * self(t + h) - self(t + 2 * h)) / (12 * h)
+        return central_difference(self, t)
 
     @classmethod
     def exponential(cls, x: np.ndarray) -> "OperatorPath":

@@ -160,20 +160,16 @@ class FiniteGroup:
 
     @classmethod
     def quaternion(cls):
-        """The quaternion group {+-1, +-i, +-j, +-k}, index = 2*letter + sign."""
-        base = {
-            (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
-            (1, 0): (0, 1), (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
-            (2, 0): (0, 2), (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1),
-            (3, 0): (0, 3), (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0),
-        }
-        table = [[0] * 8 for _ in range(8)]
-        for l1 in range(4):
-            for s1 in range(2):
-                for l2 in range(4):
-                    for s2 in range(2):
-                        sgn, ltr = base[(l1, l2)]
-                        table[2 * l1 + s1][2 * l2 + s2] = 2 * ltr + (s1 + s2 + sgn) % 2
+        """The quaternion group {+-1, +-i, +-j, +-k}, index = 2*letter + sign
+        with letters 1, i, j, k = 0..3: i^2 = j^2 = k^2 = -1, ij = k, jk = i,
+        ki = j, and each reversed product is negated."""
+
+        def product(x, y):  # the letters multiply as Z2 x Z2, up to sign
+            (l1, s1), (l2, s2) = divmod(x, 2), divmod(y, 2)
+            neg = l1 and l2 and (l1 == l2 or (l2 - l1) % 3 == 2)
+            return 2 * (l1 ^ l2) + (s1 + s2 + neg) % 2
+
+        table = [[product(x, y) for y in range(8)] for x in range(8)]
         labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
         return cls(table, labels=labels, name="Q8")
 

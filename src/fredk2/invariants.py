@@ -295,47 +295,8 @@ def mult_character(sym: SteinbergSymbol) -> complex:
 # -- operator labels and the degree-2 bar cycle -------------------------
 
 
-class LoopLabel:
-    """Exact symbol-level label zⁿ·e^{a} with hashable group structure.
-
-    Products add windings and log coefficients; exact float cancellation in
-    the loop arithmetic makes x·x⁻¹ the canonical identity label.
-    """
-
-    __slots__ = ("winding", "log_part")
-
-    def __init__(self, winding: int, log_part: FourierLoop):
-        self.winding = int(winding)
-        self.log_part = log_part
-
-    @classmethod
-    def from_log(cls, ll: LoopLog) -> "LoopLabel":
-        return cls(ll.winding, ll.log_part)
-
-    @classmethod
-    def identity(cls) -> "LoopLabel":
-        return cls(0, zero_loop())
-
-    def mul(self, other: "LoopLabel") -> "LoopLabel":
-        return LoopLabel(self.winding + other.winding,
-                         self.log_part.add(other.log_part))
-
-    def inv(self) -> "LoopLabel":
-        return LoopLabel(-self.winding, self.log_part.neg())
-
-    def _key(self):
-        return (self.winding, tuple(self.log_part.coeffs.items()))
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopLabel):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"LoopLabel({self.winding}, {self.log_part.coeffs!r})"
+# the bar cycle's operator labels are factored loops under their group law
+LoopLabel = LoopLog
 
 
 class Diag3Label:
@@ -410,22 +371,13 @@ class LabelChain:
         return out
 
 
-def _as_label(x) -> "LoopLabel | object":
-    if isinstance(x, LoopLog):
-        return LoopLabel.from_log(x)
-    if isinstance(x, FourierLoop):
-        return LoopLabel.from_log(log_split(x))
-    return x
-
-
 def steinberg_to_h2_cycle(u, v) -> LabelChain:
     """(d₁₃(v), d₁₂(u)) − (d₁₂(u), d₁₃(v)) as a degree-2 chain over exact
     operator labels; the bar boundary is checked to vanish identically,
-    which is exactly commutativity of the stabilized labels."""
-    lu = _as_label(u)
-    lv = _as_label(v)
-    cu = d12(lu)
-    cv = d13(lv)
+    which is exactly commutativity of the stabilized labels.  Raw
+    FourierLoops are factored first; other labels are taken as they are."""
+    lu, lv = (log_split(x) if isinstance(x, FourierLoop) else x for x in (u, v))
+    cu, cv = d12(lu), d13(lv)
     chain = LabelChain(2)
     chain.add_cell((cv, cu), 1)
     chain.add_cell((cu, cv), -1)

@@ -420,6 +420,43 @@ class TestHomologyCommand:
         assert json.loads(res.output)["config"] == {"format": "json", "seed": 3}
 
 
+class TestNumericOptions:
+    @pytest.mark.parametrize("command, option, value", [
+        ("homology", "--samples", "-1"),
+        ("symbol", "--tol-pair", "-1"),
+        ("symbol", "--tol-pair", "nan"),
+        ("symbol", "--tol-pair", "inf"),
+        ("symbol", "--tol-operator", "-1e-8"),
+        ("symbol", "--tol-operator", "nan"),
+        ("converge", "--tol", "-1"),
+        ("converge", "--tol", "nan"),
+        ("converge", "--tol", "inf"),
+    ])
+    def test_bad_value_exits_2(self, runner, tmp_path, command, option, value):
+        files = [catalog_file(tmp_path)] if command == "homology" else [z_file(tmp_path)] * 2
+        res = runner.invoke(main, [command, *files, option, value])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert option in res.output
+        assert "Traceback" not in res.output
+
+    def test_zero_is_accepted(self, runner, tmp_path):
+        res = runner.invoke(main, ["homology", catalog_file(tmp_path), "--samples", "0"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["surjections"]["Z4->Z2"]["samples"] == 0
+        zf = z_file(tmp_path)
+        res = runner.invoke(main, ["symbol", zf, zf, "--method", "closed",
+                                   "--tol-pair", "0", "--tol-operator", "0"])
+        assert res.exit_code == 0
+
+    def test_nan_discrepancy_is_a_disagreement(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "det_invariant_integral", lambda sym: complex("nan"))
+        zf = z_file(tmp_path)
+        res = runner.invoke(main, ["symbol", zf, zf, "--method", "all", "--window", "64"])
+        assert res.exit_code == 4
+        assert json.loads(res.output)["within_tolerance"] is False
+
+
 class TestSelftest:
     def test_selftest_passes(self, runner):
         res = runner.invoke(main, ["selftest"])

@@ -9,14 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from fredk2 import InputError, NumericalError, fourier_loops
 from fredk2.fourier_loops import (
     FourierLoop,
+    LoopLog,
     circle_integral,
     coeff_run,
     fit_grid_values,
     from_samples,
     log_split,
     loop_from_json,
-    loop_log_from_json,
-    loop_log_to_json,
     loop_to_json,
     pairing_integral,
     winding_number,
@@ -667,6 +666,41 @@ class TestIntegrals:
             assert abs(quad - pairing_integral(a, b)) < 1e-12
 
 
+class TestLoopLogGroup:
+    def test_inverse_gives_the_identity(self):
+        rng = np.random.default_rng(31)
+        for n in (-2, 0, 3):
+            x = LoopLog(n, random_loop(rng, band=4))
+            for one in (x.mul(x.inv()), x.inv().mul(x)):
+                assert one == LoopLog.identity()
+                assert hash(one) == hash(LoopLog.identity())
+        assert LoopLog(1, zero_loop()) != LoopLog.identity()
+        assert LoopLog(0, FourierLoop({2: 1e-300})) != LoopLog.identity()
+
+    def test_commutative(self):
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            x, y = (LoopLog(int(rng.integers(-3, 4)), random_loop(rng, band=4))
+                    for _ in range(2))
+            assert x.mul(y) == y.mul(x)
+            assert hash(x.mul(y)) == hash(y.mul(x))
+
+    def test_product_reconstructs_the_loop_product(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            x, y = (LoopLog(int(rng.integers(-3, 4)), random_loop(rng, band=3, scale=0.2))
+                    for _ in range(2))
+            xy = x.mul(y)
+            assert xy.winding == x.winding + y.winding
+            want = x.reconstruct().mul(y.reconstruct())
+            assert xy.reconstruct().sub(want).l1() < 1e-12 * want.l1()
+
+    def test_from_log_is_an_equal_copy(self):
+        x = LoopLog(2, FourierLoop({1: 0.5, -1: 0.25j}))
+        y = LoopLog.from_log(x)
+        assert y == x and y is not x and hash(y) == hash(x)
+
+
 class TestJson:
     def test_roundtrip(self):
         loop = FourierLoop({1: 0.25 + 0.5j, -3: 1.0})
@@ -680,23 +714,11 @@ class TestJson:
         with pytest.raises(InputError):
             loop_from_json({"coeffs": [[0.5, 1.0, 0.0]]})
 
-    def test_loop_log_roundtrip(self):
-        ll = log_split(z_loop(2).mul(FourierLoop({1: 0.1}).exp()))
-        again = loop_log_from_json(loop_log_to_json(ll))
-        assert again.winding == 2
-        assert coeffs_close(again.log_part, ll.log_part.coeffs, tol=0)
-
-    def test_loop_log_unknown_field(self):
-        with pytest.raises(InputError, match="unknown loop-log fields"):
-            loop_log_from_json({"winding": 0, "log_coeffs": [], "w": 1})
-
     def test_key_beyond_band_cap_rejected(self):
         # a loop is stored densely from its lowest to its highest index, so
         # keys 2·10⁹ apart are refused before anything is allocated
-        for parse, field in ((loop_from_json, "coeffs"),
-                             (lambda d: loop_log_from_json({"winding": 0, **d}), "log_coeffs")):
-            with pytest.raises(InputError, match="FREDK2_MAX_BAND"):
-                parse({field: [[-10**9, 1.0, 0.0], [10**9, 1.0, 0.0]]})
+        with pytest.raises(InputError, match="FREDK2_MAX_BAND"):
+            loop_from_json({"coeffs": [[-10**9, 1.0, 0.0], [10**9, 1.0, 0.0]]})
         assert loop_from_json({"coeffs": [[512, 1.0, 0.0]]}).band == 512
 
     @pytest.mark.parametrize("entry", ["[1, NaN, 0]", "[1, Infinity, 0]", "[1, -Infinity, 0]",
@@ -706,5 +728,3 @@ class TestJson:
         raw = json.loads(f"[[0, 1.0, 0], {entry}]")
         with pytest.raises(InputError, match="non-finite coefficient"):
             loop_from_json({"coeffs": raw})
-        with pytest.raises(InputError, match="non-finite coefficient"):
-            loop_log_from_json({"winding": 0, "log_coeffs": raw})

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import scipy.linalg.lapack
 import scipy.special
 
 from fredk2 import InvariantViolation, NumericalError
-from fredk2.cyclic_chains import BlockOp
+from fredk2.cyclic_chains import BlockOp, SimplexPath
 from fredk2.fourier_loops import FourierLoop
 from fredk2.fredholm import (
+    FD_STEP,
     OperatorPath,
+    central_difference,
     det1p,
     det_exp_pair,
     det_exp_pair_verify,
@@ -387,6 +390,42 @@ class TestPathLogDet:
         x = np.diag([0.7, -0.2]).astype(complex)
         p = OperatorPath(lambda t: scipy.linalg.expm(t * x))
         assert abs(path_log_det(p) - 0.5) < 1e-9
+
+
+class TestCentralDifference:
+    def test_dense_path(self):
+        rng = np.random.default_rng(23)
+        x = 0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        for t in (0.0, 0.3, 1.0):
+            got = central_difference(lambda s: scipy.linalg.expm(s * x), t)
+            want = x @ scipy.linalg.expm(t * x)
+            assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
+
+    def test_toeplitz_path(self):
+        # t ↦ e^t·T(f) + t²·T(g) + sin(t)·K, K of finite rank, against its
+        # exact derivative, through ToeplitzOp's own + − and scalar *
+        rng, w = np.random.default_rng(29), 24
+        f, g = random_loop(rng), random_loop(rng)
+        corr = np.zeros((w, w), dtype=complex)
+        corr[:5, :5] = rng.standard_normal((5, 5))
+        k = ToeplitzOp(FourierLoop(), corr, w)
+        tf, tg = toeplitz(f, w), toeplitz(g, w)
+        value = lambda t: math.exp(t) * tf + t * t * tg + math.sin(t) * k
+        for t in (0.0, 0.4, 1.0):
+            got = central_difference(value, t)
+            want = math.exp(t) * tf + 2 * t * tg + math.cos(t) * k
+            assert isinstance(got, ToeplitzOp)
+            err = np.abs(got.dense_section(w) - want.dense_section(w)).max()
+            assert err < 1e-9 * np.abs(want.dense_section(w)).max()
+
+    def test_both_paths_share_the_rule(self):
+        x = np.array([[0.3, 1.0], [-0.2, 0.1j]])
+        value = lambda t: scipy.linalg.expm(t * x)
+        assert FD_STEP == 1e-4
+        assert np.array_equal(OperatorPath(value).deriv(0.25), central_difference(value, 0.25))
+        sigma = SimplexPath(2, lambda s, t: scipy.linalg.expm((s + 2 * t) * x), based=False)
+        assert np.array_equal(sigma.partial(2, 0.25, 0.5),
+                              central_difference(lambda t: sigma.at(0.25, t), 0.5))
 
 
 class TestMultCommutatorDet:

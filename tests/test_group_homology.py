@@ -726,6 +726,20 @@ def _brute_closure(group, gens):
 
 
 class TestGroupLaws:
+    def test_quaternion_against_su2(self):
+        """Index 2*letter + sign, letters 1, i, j, k, against the SU(2)
+        matrices +-1, +-i, +-j, +-k."""
+        one = np.eye(2, dtype=complex)
+        i = np.diag([1j, -1j])
+        j = np.array([[0, 1], [-1, 0]], dtype=complex)
+        k = np.array([[0, 1j], [1j, 0]])
+        mats = [s * m for m in (one, i, j, k) for s in (1, -1)]
+        q = FiniteGroup.quaternion()
+        assert q.labels == ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+        for x in range(8):
+            for y in range(8):
+                assert np.array_equal(mats[x] @ mats[y], mats[q.table[x][y]])
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dihedral_acts_on_the_polygon(self, n):
         """Index f*n + k sends vertex v of the n-gon to (-1)^f v + k, and

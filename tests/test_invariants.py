@@ -306,6 +306,22 @@ class TestDetInvariant:
                          * route(SteinbergSymbol(LoopLog(n2, a2), v)))
                 assert abs(left - right) < 1e-9 * abs(right)
 
+    @pytest.mark.parametrize("route", [
+        det_invariant_operator,
+        lambda sym: h2_representative_det(sym, window=128),
+    ], ids=["operator", "h2"])
+    def test_bimultiplicativity(self, route):
+        # {u·u′, v} = {u, v}·{u′, v} and {v, u·u′} = {v, u}·{v, u′}, with
+        # u·u′ built exactly by LoopLog.mul
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            u1, u2, v = (LoopLog(int(rng.integers(-2, 3)), rand_log(rng, band=4))
+                         for _ in range(3))
+            for pair in (lambda x: SteinbergSymbol(x, v), lambda x: SteinbergSymbol(v, x)):
+                left = route(pair(u1.mul(u2)))
+                right = route(pair(u1)) * route(pair(u2))
+                assert abs(left - right) < 1e-9 * abs(right)
+
     def test_skew_symmetry(self, rng=np.random.default_rng(9)):
         for _ in range(5):
             sym = rand_symbol(rng, band=4)
