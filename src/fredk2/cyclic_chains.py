@@ -204,9 +204,6 @@ class CyclicChain:
             raise InputError("chain degrees differ")
         return CyclicChain(self.degree, self.terms + other.terms)
 
-    def minus(self, other):
-        return self.plus(other.scaled(-1.0))
-
     def materialize(self):
         """Sum of coeff * kron(x^0, ..., x^q); the kron embedding is a
         linear isomorphism onto M_{m^(q+1)}, so this is faithful."""
@@ -288,8 +285,8 @@ def gamma_log(sigma):
     order prescribed by s.  For n = 1 this is the degree-0 chain
     -integral of sigma' sigma^{-1}; for n = 2 the degree-1 chain
     (1/2)(integral of A x B - integral of B x A) with A, B the two
-    log-derivatives, summed over collapsed-square o x o Gauss grids with
-    o = 8, 16, ... (from GL_START_ORDER) until two chains agree.
+    log-derivatives, summed over collapsed-square o x o Gauss grids on
+    gl_adaptive's ladder o = 6, 9, 14, ... until two chains agree.
     """
     if isinstance(sigma, FormalChain):
         if sigma.n != 1:

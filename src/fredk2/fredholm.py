@@ -15,6 +15,8 @@ that every path integral in the package uses.
 from __future__ import annotations
 
 import cmath
+import functools
+import operator
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +27,7 @@ from .fourier_loops import FourierLoop, coeff_run
 from .toeplitz_calculus import ToeplitzOp
 
 UNIT_SYMBOL_TOL = 1e-9
-GL_START_ORDER = 8
+GL_START_ORDER = 6
 FD_STEP = 1e-4    # step of central_difference
 
 
@@ -170,32 +172,31 @@ def gl_nodes(order: int):
 def gl_sum(fn, order: int):
     """Σ wᵢ·fn(tᵢ): the Gauss–Legendre rule of the given order for ∫₀¹ fn."""
     nodes, weights = gl_nodes(order)
-    total = None
-    for t, w in zip(nodes, weights):
-        piece = w * fn(float(t))
-        total = piece if total is None else total + piece
-    return total
+    return functools.reduce(operator.add, (w * fn(float(t)) for t, w in zip(nodes, weights)))
 
 
 def gl_adaptive(estimate, max_order: int, tol: float, measure=None):
-    """Adaptive Gauss–Legendre quadrature by order doubling.
+    """Adaptive Gauss–Legendre quadrature on the ladder o → ⌈3o/2⌉.
 
     ``estimate(o)`` is the rule of order o (a number, matrix or chain),
-    taken at GL_START_ORDER, twice that, … ≤ max_order until two
-    successive values agree, ‖m(cur) − m(prev)‖ ≤ tol·max(1, ‖m(cur)‖)
-    with m = ``measure`` (the identity by default); the later one is
-    returned.  Against a start at order 32 (64), an integrand that
-    needs it costs +25 % (+29 %) nodes on a line, +6 % on a triangle."""
+    taken at o = GL_START_ORDER = 6, 9, 14, 21, 32, 48, … with the last
+    rung clamped to max_order, until two successive values agree,
+    ‖m(cur) − m(prev)‖ ≤ tol·max(1, ‖m(cur)‖) with m = ``measure`` (the
+    identity by default); the later one is returned.  Nodes against the
+    doubling ladder 8, 16, 32, …: e^{40it}, resolved near order 32, takes
+    130 on a line for 120, and e^{40i(t₁+t₂)} 1,778 on a triangle for
+    5,440; a refusal takes 1,592 on a line (max order 512) for 1,016 and
+    37,314 on a triangle (max order 128) for 21,824."""
     m = measure or (lambda v: v)
-    prev = m(estimate(GL_START_ORDER))
-    o = 2 * GL_START_ORDER
-    while o <= max_order:
+    o = GL_START_ORDER
+    prev = m(estimate(o))
+    while o < max_order:
+        o = min(-(-3 * o // 2), max_order)
         cur = estimate(o)
         cur_m = m(cur)
         if np.linalg.norm(cur_m - prev) <= tol * max(1.0, np.linalg.norm(cur_m)):
             return cur
         prev = cur_m
-        o *= 2
     raise NumericalError("quadrature did not converge")
 
 

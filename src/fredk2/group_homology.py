@@ -758,9 +758,6 @@ class ConeChain:
     def add(self, other):
         return ConeChain(self.hom, self.y.add(other.y), self.x.add(other.x))
 
-    def scale(self, z):
-        return ConeChain(self.hom, self.y.scale(z), self.x.scale(z))
-
 
 def boundary_to_relative(cycle, hom):
     """Connecting map on a 2-cycle x over the target: lift through the section
@@ -821,19 +818,6 @@ class CokerChain:
 
     def is_zero(self):
         return self.chain.is_zero()
-
-    def add(self, other):
-        return CokerChain._of(self.hom, self.chain.add(other.chain))
-
-    def scale(self, z):
-        return CokerChain._of(self.hom, self.chain.scale(z))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CokerChain)
-            and other.hom is self.hom
-            and other.chain == self.chain
-        )
 
 
 def coker_representative(cone, hom=None):

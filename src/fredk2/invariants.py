@@ -11,7 +11,9 @@ together with its 3x3 stabilized operator lift.
 """
 
 import cmath
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -135,13 +137,9 @@ def relative_boundary_trace(chain: CyclicChain) -> complex:
     """
     if chain.degree != 1:
         raise InputError("relative boundary trace needs a degree-1 chain")
-    defect = None
-    for co, (x, y) in chain.terms:
-        term = commutator(x.block(1, 1), y.block(1, 1)).scalar_mul(-co)
-        defect = term if defect is None else defect.add(term)
-    if defect is None:
-        return 0j
-    return op_trace(defect)
+    terms = [commutator(x.block(1, 1), y.block(1, 1)).scalar_mul(-co)
+             for co, (x, y) in chain.terms]
+    return op_trace(functools.reduce(operator.add, terms)) if terms else 0j
 
 
 # -- determinant invariant, three routes --------------------------------

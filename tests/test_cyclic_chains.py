@@ -21,7 +21,6 @@ from fredk2.cyclic_chains import (
     tilde_gamma,
 )
 from fredk2.fourier_loops import zero_loop
-from fredk2.fredholm import GL_START_ORDER
 from fredk2.toeplitz_calculus import ToeplitzOp, identity_op, zero_op
 
 
@@ -254,7 +253,8 @@ class TestGammaLog:
         with pytest.raises(NumericalError, match="did not converge"):
             gamma_log(oscillating_triangle())
 
-    def test_triangle_rule_stops_at_orders_8_and_16(self):
+    def test_triangle_rule_stops_at_orders_6_and_9(self):
+        # the first two rungs of gl_adaptive's ladder already agree
         rng = np.random.default_rng(43)
         sig = two_exp_simplex(rand_mat(rng, 4), rand_mat(rng, 4))
         value = sig.at
@@ -267,7 +267,7 @@ class TestGammaLog:
 
         sig.at = counted
         gamma_log(sig)
-        assert len(nodes) == 8 ** 2 + 16 ** 2
+        assert len(nodes) == 6 ** 2 + 9 ** 2
 
     def test_lines_match_order_64_rule(self):
         rng = np.random.default_rng(41)
@@ -294,6 +294,25 @@ class TestGammaLog:
 
         got = gamma_log(two_exp_simplex(X, Y)).materialize()
         assert rel_dev(got, line_rule(slice_, 128)) < 1e-12
+
+    def test_triangle_matches_order_64_grid_on_benchmark_inputs(self):
+        # X, Y of Frobenius norm 1.5 as in the chains benchmark; the
+        # reference is the order-64 collapsed o x o rule, its integrand
+        # written out from sigma = e^{t1 X} e^{t2 Y} over all 64^2 nodes
+        u, wu = unit_nodes(64)
+        t1, t2 = np.repeat(u, 64), (np.outer(1.0 - u, u)).ravel()
+        w = (np.outer(wu * (1.0 - u), wu)).ravel()
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            X, Y = (m * (1.5 / np.linalg.norm(m)) for m in (rand_mat(rng, 4, 1.0),
+                                                            rand_mat(rng, 4, 1.0)))
+            e1, e2 = expm(t1[:, None, None] * X), expm(t2[:, None, None] * Y)
+            finv = np.linalg.inv(e1 @ e2)
+            a, b = X @ e1 @ e2 @ finv, e1 @ Y @ e2 @ finv
+            ab = np.einsum("n,nij,nkl->ikjl", 0.5 * w, a, b).reshape(16, 16)
+            ref = ab - np.einsum("n,nij,nkl->ikjl", 0.5 * w, b, a).reshape(16, 16)
+            got = gamma_log(two_exp_simplex(X, Y)).materialize()
+            assert rel_dev(got, ref) < 1e-12
 
     def test_unbased_rejected(self):
         g = np.diag([2.0 + 0j, 1.0])
@@ -536,9 +555,9 @@ class TestTildeGamma:
         assert abs(np.exp(val) - target) < 1e-8
 
     def test_one_inverse_per_path_and_node(self, monkeypatch):
-        # both forms come from one pass per node: the rules of order
-        # GL_START_ORDER and twice that agree, so each of those nodes takes
-        # one inverse of each path
+        # both forms come from one pass per node: the rules of orders 6 and
+        # 9, the ladder's first two rungs, agree, so each of those nodes
+        # takes one inverse of each path
         rng = np.random.default_rng(109)
         x, y = rand_mat(rng, 3), rand_mat(rng, 3)
         calls = []
@@ -550,7 +569,7 @@ class TestTildeGamma:
 
         monkeypatch.setattr(np.linalg, "inv", counted_inv)
         val = tilde_gamma(curved_line(x, y), curved_line(y, x))
-        assert len(calls) == 2 * (GL_START_ORDER + 2 * GL_START_ORDER)
+        assert len(calls) == 2 * (6 + 9)
         monkeypatch.setattr(np.linalg, "inv", inv)
         target = np.linalg.det(np.linalg.inv(curved_line(x, y).at(1.0))
                                @ curved_line(y, x).at(1.0))

@@ -8,7 +8,7 @@ import scipy.linalg.lapack
 import scipy.special
 
 from fredk2 import InvariantViolation, NumericalError
-from fredk2.cyclic_chains import BlockOp, SimplexPath
+from fredk2.cyclic_chains import LINE_MAX_ORDER, TRI_MAX_ORDER, BlockOp, SimplexPath
 from fredk2.fourier_loops import FourierLoop
 from fredk2.fredholm import (
     FD_STEP,
@@ -17,6 +17,7 @@ from fredk2.fredholm import (
     det1p,
     det_exp_pair,
     det_exp_pair_verify,
+    gl_adaptive,
     mult_commutator_det,
     path_log_det,
 )
@@ -329,6 +330,27 @@ def exp_product_path(seed):
                                 OperatorPath.exponential(y))
 
 
+class TestGlAdaptive:
+    @staticmethod
+    def tried_orders(max_order):
+        """Orders gl_adaptive tries on an estimate that never settles."""
+        orders = []
+
+        def never_settles(order):
+            orders.append(order)
+            return float(len(orders))
+
+        with pytest.raises(NumericalError, match="did not converge"):
+            gl_adaptive(never_settles, max_order, 1e-9)
+        return orders
+
+    def test_ladder_and_its_clamped_top_rung(self):
+        assert self.tried_orders(TRI_MAX_ORDER) == [6, 9, 14, 21, 32, 48, 72, 108, 128]
+        line = self.tried_orders(LINE_MAX_ORDER)
+        assert line[-4:] == [162, 243, 365, 512] and len(line) == 12
+        assert self.tried_orders(1024)[-4:] == [365, 548, 822, 1024]
+
+
 class TestPathLogDet:
     def test_diagonal_flow(self):
         x = np.diag([1.0, 2.0]).astype(complex)
@@ -351,12 +373,13 @@ class TestPathLogDet:
         target = np.linalg.det(scipy.linalg.expm(x) @ scipy.linalg.expm(y))
         assert abs(cmath.exp(val) - target) < 1e-9 * abs(target)
 
-    def test_product_path_stops_at_orders_8_and_16(self):
+    def test_product_path_stops_at_orders_6_and_9(self):
+        # the first two rungs of gl_adaptive's ladder already agree
         p = exp_product_path(13)
         nodes = []
         counted = OperatorPath(p.value, lambda t: nodes.append(t) or p.deriv(t))
         path_log_det(counted)
-        assert len(nodes) == 8 + 16
+        assert len(nodes) == 6 + 9
 
     def test_product_path_matches_order_64_rule(self):
         p = exp_product_path(13)
@@ -378,13 +401,23 @@ class TestPathLogDet:
         with pytest.raises(NumericalError, match="path leaves invertibles"):
             path_log_det(p)
 
+    @staticmethod
+    def oscillating_path(freq):
+        """t ↦ e^{i sin(freq·t)}, whose log-derivative integrates to i sin(freq)."""
+        return OperatorPath(lambda t: np.array([[np.exp(1j * np.sin(freq * t))]]),
+                            lambda t: np.array([[1j * freq * np.cos(freq * t)
+                                                 * np.exp(1j * np.sin(freq * t))]]))
+
     def test_unresolved_integrand_does_not_converge(self):
-        # e^{i sin(3000 t)} oscillates past every allowed order
-        p = OperatorPath(lambda t: np.array([[np.exp(1j * np.sin(3000.0 * t))]]),
-                         lambda t: np.array([[3000j * np.cos(3000.0 * t)
-                                              * np.exp(1j * np.sin(3000.0 * t))]]))
+        # e^{i sin(10000 t)} oscillates past every allowed order
         with pytest.raises(NumericalError, match="did not converge"):
-            path_log_det(p)
+            path_log_det(self.oscillating_path(10000.0))
+
+    def test_oscillation_resolved_below_the_top_rung(self):
+        # e^{i sin(3000 t)} is resolved between orders 548 and 822, so the
+        # rules of orders 822 and 1024, the last two rungs, agree
+        val = path_log_det(self.oscillating_path(3000.0))
+        assert abs(val - 1j * math.sin(3000.0)) < 1e-10
 
     def test_finite_difference_fallback(self):
         x = np.diag([0.7, -0.2]).astype(complex)
