@@ -15,12 +15,15 @@ and ``log_split`` produces that factorization.
 Sums, shifts and products work on the runs; ``exp``, ``inv``, the winding
 and ``log_split`` work on grids sized from the band (``_grids``), through
 one refinement loop, ``_refine``, which evaluates the loop once per grid.
-A grid is accepted once the top eighth of the spectrum of the values to be
-fitted lies below the fit's own cutoff, max(COEFF_CUTOFF, 8·eps·scale), so
-no kept coefficient can be aliased; a winding also needs every principal
-phase step below π/2.  ``log_split`` is one such pass: its log's phase sums
-those steps, it tests the log's spectrum, not the loop's (1 + c·z has band
-1, its log decays like cᵏ/k), and it checks zⁿ·e^{a} on the accepted grid.
+The ladder starts above 8·(band + 1) points, or above 4·(band + 1) for
+``log_split``, whose log is resolved there when it lies within the loop's
+band, and ends at the same top for both.  A grid is accepted once the top eighth
+of the spectrum of the values to be fitted lies below the fit's own cutoff,
+max(COEFF_CUTOFF, 8·eps·scale), so no kept coefficient can be aliased; a
+winding also needs every principal phase step below π/2.  ``log_split`` is
+one such pass: its log's phase sums those steps, it tests the log's
+spectrum, not the loop's (1 + c·z has band 1, its log decays like cᵏ/k),
+and it checks zⁿ·e^{a} on the accepted grid.
 
 A product is one convolution of the two runs, accumulated in
 ``np.clongdouble`` (80-bit on x86-64) and rounded once to complex128.
@@ -39,7 +42,8 @@ import numpy as np
 
 from ._errors import InputError, NumericalError, WindingError
 
-GRID_TOP = 16384      # largest grid below band 511; wider loops refine to 4× their first
+GRID_TOP = 16384      # largest grid below band 511; wider loops refine to 4× the
+                      # power of two above 8·(band + 1)
 COEFF_CUTOFF = 1e-16  # fit truncation floor
 VANISH_TOL = 1e-12    # |f| below this counts as a zero of the loop
 
@@ -223,14 +227,28 @@ def fit_grid_values(values: np.ndarray) -> FourierLoop:
     roundoff of order eps·max|values| at every frequency, and keeping
     that junk would inflate the band to the whole spectrum.
     """
-    return _fit_spectrum(*_spectrum(values), np.abs(values).max())
+    scale = np.abs(values).max()
+    if not np.isfinite(scale):  # a NaN or an infinity anywhere
+        raise NumericalError("non-finite grid values")
+    return _fit_spectrum(*_spectrum(values), scale)
 
 
-def _grids(band: int):
+def _grids(band: int, start: int = 8):
     """Grid sizes for a loop of this band: the smallest power of two above
-    8·(band + 1), doubled up to max(GRID_TOP, four times that power)."""
-    n = 1 << (8 * (band + 1)).bit_length()
-    top = max(GRID_TOP, 4 * n)
+    start·(band + 1), doubled up to max(GRID_TOP, four times the power above
+    8·(band + 1)), so the largest grid does not depend on ``start``.
+
+    ``exp`` and ``inv`` start at 8·(band + 1): their outputs are wider than
+    their inputs, and ``exp`` climbs even from there (on the 64
+    ``symbol-operator`` benchmark symbols of seed 41: 572 ladders, a mean of
+    2.5 rungs, 26 accepted on their first), so a start at 4·(band + 1) only
+    adds a rung (7 % slower on the operator route).  ``log_split`` starts at
+    4·(band + 1), twice the loop's Nyquist: a log whose content lies within
+    the loop's band is resolved there, and at 8·(band + 1) all 3,072
+    ladders of the ``symbol-ingest`` benchmark at seed 41 accepted their
+    first rung."""
+    n = 1 << (start * (band + 1)).bit_length()
+    top = max(GRID_TOP, 4 << (8 * (band + 1)).bit_length())
     while n <= top:
         yield n
         n <<= 1
@@ -241,18 +259,20 @@ def _cutoff(scale: float) -> float:
     return max(COEFF_CUTOFF, 8 * np.finfo(float).eps * scale)
 
 
-def _refine(loop: FourierLoop, fn=None, floor: float = 0.0, phase: bool = True):
+def _refine(loop: FourierLoop, fn=None, floor: float = 0.0, phase: bool = True,
+            start: int = 8):
     """The one refinement loop of every grid operation.
 
-    Evaluates ``loop`` once on each grid of ``_grids(loop.band)``.  With
+    Evaluates ``loop`` once on each grid of ``_grids(loop.band, start)``.  With
     ``phase`` the grid counts only once its phase steps are resolved, and
     the winding is read from them.  ``fn(vals, winding, steps)`` gives the
     values to fit; the grid is accepted when the top eighth of their
     spectrum is below the fit's cutoff at scale max(floor, max|values|).
     Returns (loop values, winding, fit); without ``fn`` there is nothing to
-    fit and the first grid with resolved phase is accepted.
+    fit and the first grid with resolved phase is accepted.  ``start`` sets
+    the first grid (see ``_grids``): 4 for ``log_split``, 8 for the rest.
     """
-    for n in _grids(loop.band):
+    for n in _grids(loop.band, start):
         vals = loop.eval_grid(n)
         steps = _phase_steps(vals) if phase else None
         winding = _winding(steps) if phase else None
@@ -275,16 +295,25 @@ def _spectrum(values: np.ndarray):
 
 
 def _fit_spectrum(spec: np.ndarray, mags: np.ndarray, scale: float) -> FourierLoop:
-    """``fit_grid_values`` from a spectrum, with the cutoff of ``scale``."""
-    n = len(spec)
-    ks = np.arange(-(n // 2), n // 2)
-    kept = ~(mags[ks] < _cutoff(scale))  # a NaN is kept and fails the band cap
-    band = int(np.abs(ks[kept]).max(initial=0))
+    """``fit_grid_values`` from a spectrum, with the cutoff of ``scale``.
+
+    The frequencies fitted are −h … h − 1 (h = n // 2), read in the FFT's
+    own order: k ≥ 0 at index k, k < 0 at index n + k.  An odd grid's
+    index h, the frequency h, is neither kept nor counted in the tail."""
+    n, h = len(spec), len(spec) // 2
+    dropped = mags < _cutoff(scale)
+    kept = ~dropped
+    kept[h:n - h] = dropped[h:n - h] = False
+    ks = kept.nonzero()[0]
+    ks[ks >= h] -= n
+    band = int(np.abs(ks).max(initial=0))
     if band > max_band():
         raise NumericalError("band overflow")
-    inner = slice(n // 2 - band, n // 2 + band + 1)
-    return FourierLoop._of(-band, np.where(kept[inner], spec[ks[inner]], 0),
-                           math.fsum(mags[ks[~kept]].tolist()))
+    run = np.zeros(band + min(band, h - 1) + 1, dtype=complex)
+    run[ks + band] = spec[ks]
+    # fsum is exactly rounded, so the order of the dropped magnitudes does
+    # not matter; a memoryview hands it floats without building a list
+    return FourierLoop._of(-band, run, math.fsum(memoryview(mags[dropped])))
 
 
 def zero_loop() -> FourierLoop:
@@ -303,6 +332,8 @@ def from_samples(samples, band: int) -> FourierLoop:
     n = len(samples)
     if n < 2 * band + 1:
         raise InputError("insufficient resolution")
+    if not np.isfinite(samples).all():
+        raise InputError("non-finite samples")
     spec, mags = _spectrum(samples)
     ks = np.arange(-band, band + 1)
     return FourierLoop._of(-band, np.where(mags[ks] >= COEFF_CUTOFF, spec[ks], 0))
@@ -312,17 +343,20 @@ def _phase_steps(values: np.ndarray) -> np.ndarray:
     """Principal-value phase increments around the closed loop."""
     if np.abs(values).min() < VANISH_TOL:
         raise NumericalError("loop not invertible")
-    ratios = np.roll(values, -1) / values
+    ratios = np.empty_like(values)
+    np.divide(values[1:], values[:-1], out=ratios[:-1])
+    ratios[-1] = values[0] / values[-1]
     return np.angle(ratios)
 
 
 def _winding(steps: np.ndarray):
     """Winding from the phase steps, or None while one reaches π/2 (or is
     NaN).  The principal steps of a closed sampled loop sum to 2π·k up to
-    roundoff, since the ratios between neighbouring values multiply to 1."""
+    roundoff, since the ratios between neighbouring values multiply to 1,
+    so numpy's sum rounds to the same k as an exactly rounded one."""
     if not np.abs(steps).max() < math.pi / 2:
         return None
-    return round(math.fsum(steps.tolist()) / (2 * math.pi))
+    return round(float(steps.sum()) / (2 * math.pi))
 
 
 def winding_number(loop: FourierLoop) -> int:
@@ -334,8 +368,9 @@ def _log_values(vals: np.ndarray, winding: int, steps: np.ndarray) -> np.ndarray
     """Continuous log of z^{−winding}·vals: the phase is fixed at θ = 0
     and accumulates the loop's principal ``steps``, each less 2π·winding/n.
     A loop of band b has |winding| ≤ b (z^b·f is a polynomial of degree
-    2b), and its grids have n > 8·(b + 1) points, so |2π·winding/n| < π/4;
-    every step is below π/2, so no shifted step wraps past ±π."""
+    2b), and ``log_split``'s grids have n > 4·(b + 1) points, so
+    |2π·winding/n| < π/2; every accepted principal step is below π/2, so a
+    shifted step stays below π and never wraps past ±π."""
     shifted = steps[:-1] - 2 * math.pi * winding / len(vals)
     phase = np.angle(vals[0]) + np.concatenate([[0.0], np.cumsum(shifted)])
     return np.log(np.abs(vals)) + 1j * phase
@@ -345,12 +380,18 @@ def log_split(loop: FourierLoop) -> "LoopLog":
     """Factor a nonvanishing loop as zⁿ·e^{a(z)}.
 
     The branch is fixed by Im a(0) ∈ (−π, π].  One grid pass finds the
-    grid that resolves the log's spectrum and checks zⁿ·e^{a} on it.
+    grid that resolves the log's spectrum and checks zⁿ·e^{a} on it.  The
+    pass starts on the smallest power of two above 4·(band + 1), twice the
+    loop's Nyquist: the trapezoid rule's aliasing error falls geometrically
+    in the grid size for an analytic log, so a log whose content lies within
+    the loop's band is resolved there, and one that is not (the log of
+    1 + c·z, or of a loop whose phase steps reach π/2) climbs the ladder
+    to the same top as ``exp`` and ``inv``.
     """
     # the log's modulus and phase carry absolute roundoff of about eps whatever
     # their size, so the cutoff's scale is floored at 1: for the loop zⁿ the
     # log values are roundoff alone and would otherwise fill the whole spectrum.
-    vals, n_wind, a = _refine(loop, _log_values, floor=1.0)
+    vals, n_wind, a = _refine(loop, _log_values, floor=1.0, start=4)
     # zⁿ·e^{a} = e^{a + inθ} on the accepted grid, against a bound relative to
     # the loop's size like the fit's cutoff
     n = len(vals)

@@ -118,6 +118,18 @@ class TestSymbolCommand:
         res = runner.invoke(main, ["symbol", str(bad), str(bad)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("data, message", [
+        ([[1, 1.0, 0.0]], "loop JSON must be an object"),
+        ({}, "loop JSON missing 'coeffs'"),
+        ({"coeffs": {"1": [1.0, 0.0]}}, "coeffs must be a list"),
+    ])
+    def test_malformed_loop_exits_2(self, runner, tmp_path, data, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        res = runner.invoke(main, ["symbol", str(bad), z_file(tmp_path)])
+        assert res.exit_code == 2
+        assert message in res.output
+
     def test_vanishing_loop_exits_3(self, runner, tmp_path):
         vanishing = write_loop(tmp_path / "v.json", FourierLoop({0: 1.0, 1: 1.0}))
         zf = z_file(tmp_path)

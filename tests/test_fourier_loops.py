@@ -57,6 +57,15 @@ class TestFromSamples:
         with pytest.raises(InputError, match="insufficient resolution"):
             from_samples([1.0, 1.0, 1.0], band=4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("n", [16, 64, 4096])
+    def test_non_finite_samples_rejected(self, n, bad):
+        samples = np.ones(n, dtype=complex)
+        samples[n // 3] = bad
+        for values in (samples, np.full(n, bad)):
+            with pytest.raises(InputError, match="non-finite samples"):
+                from_samples(values, 3)
+
     def test_roundtrip_eval(self):
         rng = np.random.default_rng(11)
         loop = random_loop(rng, band=5)
@@ -231,6 +240,42 @@ class TestLogSplit:
             np.angle(g[0]) + np.concatenate([[0.0], np.cumsum(g_steps[:-1])]))
         log = fourier_loops._log_values(vals, n, fourier_loops._phase_steps(vals))
         assert np.abs(log - g_log).max() <= 1e-13
+
+
+def _polynomial_loop(rng):
+    """zˢ·c·Π(z − r_j) with 1–4 roots at distance 10^U[−3, −0.2] from the
+    circle, each inside or outside, half the time clustered within 0.05 rad
+    of one angle; with its winding, s plus the number of roots inside."""
+    m = int(rng.integers(1, 5))
+    if rng.random() < 0.5:
+        angles = rng.uniform(0, 2 * np.pi) + rng.uniform(-0.05, 0.05, m)
+    else:
+        angles = rng.uniform(0, 2 * np.pi, m)
+    dist = 10 ** rng.uniform(-3, -0.2, m)
+    inside = rng.random(m) < 0.5
+    roots = np.where(inside, 1 - dist, 1 + dist) * np.exp(1j * angles)
+    shift = int(rng.integers(-3, 4))
+    coeffs = complex(*rng.standard_normal(2)) * np.poly(roots)[::-1]
+    return (FourierLoop({shift + k: complex(c) for k, c in enumerate(coeffs)}),
+            shift + int(inside.sum()))
+
+
+class TestNeverAWrongWinding:
+    def test_roots_near_the_circle(self):
+        # clustered roots can turn the phase by 2π between two grid points;
+        # such a grid reads a winding one turn short, and its log must then
+        # fail the spectrum or the reconstruction check, never be returned
+        values = 0
+        for seed in range(300):
+            loop, winding = _polynomial_loop(np.random.default_rng(seed))
+            try:
+                got = log_split(loop).winding
+            except NumericalError as exc:
+                assert str(exc) in ("band overflow", "grid too coarse", "loop not invertible")
+                continue
+            assert got == winding, seed
+            values += 1
+        assert values >= 25
 
 
 class TestPointwiseOps:
@@ -524,6 +569,61 @@ class TestGridPasses:
         assert log_split(loop).winding == 2
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("loop", [
+        FourierLoop({1: 1.0, 0: 1e-4}),                 # band 1
+        FourierLoop({-6: 1.0, -1: 1e-6}),               # band 6
+        # a loop as the ingest benchmark builds it: z⁻³·e^{a}, band 53
+        LoopLog(-3, FourierLoop({-5: 0.2, 2: 0.15j, 6: 0.1 - 0.1j})).reconstruct(),
+    ], ids=["band1", "band6", "band53"])
+    def test_log_split_starts_at_twice_nyquist(self, monkeypatch, loop):
+        # a log whose content lies within the loop's band is fitted on the
+        # first grid, the smallest power of two above 4·(band + 1)
+        calls = []
+        eval_grid = FourierLoop.eval_grid
+
+        def counting(self, n):
+            if self is loop:
+                calls.append(n)
+            return eval_grid(self, n)
+
+        monkeypatch.setattr(FourierLoop, "eval_grid", counting)
+        ll = log_split(loop)
+        assert calls == [1 << (4 * (loop.band + 1)).bit_length()]
+        assert ll.reconstruct().sub(loop).l1() <= 1e-12 * loop.l1()
+
+    def test_log_split_climbs_past_an_unresolved_phase(self, monkeypatch):
+        # z − 0.93 turns its phase by 1.59 > π/2 across θ = 0 on the first,
+        # 16-point grid (1.32 on 32 points): that grid is refused on its phase
+        # steps, and the log is taken only on grids whose steps stay below π/2
+        loop = FourierLoop({0: -0.93, 1: 1.0})
+        grids, logged = [], []
+        eval_grid, log_values = FourierLoop.eval_grid, fourier_loops._log_values
+
+        def counting(self, n):
+            if self is loop:
+                grids.append(n)
+            return eval_grid(self, n)
+
+        def logging(vals, *args):
+            logged.append(len(vals))
+            return log_values(vals, *args)
+
+        monkeypatch.setattr(FourierLoop, "eval_grid", counting)
+        monkeypatch.setattr(fourier_loops, "_log_values", logging)
+        ll = log_split(loop)
+        assert grids == [16, 32, 64, 128, 256, 512, 1024]
+        assert logged == grids[1:]
+        assert ll.winding == 1 and ll.log_part.band == 372
+        assert ll.reconstruct().sub(loop).l1() <= 1e-12
+
+    def test_grid_ladders_share_their_top(self):
+        # log_split starts a rung lower than exp and inv, but every ladder
+        # ends on the same grid, so no loop that resolves is refused
+        for band in (0, 1, 6, 53, 510, 511, 512):
+            lower, upper = list(fourier_loops._grids(band, 4)), list(fourier_loops._grids(band))
+            assert lower == [upper[0] // 2] + upper
+        assert list(fourier_loops._grids(511))[-1] == 32768
+
     def test_inv_evaluates_each_grid_once(self, monkeypatch):
         # the winding is read from the grid that is inverted; band 3
         # starts on 64 points and the inverse is resolved on 256
@@ -566,9 +666,29 @@ class TestGridPasses:
             assert list(fit.coeffs.items()) == list(kept.items())
             assert fit.tail == math.fsum(dropped)
 
+    def test_phase_kernels_match_reference(self):
+        # neighbour ratios by np.roll and the winding by an exactly rounded sum
+        rng = np.random.default_rng(43)
+        for n, band, k in ((16, 1, 1), (256, 6, -3), (1024, 20, 7)):
+            vals = z_loop(k).mul(random_loop(rng, band=band, scale=0.3 / band).exp()).eval_grid(n)
+            steps = fourier_loops._phase_steps(vals)
+            assert steps.tobytes() == np.angle(np.roll(vals, -1) / vals).tobytes()
+            assert fourier_loops._winding(steps) == round(math.fsum(steps.tolist()) / (2 * math.pi)) == k
+
     def test_fit_nan_grid_rejected(self):
         with pytest.raises(NumericalError):
             fit_grid_values(np.full(4096, np.nan))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+    @pytest.mark.parametrize("n", [16, 64, 4096])
+    def test_fit_non_finite_grid_rejected(self, n, bad):
+        # below n = 2·max_band() a NaN spectrum fits inside the band cap,
+        # so the values themselves are checked
+        vals = np.ones(n, dtype=complex)
+        vals[n // 3] = bad
+        for values in (vals, np.full(n, bad)):
+            with pytest.raises(NumericalError, match="non-finite grid values"):
+                fit_grid_values(values)
 
     def test_exp_of_large_constant(self):
         # the alias test scales with the values: e^10 used to fail it
