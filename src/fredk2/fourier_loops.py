@@ -299,11 +299,11 @@ def _fit_spectrum(spec: np.ndarray, mags: np.ndarray, scale: float) -> FourierLo
 
     The frequencies fitted are −h … h − 1 (h = n // 2), read in the FFT's
     own order: k ≥ 0 at index k, k < 0 at index n + k.  An odd grid's
-    index h, the frequency h, is neither kept nor counted in the tail."""
+    index h, the frequency h, is not kept and counts in the tail."""
     n, h = len(spec), len(spec) // 2
     dropped = mags < _cutoff(scale)
+    dropped[h:n - h] = True
     kept = ~dropped
-    kept[h:n - h] = dropped[h:n - h] = False
     ks = kept.nonzero()[0]
     ks[ks >= h] -= n
     band = int(np.abs(ks).max(initial=0))

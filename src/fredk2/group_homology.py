@@ -1,9 +1,9 @@
 """Bar-complex homology of finite groups and relative cycle machinery.
 
 Integer chain complexes of finite groups in the inhomogeneous bar model,
-Smith normal form over Z with recorded transforms, low-degree homology
-(n <= 2), and the relative constructions attached to a surjection
-phi: G -> H with a set-theoretic section t:
+Smith normal form over Z, low-degree homology (n <= 2), and the relative
+constructions attached to a surjection phi: G -> H with a set-theoretic
+section t:
 
   * the mapping cone complex of phi,
   * the fibered cokernel complex in basepoint-normalized form,
@@ -12,8 +12,9 @@ phi: G -> H with a set-theoretic section t:
 
 H_n is read off the boundary D_{n+1}, built sparse from the multiplication
 table: its +-1 pivots are eliminated exactly (Dumas-Saunders-Villard) and
-only the small residual goes through the Smith normal form.  The bar
-complex is the unnormalized one throughout.
+only the small residual goes through the Smith normal form.  The Smith
+form records its elementary operations, and each caller replays only the
+transform it reads.  The bar complex is the unnormalized one throughout.
 
 All arithmetic is exact (python ints).  Groups are given by index tables;
 elements are indices 0..order-1.
@@ -507,75 +508,56 @@ def _reduced_boundary(group, degree):
     return len(pivot_rows), residual, [faces[i] for i in kept]
 
 
-def smith_normal_form(mat):
-    """Smith normal form over Z with unimodular transforms.
+def _apply(M, op):
+    """Apply one elementary row operation to M in place: (dst, src, q) is
+    row dst -= q * row src, (i, j) swaps rows i and j, (i,) negates row i.
+    The same call on M.T is the column operation."""
+    if len(op) == 3:
+        M[op[0], :] -= op[2] * M[op[1], :]
+    elif len(op) == 2:
+        M[list(op), :] = M[op[::-1], :]
+    else:
+        M[op[0], :] = -M[op[0], :]
 
-    Returns (S, U, V, Uinv, Vinv) with U.dot(A).dot(V) == S, S diagonal with
-    nonnegative entries d_1 | d_2 | ..., U.dot(Uinv) == I and Vinv.dot(V) == I.
-    Pivoting is deterministic (smallest absolute value, then row-major
-    position), all arithmetic on python ints.
-    """
+
+def _smith(mat):
+    """(S, row_ops, col_ops): the Smith form S of mat and the elementary
+    operations (see ``_apply``) that reach it, each list in the order applied,
+    the column ones as row operations on the transpose.  Only A changes."""
     A = np.array(mat, dtype=object)
     if A.ndim != 2:
         raise InputError("smith normal form needs a matrix")
     m, n = A.shape
-    U = np.eye(m, dtype=object)
-    Uinv = np.eye(m, dtype=object)
-    V = np.eye(n, dtype=object)
-    Vinv = np.eye(n, dtype=object)
+    row_ops, col_ops = [], []
 
-    def row_sub(dst, src, q):
-        # row_dst -= q * row_src;  inverse update: col_src += q * col_dst
-        A[dst, :] -= q * A[src, :]
-        U[dst, :] -= q * U[src, :]
-        Uinv[:, src] += q * Uinv[:, dst]
-
-    def col_sub(dst, src, q):
-        A[:, dst] -= q * A[:, src]
-        V[:, dst] -= q * V[:, src]
-        Vinv[src, :] += q * Vinv[dst, :]
-
-    def row_swap(i, j):
-        if i != j:
-            A[[i, j], :] = A[[j, i], :]
-            U[[i, j], :] = U[[j, i], :]
-            Uinv[:, [i, j]] = Uinv[:, [j, i]]
-
-    def col_swap(i, j):
-        if i != j:
-            A[:, [i, j]] = A[:, [j, i]]
-            V[:, [i, j]] = V[:, [j, i]]
-            Vinv[[i, j], :] = Vinv[[j, i], :]
-
-    def row_neg(i):
-        A[i, :] = -A[i, :]
-        U[i, :] = -U[i, :]
-        Uinv[:, i] = -Uinv[:, i]
+    def do(ops, *op):
+        _apply(A if ops is row_ops else A.T, op)
+        ops.append(op)
 
     for t in range(min(m, n)):
         pivot = min(((abs(v), i, j) for i, row in enumerate(A[t:, t:].tolist(), t)
                      for j, v in enumerate(row, t) if v), default=None)
         if pivot is None:
             break
-        row_swap(pivot[1], t)
-        col_swap(pivot[2], t)
+        do(row_ops, pivot[1], t)
+        do(col_ops, pivot[2], t)
         while True:
             if A[t, t] < 0:
-                row_neg(t)
+                do(row_ops, t)
             # clear column t, then row t; a nonzero remainder is a smaller
             # pivot: swap it in and start over
             for i in range(t + 1, m):
                 if A[i, t]:
-                    row_sub(i, t, A[i, t] // A[t, t])
+                    do(row_ops, i, t, A[i, t] // A[t, t])
                     if A[i, t]:
-                        row_swap(i, t)
+                        do(row_ops, i, t)
                         break
             else:
                 for j in range(t + 1, n):
                     if A[t, j]:
-                        col_sub(j, t, A[t, j] // A[t, t])
+                        do(col_ops, j, t, A[t, j] // A[t, t])
                         if A[t, j]:
-                            col_swap(j, t)
+                            do(col_ops, j, t)
                             break
                 else:
                     # divisibility of the remaining block by the pivot: add
@@ -585,8 +567,34 @@ def smith_normal_form(mat):
                                 if any(v % p for v in row)), None)
                     if bad is None:
                         break
-                    row_sub(t, bad, -1)
-    return A, U, V, Uinv, Vinv
+                    do(row_ops, t, bad, -1)
+    return A, row_ops, col_ops
+
+
+def _replay(ops, size, inverse=False):
+    """The recorded row operations E_1, ..., E_k applied in order to the
+    size x size identity: E_k ... E_1.  With inverse, each is replaced by its
+    inverse transpose (row dst -= q * row src by row src += q * row dst;
+    swaps and negations are their own), giving (E_1^-1 ... E_k^-1)^T."""
+    M = np.eye(size, dtype=object)
+    for op in ops:
+        _apply(M, (op[1], op[0], -op[2]) if inverse and len(op) == 3 else op)
+    return M
+
+
+def smith_normal_form(mat):
+    """Smith normal form over Z with unimodular transforms.
+
+    Returns (S, U, V, Uinv, Vinv) with U.dot(A).dot(V) == S, S diagonal with
+    nonnegative entries d_1 | d_2 | ..., U.dot(Uinv) == I and Vinv.dot(V) == I.
+    Pivoting is deterministic (smallest absolute value, then row-major
+    position), all arithmetic on python ints.  Each transform is the
+    pivot loop's recorded operations replayed on the identity.
+    """
+    S, row_ops, col_ops = _smith(mat)
+    m, n = S.shape
+    return (S, _replay(row_ops, m), _replay(col_ops, n).T,
+            _replay(row_ops, m, inverse=True).T, _replay(col_ops, n, inverse=True))
 
 
 def snf_divisors(S):
@@ -632,14 +640,14 @@ def homology(group, degree):
     # D_{n+1} has the divisors of any presentation of H_n.  A torsion class
     # u of coker D_{n+1} is a cycle: d u in im D_{n+1} gives d D_n u = 0.
     pivots, residual, cells = _reduced_boundary(group, degree + 1)
-    S, _U, _V, Uinv, _Vinv = smith_normal_form(residual)
+    S, row_ops, _col_ops = _smith(residual)
     reduced = snf_divisors(S)
     divisors = [1] * pivots + reduced
     torsion = [d for d in divisors if d > 1]
     generator = None
-    if torsion:
-        jt = reduced.index(torsion[0])
-        generator = _vector_to_chain(group, degree, cells, Uinv[:, jt])
+    if torsion:  # column jt of Uinv is row jt of the inverse replay
+        uinv_t = _replay(row_ops, len(cells), inverse=True)
+        generator = _vector_to_chain(group, degree, cells, uinv_t[reduced.index(torsion[0])])
     # H_n of a finite group is |G|-torsion for n >= 1: rank 0
     return HomologyResult(group, degree, 0, torsion, generator, divisors)
 
@@ -653,10 +661,10 @@ def cycle_basis(group, degree):
     if group.order ** degree > MAX_BAR_CELLS:
         raise InputError("group too large for degree")
     D, _, cells = boundary_matrix(group, degree)
-    S, _U, V, _Uinv, _Vinv = smith_normal_form(D)
+    S, _row_ops, col_ops = _smith(D)
     r = len(snf_divisors(S))
-    return [_vector_to_chain(group, degree, cells, V[:, j])
-            for j in range(r, V.shape[1])]
+    v_t = _replay(col_ops, len(cells))  # the columns of V as rows
+    return [_vector_to_chain(group, degree, cells, v_t[j]) for j in range(r, len(cells))]
 
 
 class KernelQuotient:
@@ -708,7 +716,7 @@ def f_phi_section(hom, cycle, section=None):
         t = list(section)
         if len(t) != H.order or any(hom.mapping[t[h]] != h for h in range(H.order)):
             raise InputError("section is not a right inverse of the map")
-    tab, inv, e = G.table, G._inv, H.identity
+    tab, inv = G.table, G._inv
     num = den = G.identity
     for (a, b), z in sorted(cycle.coeffs.items()):
         d = tab[tab[t[a]][t[b]]][inv[t[H.table[a][b]]]]
@@ -716,14 +724,6 @@ def f_phi_section(hom, cycle, section=None):
             num = tab[num][G.power(d, z)]
         else:
             den = tab[den][G.power(d, -z)]
-    # genuine cycles are balanced (sum z = 0); degenerate inputs are padded
-    # with identity cells on the short side
-    excess = sum(cycle.coeffs.values())
-    pad = G.power(tab[tab[t[e]][t[e]]][inv[t[e]]], abs(excess))
-    if excess > 0:
-        den = tab[den][pad]
-    else:
-        num = tab[num][pad]
     return _kernel_quotient(hom).rep(tab[num][inv[den]])
 
 

@@ -662,9 +662,17 @@ class TestGridPasses:
                     if not abs(complex(spec[k])) < cutoff}
             dropped = [abs(complex(spec[k])) for k in range(-(n // 2), n // 2)
                        if abs(complex(spec[k])) < cutoff]
+            dropped += [abs(complex(spec[n // 2]))] * (n % 2)  # not fitted
             fit = fit_grid_values(vals)
             assert list(fit.coeffs.items()) == list(kept.items())
             assert fit.tail == math.fsum(dropped)
+
+    def test_odd_grid_counts_its_unfitted_frequency_in_the_tail(self):
+        # n = 65 fits -32 ... 31; the 0.5 at frequency 32 is lost to the tail
+        theta = 2 * np.pi * np.arange(65) / 65
+        fit = fit_grid_values(1 + 0.5 * np.exp(32j * theta))
+        assert set(fit.coeffs) == {0}
+        assert fit.tail >= 0.5
 
     def test_phase_kernels_match_reference(self):
         # neighbour ratios by np.roll and the winding by an exactly rounded sum

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -217,6 +218,37 @@ class TestSmithNormalForm:
         assert abs(sympy.Matrix(U.tolist()).det()) == 1
         assert abs(sympy.Matrix(V.tolist()).det()) == 1
 
+    def test_non_matrix_rejected(self):
+        for bad in ([1, 2, 3], 7, [[[1]]]):
+            with pytest.raises(InputError, match="needs a matrix"):
+                smith_normal_form(bad)
+
+    def test_each_caller_replays_only_what_it_reads(self, monkeypatch):
+        """homology replays the inverted row list only when it has a
+        generator to read, cycle_basis the column list only."""
+        smith, replay = group_homology._smith, group_homology._replay
+        made, replayed = [], []
+
+        def spy_smith(mat):
+            made.append(smith(mat))
+            return made[-1]
+
+        def spy_replay(ops, size, inverse=False):
+            _, rows, cols = made[-1]
+            replayed.append(("rows" if ops is rows else "cols" if ops is cols else None, inverse))
+            return replay(ops, size, inverse)
+
+        monkeypatch.setattr(group_homology, "_smith", spy_smith)
+        monkeypatch.setattr(group_homology, "_replay", spy_replay)
+        klein = _product(_z(2), _z(2))
+        for run, want in ((lambda: homology(klein, 2), [("rows", True)]),
+                          (lambda: homology(_z(3), 2), []),
+                          (lambda: cycle_basis(klein, 2), [("cols", False)])):
+            made.clear()
+            replayed.clear()
+            run()
+            assert len(made) == 1 and replayed == want
+
 
 class TestHomology:
     def test_h0(self):
@@ -261,6 +293,10 @@ class TestHomology:
             homology(FiniteGroup.cyclic(17), 2)
         with pytest.raises(InputError):
             homology(FiniteGroup.cyclic(2), 3)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(InputError, match="nonnegative"):
+            homology(FiniteGroup.cyclic(2), -1)
 
     def test_cycle_basis_spans_cycles(self):
         v = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
@@ -638,6 +674,8 @@ class TestSparseHomology:
             homology(FiniteGroup.cyclic(17), 2)
         with pytest.raises(InputError, match="group too large for degree"):
             homology(FiniteGroup.cyclic(65), 1)
+        with pytest.raises(InputError, match="group too large for degree"):
+            cycle_basis(FiniteGroup.cyclic(65), 2)
 
     def test_boundary_matrix_matches_bar_boundary(self):
         s3 = FiniteGroup.dihedral(3)
@@ -830,3 +868,68 @@ class TestGroupLaws:
         hom = GroupHom(z9, FiniteGroup.cyclic(3), [g % 3 for g in range(9)])
         assert psi(CokerChain.from_pairs(hom, 1, [((4,), (1,), -1)])) == 6
         assert psi(CokerChain.from_pairs(hom, 1, [((4,), (1,), -2)])) == 3
+
+
+# Factors for the closed-form reference: name -> (order, builder, H_1, H_2),
+# homology as lists of cyclic orders.  (H_1, H_2) is (Z_n, 0) for Z_n; for
+# D_n, of order 2n, (Z2, 0) if n is odd and (Z2^2, Z2) if n is even; and
+# (Z2^2, 0) for Q8 (Karpilovsky, The Schur Multiplier, 1987).
+KUNNETH_FACTORS = {
+    **{"Z%d" % n: (n, functools.partial(FiniteGroup.cyclic, n), [n], []) for n in range(2, 17)},
+    **{"D%d" % n: (2 * n, functools.partial(FiniteGroup.dihedral, n),
+                   [2] * (2 - n % 2), [2] * (1 - n % 2)) for n in range(3, 9)},
+    "Q8": (8, FiniteGroup.quaternion, [2, 2], []),
+}
+
+
+def _product_words(names=tuple(KUNNETH_FACTORS), order=1, top=16):
+    """Every multiset of factors, as a tuple in KUNNETH_FACTORS order, of
+    product order at most top."""
+    for i, name in enumerate(names):
+        size = order * KUNNETH_FACTORS[name][0]
+        if size <= top:
+            yield (name,)
+            yield from ((name,) + w for w in _product_words(names[i:], size, top))
+
+
+def _kunneth(word):
+    """(H_1, H_2) of the product, by H_1(A x B) = H_1(A) + H_1(B) and
+    H_2(A x B) = H_2(A) + H_2(B) + H_1(A) (x) H_1(B), Z_a (x) Z_b = Z_gcd(a,b)
+    (Brown, Cohomology of Groups, V.6)."""
+    h1, h2 = [], []
+    for name in word:
+        _, _, f1, f2 = KUNNETH_FACTORS[name]
+        h1, h2 = h1 + f1, h2 + f2 + [math.gcd(a, b) for a in h1 for b in f1]
+    return h1, h2
+
+
+def _invariant_factors(orders):
+    """Invariant factors d_1 | d_2 | ..., all > 1, of the sum of the Z_n."""
+    powers = {}
+    for n in orders:
+        for p, e in sympy.factorint(n).items():
+            powers.setdefault(p, []).append(p ** e)
+    k = max(map(len, powers.values()), default=0)
+    factors = [1] * k
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs)):
+            factors[k - len(qs) + i] *= q
+    return factors
+
+
+class TestClosedForms:
+    """H_1 and H_2 against a reference computed from group structure, not
+    from the table: closed forms of the factors and the Kunneth formula."""
+
+    def test_words_cover_every_product_up_to_16(self):
+        words = list(_product_words())
+        assert len(words) == len(set(words)) == 40
+        assert ("Z2", "Z2", "Z2", "Z2") in words and ("Z2", "Q8") in words
+        assert ("Z2", "D4") in words and ("Z3", "D3") not in words
+
+    @pytest.mark.parametrize("word", list(_product_words()), ids="x".join)
+    def test_h1_h2_match_kunneth(self, word):
+        group = _product(*(KUNNETH_FACTORS[name][1]() for name in word))
+        h1, h2 = _kunneth(word)
+        assert homology(group, 1).torsion == _invariant_factors(h1)
+        assert homology(group, 2).torsion == _invariant_factors(h2)

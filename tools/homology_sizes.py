@@ -1,0 +1,95 @@
+"""Size and cost of H_2 for named finite groups, one fresh process per group.
+
+For each group named on the command line it prints the order, the number
+of bar 3-cells, the shape of the residual that reaches the Smith form, the
+H_2 torsion, and the wall time and peak RSS of ``homology(G, 2)``.  Each
+group runs in a subprocess of its own, and only that subprocess raises
+``group_homology.MAX_BAR_CELLS`` to |G|^3, so no measurement sees another
+group's memory.  A report, not a gate.
+
+    python3 tools/homology_sizes.py 'Z2^5' D16
+
+A name is a product of factors joined by 'x': Zn (cyclic of order n), Dn
+(dihedral of order 2n) or Q8, each raised to a power by '^k'.  With no
+names, the six order-32 groups Z2^5, D16, Z4xZ8, Z2xD8, Q8xZ4, Z2xZ2xZ8
+are measured.  Standard library and numpy only.
+"""
+
+import functools
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEFAULT = ["Z2^5", "D16", "Z4xZ8", "Z2xD8", "Q8xZ4", "Z2xZ2xZ8"]
+
+
+def build(name):
+    """The group a name denotes (see the module docstring)."""
+    from fredk2.group_homology import FiniteGroup
+
+    factors = []
+    for word in name.split("x"):
+        base, _, power = word.partition("^")
+        if base == "Q8":
+            group = FiniteGroup.quaternion()
+        elif base[:1] in ("Z", "D") and base[1:].isdigit():
+            make = FiniteGroup.cyclic if base[0] == "Z" else FiniteGroup.dihedral
+            group = make(int(base[1:]))
+        else:
+            raise SystemExit("unknown group factor %r in %r" % (word, name))
+        factors += [group] * int(power or 1)
+    return functools.reduce(FiniteGroup.direct_product, factors)
+
+
+def measure(name):
+    """One group in this process: the report row as a dict."""
+    from fredk2 import group_homology
+
+    group = build(name)
+    cells = group.order ** 3
+    group_homology.MAX_BAR_CELLS = max(group_homology.MAX_BAR_CELLS, cells)
+    reduced_boundary = group_homology._reduced_boundary
+    shapes = []
+
+    def recording(*args):
+        out = reduced_boundary(*args)
+        shapes.append(out[1].shape)
+        return out
+
+    group_homology._reduced_boundary = recording
+    start = time.perf_counter()
+    h2 = group_homology.homology(group, 2)
+    wall = time.perf_counter() - start
+    return {"group": name, "order": group.order, "cells": cells,
+            "residual": "%d x %d" % shapes[0], "torsion": h2.torsion,
+            "wall_s": round(wall, 3),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)}
+
+
+def main(argv):
+    if argv[:1] == ["--one"]:
+        sys.path.insert(0, os.path.join(ROOT, "src"))
+        print(json.dumps(measure(argv[1])))
+        return
+    print("group        order  3-cells  residual      H_2 torsion            wall_s  peak_rss_mb")
+    for name in argv or DEFAULT:
+        out = subprocess.run([sys.executable, os.path.abspath(__file__), "--one", name],
+                             capture_output=True, text=True)
+        if out.returncode:
+            print("%-12s failed: %s" % (name, (out.stderr.strip().splitlines() or ["?"])[-1]))
+            continue
+        row = json.loads(out.stdout)
+        counts = {d: row["torsion"].count(d) for d in row["torsion"]}
+        torsion = " x ".join("Z%d" % d + ("^%d" % k if k > 1 else "")
+                             for d, k in counts.items()) or "0"
+        print("%-12s %5d  %7d  %-12s  %-21s  %6.2f  %11.1f" % (
+            name, row["order"], row["cells"], row["residual"], torsion,
+            row["wall_s"], row["peak_rss_mb"]))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
