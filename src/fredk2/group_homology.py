@@ -14,7 +14,9 @@ H_n is read off the boundary D_{n+1}, built sparse from the multiplication
 table: its +-1 pivots are eliminated exactly (Dumas-Saunders-Villard) and
 only the small residual goes through the Smith normal form.  The Smith
 form records its elementary operations, and each caller replays only the
-transform it reads.  The bar complex is the unnormalized one throughout.
+transform it reads.  The bar complex is the unnormalized one, with its
+faces written out for degrees 1 to 3 (H_2 needs C_3 -> C_2); a chain of
+higher degree is refused.
 
 All arithmetic is exact (python ints).  Groups are given by index tables;
 elements are indices 0..order-1.
@@ -260,17 +262,13 @@ class GroupHom:
         """Image chain phi_*: apply the map to every tuple coordinate."""
         if chain.group is not self.source:
             raise InputError("chain group does not match homomorphism source")
-        m = self.mapping.__getitem__
-        return _summed_chain(self.target, chain.degree,
-                             ((tuple(map(m, cell)), z) for cell, z in chain.coeffs.items()))
+        return _mapped_chain(chain, self.target, self.mapping)
 
     def lift(self, chain):
         """Section lift t_*: apply the section to every tuple coordinate."""
         if chain.group is not self.target:
             raise InputError("chain group does not match homomorphism target")
-        sec = self.section_table().__getitem__
-        return _summed_chain(self.source, chain.degree,
-                             ((tuple(map(sec, cell)), z) for cell, z in chain.coeffs.items()))
+        return _mapped_chain(chain, self.source, self.section_table())
 
     def to_json(self):
         data = {"map": self.mapping}
@@ -373,37 +371,45 @@ class GroupChain:
         return "GroupChain(deg=%d: %s)" % (self.degree, " ".join(parts) or "0")
 
 
-def _summed_chain(group, degree, terms):
-    """Chain summing (cell, coefficient) terms whose cells are already known
-    to be valid (taken from a checked chain, the group table or a checked
-    hom), so nothing is re-checked.  Zero sums are dropped."""
+def _mapped_chain(chain, group, images):
+    """chain with every coordinate g replaced by images[g], over group.  The
+    images come from a checked hom, so nothing is re-checked; zero sums drop."""
     sums = {}
-    get = sums.get
-    for cell, z in terms:
-        sums[cell] = get(cell, 0) + z
-    return GroupChain._of(group, degree, {cell: z for cell, z in sums.items() if z})
+    for cell, z in chain.coeffs.items():
+        cell = tuple(map(images.__getitem__, cell))
+        sums[cell] = sums.get(cell, 0) + z
+    return GroupChain._of(group, chain.degree, {cell: z for cell, z in sums.items() if z})
 
 
-def _bar_terms(cell, mul):
-    """(face, sign) terms of the bar boundary of one cell,
-    d(g_1,...,g_n) = (g_2,...,g_n) + sum_i (-1)^i (g_1,...,g_i g_{i+1},...,g_n)
-    + (-1)^n (g_1,...,g_{n-1}), with mul(a, b) the product."""
-    yield cell[1:], 1
-    sgn = 1
-    for i in range(len(cell) - 1):
-        sgn = -sgn
-        yield cell[:i] + (mul(cell[i], cell[i + 1]),) + cell[i + 2:], sgn
-    yield cell[:-1], -sgn
+def _bar_terms(cell, table):
+    """(face, sign) terms of the bar boundary of a cell of degree <= 3, with
+    products table[a][b]: d(a) = () - () (and likewise for the 0-cell),
+    d(a, b) = (b) - (ab) + (a), d(a, b, c) = (b, c) - (ab, c) + (a, bc) - (a, b).
+    A higher cell is refused: nothing builds one (H_2 needs C_3 -> C_2)."""
+    n = len(cell)
+    if n == 2:
+        a, b = cell
+        return ((b,), 1), ((table[a][b],), -1), ((a,), 1)
+    if n == 3:
+        a, b, c = cell
+        return ((b, c), 1), ((table[a][b], c), -1), ((a, table[b][c]), 1), ((a, b), -1)
+    if n > 3:
+        raise InputError("bar boundary implemented for degree at most 3")
+    return ((), 1), ((), -1)
 
 
 def bar_boundary(chain):
-    """Bar-complex boundary, face by face as in _bar_terms; degree 1 maps to zero."""
+    """Bar-complex boundary of a chain of degree 1 to 3, face by face as in
+    _bar_terms; degree 1 maps to zero."""
     if chain.degree == 0:
         raise InputError("degree-0 chains have no boundary")
     table = chain.group.table
-    return _summed_chain(chain.group, chain.degree - 1,
-                         ((face, sgn * z) for cell, z in chain.coeffs.items()
-                          for face, sgn in _bar_terms(cell, lambda a, b: table[a][b])))
+    sums = {}
+    for cell, z in chain.coeffs.items():
+        for face, sgn in _bar_terms(cell, table):
+            sums[face] = sums.get(face, 0) + sgn * z
+    return GroupChain._of(chain.group, chain.degree - 1,
+                          {face: z for face, z in sums.items() if z})
 
 
 def _all_cells(group, degree):
@@ -420,14 +426,10 @@ def _boundary_columns(group, degree):
     cols = _all_cells(group, degree)
     index = {c: i for i, c in enumerate(rows)}
     table = group.table
-
-    def mul(a, b):
-        return table[a][b]
-
     columns = []
     for cell in cols:
         col = {}
-        for face, sgn in _bar_terms(cell, mul):
+        for face, sgn in _bar_terms(cell, table):
             i = index[face]
             col[i] = col.get(i, 0) + sgn
         columns.append({i: z for i, z in col.items() if z})
@@ -471,24 +473,30 @@ def _reduced_boundary(group, degree):
         col = columns[j]
         if size != len(col):
             continue  # stale: the column changed and was pushed again
-        units = [i for i, z in col.items() if z in (1, -1)]
+        units = [i for i, z in col.items() if z == 1 or z == -1]
         if not units:
             continue  # parked; an update that changes it pushes it again
         r = min(units, key=lambda i: (len(rows[i]), i))
-        p = col[r]
-        for k in sorted(rows[r] - {j}):
+        p = col.pop(r)
+        rest = list(col.items())
+        # updates commute (each reads column j and its own); entry r cancels
+        rows[r].discard(j)
+        for k in rows[r]:
             other = columns[k]
-            f = other[r] * p
-            for i, z in col.items():
-                v = other.get(i, 0) - f * z
-                if v:
-                    other[i] = v
+            f = other.pop(r) * p
+            for i, z in rest:
+                v = other.get(i)
+                if v is None:
+                    other[i] = -f * z
                     rows[i].add(k)
+                elif v != f * z:
+                    other[i] = v - f * z
                 else:
                     del other[i]
                     rows[i].discard(k)
-            heapq.heappush(heap, (len(other), k))
-        for i in col:
+            if other:
+                heapq.heappush(heap, (len(other), k))
+        for i, _z in rest:
             rows[i].discard(j)
         columns[j] = {}
         pivot_rows.add(r)
@@ -535,12 +543,13 @@ def _smith(mat):
         ops.append(op)
 
     for t in range(min(m, n)):
-        pivot = min(((abs(v), i, j) for i, row in enumerate(A[t:, t:].tolist(), t)
-                     for j, v in enumerate(row, t) if v), default=None)
-        if pivot is None:
+        block = np.abs(A[t:, t:])
+        block[block == 0] = np.inf  # zeros are never the pivot
+        k = int(np.argmin(block))  # the first minimum in row-major order
+        if block.flat[k] == np.inf:
             break
-        do(row_ops, pivot[1], t)
-        do(col_ops, pivot[2], t)
+        do(row_ops, t + k // (n - t), t)
+        do(col_ops, t + k % (n - t), t)
         while True:
             if A[t, t] < 0:
                 do(row_ops, t)
@@ -562,12 +571,10 @@ def _smith(mat):
                 else:
                     # divisibility of the remaining block by the pivot: add
                     # the first failing row to row t and start over
-                    p = A[t, t]
-                    bad = next((i for i, row in enumerate(A[t + 1:, t + 1:].tolist(), t + 1)
-                                if any(v % p for v in row)), None)
-                    if bad is None:
+                    bad = np.flatnonzero((A[t + 1:, t + 1:] % A[t, t] != 0).any(axis=1))
+                    if not bad.size:
                         break
-                    do(row_ops, t, bad, -1)
+                    do(row_ops, t, t + 1 + int(bad[0]), -1)
     return A, row_ops, col_ops
 
 
@@ -746,9 +753,9 @@ class ConeChain:
 
     def boundary(self):
         """d(y, x) = (d y + phi_* x, -d x)."""
-        y_part = bar_boundary(self.y).add(self.hom.push(self.x))
         if self.x.degree == 0:
             raise InputError("degree-0 cone chains have no boundary")
+        y_part = bar_boundary(self.y).add(self.hom.push(self.x))
         x_part = bar_boundary(self.x).scale(-1)
         return ConeChain(self.hom, y_part, x_part)
 

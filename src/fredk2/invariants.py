@@ -362,9 +362,12 @@ class LabelChain:
     def boundary(self) -> "LabelChain":
         if self.degree == 0:
             raise InputError("degree-0 chains have no boundary")
+        table = {}  # the products _bar_terms reads, table[a][b] = a.mul(b)
+        for a, b in {pair for cell in self.coeffs for pair in zip(cell, cell[1:])}:
+            table.setdefault(a, {})[b] = a.mul(b)
         out = LabelChain(self.degree - 1)
         for cell, co in self.coeffs.items():
-            for face, sign in _bar_terms(cell, lambda a, b: a.mul(b)):
+            for face, sign in _bar_terms(cell, table):
                 out.add_cell(face, sign * co)
         return out
 

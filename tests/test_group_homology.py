@@ -181,6 +181,43 @@ class TestBarBoundary:
         with pytest.raises(InputError):
             GroupChain(z4, 1, {(7,): 1})
 
+    @pytest.mark.parametrize("make", [lambda: FiniteGroup.dihedral(3), FiniteGroup.quaternion,
+                                      lambda: FiniteGroup.direct_product(_z(2), _z(4))],
+                             ids=["S3", "Q8", "Z2xZ4"])
+    def test_faces_match_the_textbook_rule(self, make):
+        group = make()
+        rng = np.random.default_rng(59)
+        for degree in (1, 2, 3):
+            for _ in range(10):
+                chain = random_chain(rng, group, degree, ncells=6)
+                assert bar_boundary(chain).coeffs == _textbook_boundary(chain)
+        for degree in (2, 3):
+            D, rows, cols = boundary_matrix(group, degree)
+            index = {c: i for i, c in enumerate(rows)}
+            for j, cell in enumerate(cols):
+                col = [0] * len(rows)
+                for face, z in _textbook_boundary(GroupChain(group, degree, {cell: 1})).items():
+                    col[index[face]] = z
+                assert list(D[:, j]) == col
+
+    def test_degree_four_rejected(self):
+        z2 = FiniteGroup.cyclic(2)
+        with pytest.raises(InputError, match="degree at most 3"):
+            bar_boundary(GroupChain(z2, 4, {(1, 0, 1, 1): 1}))
+
+
+def _textbook_boundary(chain):
+    """d(g_1,...,g_n) = (g_2,...,g_n) + sum_i (-1)^i (g_1,...,g_i g_{i+1},...,g_n)
+    + (-1)^n (g_1,...,g_{n-1}) for any n, as a {face: nonzero coefficient} map."""
+    n, out = chain.degree, {}
+    for cell, z in chain.coeffs.items():
+        terms = [(cell[1:], 1), (cell[:-1], (-1) ** n)]
+        terms += [(cell[:i - 1] + (chain.group.op(cell[i - 1], cell[i]),) + cell[i + 1:],
+                   (-1) ** i) for i in range(1, n)]
+        for face, sgn in terms:
+            out[face] = out.get(face, 0) + sgn * z
+    return {face: z for face, z in out.items() if z}
+
 
 class TestSmithNormalForm:
     def test_transforms_exact(self):
@@ -686,6 +723,44 @@ class TestSparseHomology:
             for face, z in bar_boundary(GroupChain(s3, 3, {cell: 1})).coeffs.items():
                 col[index[face]] = z
             assert list(D[:, j]) == col
+
+
+def _cone(hom, y_degree, x_degree):
+    """The zero cone chain (y, x) with y and x of the given degrees."""
+    return ConeChain(hom, GroupChain(hom.target, y_degree), GroupChain(hom.source, x_degree))
+
+
+# (call, message) for each refusal of the chain layer that an input can reach.
+CHAIN_REFUSALS = {
+    "push-wrong-group": (lambda h, o: h.push(GroupChain(h.target, 1)), "homomorphism source"),
+    "lift-wrong-group": (lambda h, o: h.lift(GroupChain(h.source, 1)), "homomorphism target"),
+    "negative-degree": (lambda h, o: GroupChain(h.source, -1), "nonnegative"),
+    "cone-groups": (lambda h, o: ConeChain(h, GroupChain(h.source, 2), GroupChain(h.source, 1)),
+                    "wrong groups"),
+    "cone-degrees": (lambda h, o: _cone(h, 1, 1), "inconsistent"),
+    "cone-degree-0": (lambda h, o: ConeChain(h, GroupChain(h.target, 1, {(1,): 1}),
+                                             GroupChain(h.source, 0, {(): 1})).boundary(),
+                      "degree-0 cone"),
+    "coker-degree-0": (lambda h, o: CokerChain(h, 0).boundary(), "degree-0 chains"),
+    "representative-hom": (lambda h, o: coker_representative(_cone(h, 2, 1), o),
+                           "does not belong"),
+    "representative-degree": (lambda h, o: coker_representative(_cone(h, 3, 2), h),
+                              "in degree 1"),
+    "psi-degree": (lambda h, o: psi(CokerChain(h, 2)), "degree-1 chains"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_REFUSALS))
+def test_chain_layer_refusals(case, monkeypatch):
+    # every refusal comes before any bar boundary is computed
+    def no_boundary(_chain):
+        raise AssertionError("bar boundary computed before the refusal")
+
+    monkeypatch.setattr(group_homology, "bar_boundary", no_boundary)
+    cat = builtin_catalog()
+    call, message = CHAIN_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        call(cat["Z4->Z2"], cat["S3->Z2"])
 
 
 class TestChainArithmeticChecks:
