@@ -36,8 +36,6 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
     return x
 
 
@@ -278,12 +276,7 @@ def homology(catalog_file, samples, fmt, seed):
     """Degree-2 homology invariants and the two-path boundary comparison for
     every surjection in a catalog file."""
     try:
-        try:
-            _groups, homs = gh.load_catalog_file(catalog_file)
-        except OSError as exc:
-            raise InputError(f"cannot read {catalog_file}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON in {catalog_file}: {exc}") from exc
+        _groups, homs = gh.load_catalog_file(catalog_file)
         rng = np.random.default_rng(seed)
         per = {}
         t0 = time.perf_counter()

@@ -395,7 +395,10 @@ class BlockOp:
         return BlockOp([[c * b for b in r] for r in self.rows],
                        None if self.first is None else c * self.first)
 
-    __matmul__, __add__, __sub__, __rmul__ = mul, add, sub, scalar_mul
+    def __matmul__(self, other):
+        return self.mul(other)  # as for ToeplitzOp
+
+    __add__, __sub__, __rmul__ = add, sub, scalar_mul
     __array_ufunc__ = None  # as for ToeplitzOp
 
     def dense_section(self, n):

@@ -440,9 +440,6 @@ class LoopLog:
     def __hash__(self):
         return hash(self._key())
 
-    def __repr__(self):
-        return f"LoopLog(winding={self.winding}, log_part={self.log_part!r})"
-
 
 def _trapezoid_grid(band: int) -> int:
     """The smallest power of two, at least 16, above 2·band + 2: the periodic

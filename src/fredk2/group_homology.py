@@ -48,7 +48,7 @@ class FiniteGroup:
             if len(row) != n:
                 raise InputError("group table is not square")
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise InputError("group table entry out of range")
         self.order = n
         self.table = [list(row) for row in table]
@@ -212,7 +212,7 @@ class GroupHom:
         if len(mapping) != source.order:
             raise InputError("homomorphism map must list one image per element")
         for v in mapping:
-            if not isinstance(v, int) or not 0 <= v < target.order:
+            if type(v) is not int or not 0 <= v < target.order:
                 raise InputError("homomorphism image out of range")
         for a, row in enumerate(source.table):
             image_row = target.table[mapping[a]]
@@ -226,7 +226,7 @@ class GroupHom:
             if len(section) != target.order:
                 raise InputError("section must list one lift per target element")
             for h, g in enumerate(section):
-                if not isinstance(g, int) or not 0 <= g < source.order:
+                if type(g) is not int or not 0 <= g < source.order:
                     raise InputError("section entry out of range")
                 if mapping[g] != h:
                     raise InputError("section is not a right inverse of the map")
@@ -312,7 +312,7 @@ class GroupChain:
         if len(cell) != self.degree:
             raise InputError("cell length does not match chain degree")
         for g in cell:
-            if not isinstance(g, int) or not 0 <= g < self.group.order:
+            if type(g) is not int or not 0 <= g < self.group.order:
                 raise InputError("cell entry is not a group element index")
         if not isinstance(z, int):
             raise InputError("chain coefficients must be integers")
@@ -361,14 +361,6 @@ class GroupChain:
             and other.degree == self.degree
             and other.coeffs == self.coeffs
         )
-
-    def __repr__(self):
-        parts = []
-        for cell in sorted(self.coeffs):
-            z = self.coeffs[cell]
-            lab = ",".join(self.group.labels[g] for g in cell)
-            parts.append("%+d(%s)" % (z, lab))
-        return "GroupChain(deg=%d: %s)" % (self.degree, " ".join(parts) or "0")
 
 
 def _mapped_chain(chain, group, images):
@@ -622,10 +614,6 @@ class HomologyResult:
 
     def is_trivial(self):
         return self.rank == 0 and not self.torsion
-
-    def __repr__(self):
-        parts = ["Z"] * self.rank + ["Z/%d" % d for d in self.torsion]
-        return "H_%d = %s" % (self.degree, " x ".join(parts) or "0")
 
 
 def homology(group, degree):
@@ -890,9 +878,15 @@ def builtin_catalog():
 
 def load_catalog_file(path):
     """Read a JSON catalog file: {"groups": {name: record}, "surjections":
-    {name: {"source": ..., "target": ..., "map": ..., "section": ...}}}."""
-    with open(path, "r") as fh:
-        data = json.load(fh)
+    {name: {"source": ..., "target": ..., "map": ..., "section": ...}}}.
+    An unreadable file or invalid JSON is an InputError, as a bad record is."""
+    try:
+        with open(path, "r") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("catalog must be a JSON object")
     group_recs, hom_recs = data.get("groups", {}), data.get("surjections", {})

@@ -74,9 +74,6 @@ class SteinbergSymbol:
     def swap(self) -> "SteinbergSymbol":
         return SteinbergSymbol(self.v, self.u)
 
-    def __repr__(self):
-        return f"SteinbergSymbol({self.u!r}, {self.v!r})"
-
 
 # -- block operators ----------------------------------------------------
 
@@ -319,9 +316,6 @@ class Diag3Label:
     def __hash__(self):
         return hash(self.entries)
 
-    def __repr__(self):
-        return f"Diag3Label{self.entries!r}"
-
 
 def d12(x) -> Diag3Label:
     """diag(x, x⁻¹, 1)."""
@@ -340,11 +334,9 @@ class LabelChain:
 
     __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs=None):
+    def __init__(self, degree: int):
         self.degree = int(degree)
         self.coeffs = {}
-        for cell, co in (coeffs or {}).items():
-            self.add_cell(cell, co)
 
     def add_cell(self, cell, co):
         cell = tuple(cell)

@@ -291,7 +291,10 @@ class ToeplitzOp:
                 + nx * psi.tail)
         return ToeplitzOp._of(phi.mul(psi), kept, w, tail)
 
-    __matmul__, __add__, __sub__, __neg__, __rmul__ = mul, add, sub, neg, scalar_mul
+    def __matmul__(self, other: "ToeplitzOp") -> "ToeplitzOp":
+        return self.mul(other)  # looked up on the call, so a wrapped mul sees x @ y
+
+    __add__, __sub__, __neg__, __rmul__ = add, sub, neg, scalar_mul
     # a numpy scalar times an operator then reaches __rmul__ instead of
     # building an object array
     __array_ufunc__ = None

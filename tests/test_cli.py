@@ -4,7 +4,8 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from fredk2 import cli
+from fredk2 import cli, group_homology
+from fredk2._errors import NumericalError
 from fredk2.cli import main
 from fredk2.fourier_loops import FourierLoop, loop_to_json
 from fredk2.group_homology import FiniteGroup
@@ -15,6 +16,7 @@ from fredk2.invariants import (
     route_windows,
 )
 
+from test_group_homology import CATALOG_REFUSALS, write_catalog
 from test_invariants import corpus_symbols
 
 
@@ -104,6 +106,11 @@ class TestSymbolCommand:
         res = runner.invoke(main, ["symbol", str(bad), str(bad)])
         assert res.exit_code == 2
         assert "invalid JSON" in res.output
+
+    def test_missing_loop_file_exits_2(self, runner, tmp_path):
+        res = runner.invoke(main, ["symbol", str(tmp_path / "absent.json"), z_file(tmp_path)])
+        assert res.exit_code == 2
+        assert "cannot read" in res.output
 
     def test_non_finite_coefficient_exits_2(self, runner, tmp_path):
         bad = tmp_path / "nan.json"
@@ -415,6 +422,19 @@ class TestHomologyCommand:
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("case", sorted(CATALOG_REFUSALS))
+    def test_refused_catalog_file_exits_2(self, runner, tmp_path, case):
+        res = runner.invoke(main, ["homology", write_catalog(tmp_path, case)])
+        assert res.exit_code == 2
+        assert CATALOG_REFUSALS[case][1] in res.output
+        assert "Traceback" not in res.output
+
+    def test_two_path_disagreement_exits_4(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(group_homology, "psi", lambda chain: None)
+        res = runner.invoke(main, ["homology", catalog_file(tmp_path), "--samples", "3"])
+        assert res.exit_code == 4
+        assert json.loads(res.output)["surjections"]["Z4->Z2"]["agreements"] == 0
+
     def test_determinism(self, runner, tmp_path):
         cat = catalog_file(tmp_path)
         out = [runner.invoke(main, ["homology", cat, "--samples", "10",
@@ -488,3 +508,20 @@ class TestSelftest:
     def test_selftest_takes_no_window(self, runner):
         res = runner.invoke(main, ["selftest", "--window", "128"])
         assert res.exit_code == 2
+
+    def test_failed_check_exits_4(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "det_invariant_closed", lambda sym: 0j)
+        res = runner.invoke(main, ["selftest"])
+        assert res.exit_code == 4
+        report = json.loads(res.output)
+        assert report["passed"] is False
+        assert report["checks"]["det_z_z_closed"] is False
+
+    def test_error_exits_with_its_code(self, runner, monkeypatch):
+        def refuse(sym):
+            raise NumericalError("grid too coarse")
+
+        monkeypatch.setattr(cli, "det_invariant_closed", refuse)
+        res = runner.invoke(main, ["selftest"])
+        assert res.exit_code == 3
+        assert "error: grid too coarse" in res.output

@@ -9,6 +9,7 @@ from fredk2.cyclic_chains import (
     Block2,
     BlockOp,
     CyclicChain,
+    FormalChain,
     SimplexPath,
     based_zero_face,
     cyclic_b,
@@ -20,8 +21,8 @@ from fredk2.cyclic_chains import (
     tau_cocycle,
     tilde_gamma,
 )
-from fredk2.fourier_loops import zero_loop
-from fredk2.toeplitz_calculus import ToeplitzOp, identity_op, zero_op
+from fredk2.fourier_loops import FourierLoop, zero_loop
+from fredk2.toeplitz_calculus import ToeplitzOp, identity_op, shift_op, zero_op
 
 
 def rand_mat(rng, m, scale=0.5):
@@ -410,6 +411,27 @@ class TestCyclicOperators:
         c = self.rand_chain(rng, 2, 3, 4)
         assert cyclic_b(cyclic_project(c)).equals(cyclic_b(c))
 
+    @pytest.mark.parametrize("make_a, make_b, equal", [
+        (lambda e: CyclicChain(0, [(1.0, (e,))]), lambda e: CyclicChain(1, [(1.0, (e, e))]),
+         False),
+        (lambda e: CyclicChain(1, []), lambda e: CyclicChain(1, []), True),
+        (lambda e: CyclicChain(0, []), lambda e: CyclicChain(0, [(1.0, (e,)), (-1.0, (e,))]),
+         True),
+        (lambda e: CyclicChain(0, [(1.0, (e,))]), lambda e: CyclicChain(0, []), False),
+        (lambda e: CyclicChain(0, [(1.0, (e,))]), lambda e: CyclicChain(0, [(1.0, (e[:1],))]),
+         False),
+        (lambda e: CyclicChain(0, [(2.0, (e,))]), lambda e: CyclicChain(0, [(1.0, (e,))]), False),
+    ], ids=["degrees", "both-empty", "empty-and-zero", "empty-and-nonzero", "shapes",
+            "values"])
+    def test_equals_cases(self, make_a, make_b, equal):
+        e = np.eye(2, dtype=complex)
+        assert make_a(e).equals(make_b(e)) == equal
+        assert make_b(e).equals(make_a(e)) == equal
+
+    def test_b_of_degree_zero_is_empty(self):
+        out = cyclic_b(CyclicChain(0, [(1.0, (np.eye(2),))]))
+        assert (out.degree, out.terms) == (0, [])
+
     def test_tensor_length_validation(self):
         with pytest.raises(InputError):
             CyclicChain(1, [(1.0, (np.eye(2),))])
@@ -455,6 +477,21 @@ class TestBlockOperators:
         assert self.blocks(x - y) == self.blocks(x.sub(y))
         for c in (0.7 + 0.2j, np.complex128(0.7 + 0.2j)):
             assert self.blocks(c * x) == self.blocks(x.scalar_mul(c))
+
+    def test_matmul_goes_through_mul(self, monkeypatch):
+        # x @ y looks mul up when it runs, so a wrapper put on either class's
+        # mul (a profiler's, say) sees every product
+        x, y = self.toeplitz_pair(np.random.default_rng(151))
+        calls = []
+        for cls in (BlockOp, ToeplitzOp):
+            def counted(self, other, mul=cls.mul, name=cls.__name__):
+                calls.append(name)
+                return mul(self, other)
+
+            monkeypatch.setattr(cls, "mul", counted)
+        x @ y
+        # two block products for each of the four blocks, and one of the firsts
+        assert (calls.count("BlockOp"), calls.count("ToeplitzOp")) == (1, 9)
 
     def test_dense_blocks(self):
         rng = np.random.default_rng(157)
@@ -618,3 +655,61 @@ class TestTildeGamma:
         s2 = SimplexPath(1, lambda t: other, lambda _i, t: zero, based=False)
         with pytest.raises(InputError, match="paths do not agree"):
             tilde_gamma(s1, s2)
+
+
+W = 16
+EYE = np.eye(2, dtype=complex)
+LINE = SimplexPath(1, lambda t: EYE, lambda _i, t: 0 * EYE)
+TRIANGLE = SimplexPath(2, lambda t1, t2: EYE, lambda _i, t1, t2: 0 * EYE)
+OP_LINE = SimplexPath(1, lambda t: identity_op(W), lambda _i, t: zero_op(W))
+SINGULAR = SimplexPath(1, lambda t: 0 * EYE, lambda _i, t: 0 * EYE, based=False)
+
+
+def bump(t):
+    """Vanishes at the checkpoints t = 0, 0.37 and 1 of the path comparison."""
+    return t * (1.0 - t) * (t - 0.37)
+
+
+def bump_prime(t):
+    return (1.0 - 2.0 * t) * (t - 0.37) + t * (1.0 - t)
+
+
+# identity + bump(t)·S: its symbol leaves the identity's between the checkpoints
+BUMPED = SimplexPath(1, lambda t: identity_op(W) + bump(t) * shift_op(W),
+                     lambda _i, t: bump_prime(t) * shift_op(W))
+
+# (call, error, message) for each refusal of the simplex and chain layer
+REFUSALS = {
+    "partial-index": (lambda: LINE.partial(2, 0.5), InputError, "partial index"),
+    "vertex-index": (lambda: LINE.vertex(2), InputError, "vertex index"),
+    "face-of-a-matrix": (lambda: face(0, EYE), InputError, "face expects a simplex"),
+    "formal-dimensions": (lambda: FormalChain(1).plus(FormalChain(0)), InputError,
+                          "dimensions differ"),
+    "formal-materialize": (lambda: FormalChain(1, [(1.0, LINE)]).materialize(), InputError,
+                           "dimension-0"),
+    "boundary-of-empty": (lambda: dN(FormalChain(1)), InputError, "empty chain"),
+    "cyclic-degrees": (lambda: CyclicChain(0).plus(CyclicChain(1)), InputError,
+                       "degrees differ"),
+    "cyclic-materialize": (lambda: CyclicChain(0, [(1.0, (identity_op(W),))]).materialize(),
+                           InputError, "only dense matrix"),
+    "log-of-triangle-chain": (lambda: gamma_log(FormalChain(2, [(1.0, TRIANGLE)])),
+                              InputError, "1-simplex chains"),
+    "log-of-operators": (lambda: gamma_log(OP_LINE), InputError, "dense matrix simplices"),
+    "relative-log-of-a-matrix": (lambda: tilde_gamma(EYE, LINE), InputError,
+                                 "expects two paths"),
+    "relative-log-of-triangles": (lambda: tilde_gamma(TRIANGLE, TRIANGLE), InputError,
+                                  "1-simplices"),
+    "relative-log-mixed": (lambda: tilde_gamma(LINE, OP_LINE), InputError,
+                           "paths do not agree"),
+    "relative-log-symbols-between-checkpoints": (lambda: tilde_gamma(OP_LINE, BUMPED),
+                                                 InputError, "paths do not agree"),
+    "relative-log-singular-node": (lambda: tilde_gamma(SINGULAR, SINGULAR), NumericalError,
+                                   "singular simplex value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -823,6 +823,11 @@ class TestLoopLogGroup:
             want = x.reconstruct().mul(y.reconstruct())
             assert xy.reconstruct().sub(want).l1() < 1e-12 * want.l1()
 
+    def test_other_types_are_left_to_python(self):
+        x = LoopLog(1, zero_loop())
+        assert x.__eq__((1, ())) is NotImplemented
+        assert x != (1, ()) and x != 1
+
     def test_from_log_is_an_equal_copy(self):
         x = LoopLog(2, FourierLoop({1: 0.5, -1: 0.25j}))
         y = LoopLog.from_log(x)

@@ -320,6 +320,13 @@ class TestDetExpPair:
                 + 0.3j * (2 * rng.random((30, 30)) - 1)
             det_exp_pair_verify(x, y)
 
+    def test_deviation_is_refused(self):
+        # ‖x‖₂ ≈ 18 here, and expm's roundoff puts det e^x 4.5e-9 (relative)
+        # off e^{Tr x}, 45 times the tolerance
+        x = 5 * np.random.RandomState(0).standard_normal((4, 4))
+        with pytest.raises(InvariantViolation, match="deviates from e\\^Tr"):
+            det_exp_pair_verify(x, np.zeros((4, 4)))
+
 
 def exp_product_path(seed):
     """t ↦ e^{tx}e^{ty} for random complex 8×8 x, y, as in the oracle test."""
@@ -400,6 +407,27 @@ class TestPathLogDet:
                          lambda t: np.diag([0.0, 1.0]).astype(complex))
         with pytest.raises(NumericalError, match="path leaves invertibles"):
             path_log_det(p)
+
+    # (value, derivative) of paths refused on the way: det F = t^1e-13 vanishes
+    # at t = 0 though the quadrature settles, two derivatives do not belong to
+    # their values (wrong modulus, wrong phase), and two paths are not finite
+    LEAVING = {
+        "singular-endpoint": (lambda t: np.array([[t ** 1e-13]]),
+                              lambda t: np.array([[1e-13 * t ** (1e-13 - 1)]])),
+        "wrong-modulus": (lambda t: (1 + t) * np.eye(2), lambda t: 2 * np.eye(2)),
+        "wrong-phase": (lambda t: np.eye(2, dtype=complex), lambda t: 1j * np.eye(2)),
+        "infinite-derivative": (lambda t: np.eye(2), lambda t: np.full((2, 2), np.inf)),
+        "nan-value": (lambda t: np.full((2, 2), np.nan), lambda t: np.eye(2)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LEAVING))
+    def test_refused_paths(self, case):
+        with pytest.raises(NumericalError, match="path leaves invertibles"):
+            path_log_det(OperatorPath(*self.LEAVING[case]))
+
+    def test_values_must_be_arrays(self):
+        with pytest.raises(TypeError, match="unsupported type"):
+            path_log_det(OperatorPath(lambda t: [[1.0]]))
 
     @staticmethod
     def oscillating_path(freq):

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from fredk2.group_homology import (
     f_phi_section,
     homology,
     KernelQuotient,
+    load_catalog_file,
     psi,
     smith_normal_form,
     snf_divisors,
@@ -778,6 +780,15 @@ class TestChainArithmeticChecks:
         with pytest.raises(InputError, match="mismatch"):
             GroupChain(z3, 1).add(GroupChain(FiniteGroup.cyclic(3), 1))
 
+    def test_equality_is_by_value(self):
+        z3 = FiniteGroup.cyclic(3)
+        c = GroupChain(z3, 1, {(1,): 2})
+        assert c == GroupChain(z3, 1, {(1,): 2}) and not c != GroupChain(z3, 1, {(1,): 2})
+        assert c != GroupChain(z3, 1, {(1,): 1})
+        assert c != GroupChain(z3, 2, {(1, 1): 2})
+        assert c != GroupChain(FiniteGroup.cyclic(3), 1, {(1,): 2})
+        assert c != {(1,): 2}
+
     def test_results_drop_cancelled_cells(self):
         hom = builtin_catalog()["Z4->Z2"]
         c = GroupChain(hom.source, 1, {(1,): 1, (3,): -1, (2,): 4})
@@ -1008,3 +1019,113 @@ class TestClosedForms:
         h1, h2 = _kunneth(word)
         assert homology(group, 1).torsion == _invariant_factors(h1)
         assert homology(group, 2).torsion == _invariant_factors(h2)
+
+
+Z2, Z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+# a loop of order 5: identity 0, every element its own inverse, not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+BOOLS = [[False, True], [True, False]]
+
+# (call, message) for each refusal of the group and homomorphism constructors,
+# their JSON readers, chain cells and the connecting map; a JSON boolean is
+# not an element index
+GROUP_REFUSALS = {
+    "empty-table": (lambda: FiniteGroup([]), "empty"),
+    "entry-out-of-range": (lambda: FiniteGroup([[0, 2], [1, 0]]), "entry out of range"),
+    "boolean-entries": (lambda: FiniteGroup(BOOLS), "entry out of range"),
+    "not-associative": (lambda: FiniteGroup(LOOP5), "not associative"),
+    "labels-per-element": (lambda: FiniteGroup([[0, 1], [1, 0]], labels=["a"]), "one per element"),
+    "labels-distinct": (lambda: FiniteGroup([[0, 1], [1, 0]], labels=["a", "a"]), "distinct"),
+    "cyclic-order-0": (lambda: FiniteGroup.cyclic(0), "positive"),
+    "dihedral-0": (lambda: FiniteGroup.dihedral(0), "positive"),
+    "group-record-list": (lambda: FiniteGroup.from_json([[0, 1], [1, 0]]), "JSON object"),
+    "group-record-booleans": (lambda: FiniteGroup.from_json({"order": 2, "table": BOOLS}),
+                              "entry out of range"),
+    "map-out-of-range": (lambda: GroupHom(Z2, Z2, [0, 2]), "image out of range"),
+    "map-booleans": (lambda: GroupHom(Z2, Z2, [False, True]), "image out of range"),
+    "section-length": (lambda: GroupHom(Z4, Z2, [0, 1, 0, 1], section=[0]), "one lift"),
+    "section-out-of-range": (lambda: GroupHom(Z4, Z2, [0, 1, 0, 1], section=[0, 5]),
+                             "section entry out of range"),
+    "section-booleans": (lambda: GroupHom(Z2, Z2, [0, 1], section=[False, True]),
+                         "section entry out of range"),
+    "no-section": (lambda: GroupHom(Z2, Z4, [0, 2]).default_section(), "not surjective"),
+    "hom-record-list": (lambda: GroupHom.from_json([0, 1], Z2, Z2), "JSON object"),
+    "hom-record-keys": (lambda: GroupHom.from_json({"map": [0, 1], "junk": 1}, Z2, Z2),
+                        "unknown homomorphism record keys"),
+    "hom-record-no-map": (lambda: GroupHom.from_json({"section": [0, 1]}, Z2, Z2),
+                          "needs a map"),
+    "hom-record-booleans": (lambda: GroupHom.from_json({"map": [False, True]}, Z2, Z2),
+                            "image out of range"),
+    "cell-booleans": (lambda: GroupChain(Z2, 1, {(True,): True}), "group element index"),
+    "connecting-map-degree": (lambda: boundary_to_relative(GroupChain(Z2, 1),
+                                                           builtin_catalog()["Z4->Z2"]),
+                              "not a 2-cycle"),
+    "connecting-map-group": (lambda: boundary_to_relative(GroupChain(Z4, 2),
+                                                          builtin_catalog()["Z4->Z2"]),
+                             "not a 2-cycle"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUP_REFUSALS))
+def test_group_layer_refusals(case):
+    call, message = GROUP_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+Z2_RECORDS = {"Z2": {"order": 2, "table": [[0, 1], [1, 0]]}}
+
+# (file text, message) for each catalog file load_catalog_file refuses; None
+# is a file that does not exist
+CATALOG_REFUSALS = {
+    "missing-file": (None, "cannot read"),
+    "invalid-json": ("{nope", "invalid JSON"),
+    "not-an-object": ("[]", "catalog must be a JSON object"),
+    "no-source": (json.dumps({"groups": Z2_RECORDS, "surjections": {
+        "f": {"target": "Z2", "map": [0, 1]}}}), "needs source and target"),
+    "unknown-group": (json.dumps({"groups": Z2_RECORDS, "surjections": {
+        "f": {"source": "Z3", "target": "Z2", "map": [0, 1]}}}), "unknown group"),
+    "boolean-table": (json.dumps({"groups": {"B": {"order": 2, "table": BOOLS}}}),
+                      "entry out of range"),
+    "boolean-map": (json.dumps({"groups": Z2_RECORDS, "surjections": {
+        "f": {"source": "Z2", "target": "Z2", "map": [False, True]}}}), "image out of range"),
+}
+
+
+def write_catalog(tmp_path, case):
+    path = tmp_path / "catalog.json"
+    text = CATALOG_REFUSALS[case][0]
+    if text is not None:
+        path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(CATALOG_REFUSALS))
+def test_catalog_file_refusals(case, tmp_path):
+    with pytest.raises(InputError, match=CATALOG_REFUSALS[case][1]):
+        load_catalog_file(write_catalog(tmp_path, case))
+
+
+def test_builtin_catalog_round_trips_through_json(tmp_path):
+    groups, surjections = {}, {}
+    for name, hom in builtin_catalog().items():
+        groups[hom.source.name] = hom.source.to_json()
+        groups[hom.target.name] = hom.target.to_json()
+        surjections[name] = {"source": hom.source.name, "target": hom.target.name,
+                             **hom.to_json()}
+    path = tmp_path / "builtin.json"
+    path.write_text(json.dumps({"groups": groups, "surjections": surjections}))
+    _groups, homs = load_catalog_file(str(path))
+    catalog = builtin_catalog()
+    assert sorted(homs) == sorted(catalog)
+    for name, hom in catalog.items():
+        back = homs[name]
+        assert (back.mapping, back.section) == (hom.mapping, hom.section)
+        for group, read in ((hom.source, back.source), (hom.target, back.target)):
+            assert (read.table, read.labels, read.name) == (group.table, group.labels, group.name)
+        h, h_back = homology(hom.target, 2), homology(back.target, 2)
+        assert (h_back.rank, h_back.torsion, h_back.presentation_divisors) == \
+            (h.rank, h.torsion, h.presentation_divisors)
+        assert (h.generator is None) == (h_back.generator is None)
+        if h.generator is not None:
+            assert h_back.generator.coeffs == h.generator.coeffs

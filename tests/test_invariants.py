@@ -692,6 +692,17 @@ class TestH2Cycle:
         with pytest.raises(InputError, match="do not commute"):
             steinberg_to_h2_cycle(u, v)
 
+    def test_label_types_do_not_mix(self):
+        x = d12(LoopLabel(1, zero_loop()))
+        assert x.__eq__(x.entries) is NotImplemented
+        assert x != x.entries
+
+    def test_label_chain_refusals(self):
+        with pytest.raises(InputError, match="cell length"):
+            LabelChain(2).add_cell((LoopLabel.identity(),), 1)
+        with pytest.raises(InputError, match="degree-0"):
+            LabelChain(0).boundary()
+
     def test_diag_labels(self):
         x = LoopLabel(1, zero_loop())
         assert d12(x).entries[1] == x.inv()

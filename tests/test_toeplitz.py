@@ -51,6 +51,10 @@ class TestConstruction:
         with pytest.raises(InputError, match="window must dominate band"):
             toeplitz(FourierLoop({4: 1.0}), 8)
 
+    def test_correction_must_fill_the_window(self):
+        with pytest.raises(InputError, match="correction window shape mismatch"):
+            ToeplitzOp(FourierLoop({0: 1.0}), np.zeros((8, 8)), 16)
+
     @pytest.mark.parametrize("build", [toeplitz, wiener_hopf_pair, hankel_op])
     def test_window_rule_boundary(self, build):
         band_3 = FourierLoop({-3: 0.1, 2: 0.2j})
@@ -577,6 +581,13 @@ class TestInvExp:
         # identity minus e0 e0^T: the correction zeroes the first row
         corr = np.zeros((16, 16), dtype=complex)
         corr[0, 0] = -1.0
+        x = ToeplitzOp(FourierLoop({0: 1.0}), corr, 16)
+        with pytest.raises(NumericalError, match="numerically singular"):
+            x.inv()
+
+    def test_inv_non_finite_correction(self):
+        corr = np.zeros((16, 16), dtype=complex)
+        corr[3, 2] = np.nan
         x = ToeplitzOp(FourierLoop({0: 1.0}), corr, 16)
         with pytest.raises(NumericalError, match="numerically singular"):
             x.inv()
