@@ -10,7 +10,7 @@ import time
 import click
 import numpy as np
 
-from ._errors import FredK2Error, InputError, InvariantViolation
+from ._errors import FredK2Error, InputError, InvariantViolation, read_json
 from .fourier_loops import FourierLoop, loop_from_json
 from .toeplitz_calculus import DEFAULT_WINDOW, _require_window
 from .invariants import (
@@ -73,17 +73,6 @@ def emit(report: dict, fmt: str):
             click.echo(f"{key.ljust(width)}  {val}")
 
 
-def _load_loop(path: str) -> FourierLoop:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return loop_from_json(data)
-
-
 def _fail(exc: FredK2Error):
     click.echo(f"error: {exc}", err=True)
     sys.exit(exc.exit_code)
@@ -135,8 +124,8 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
            dump_operator, window, strict, fmt, seed):
     """Determinant invariant and character of the symbol {alpha, beta}."""
     try:
-        alpha = _load_loop(alpha_file)
-        beta = _load_loop(beta_file)
+        alpha = loop_from_json(read_json(alpha_file))
+        beta = loop_from_json(read_json(beta_file))
         sym = SteinbergSymbol.from_loops(alpha, beta)
 
         wanted = METHODS if method == "all" else (method,)
@@ -217,8 +206,8 @@ def converge(alpha_file, beta_file, windows, tol, fmt, seed):
             raise InputError("windows must be a comma-separated integer list") from exc
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InputError("windows must be strictly increasing")
-        alpha = _load_loop(alpha_file)
-        beta = _load_loop(beta_file)
+        alpha = loop_from_json(read_json(alpha_file))
+        beta = loop_from_json(read_json(beta_file))
         sym = SteinbergSymbol.from_loops(alpha, beta)
         _require_window(sizes[0], sym.u.log_part, sym.v.log_part)
 
@@ -252,8 +241,8 @@ def _sample_cycles(hom, samples, rng):
     """Random 2-cycles over the target: kernel-basis combinations plus a
     boundary of a random 3-chain, mirroring the exactness argument."""
     target = hom.target
+    n = target.order
     basis = gh.cycle_basis(target, 2)
-    cells = gh._all_cells(target, 3)
     cycles = []
     for _ in range(samples):
         cyc = gh.GroupChain(target, 2)
@@ -261,8 +250,8 @@ def _sample_cycles(hom, samples, rng):
             cyc = cyc.add(chain.scale(int(rng.integers(-2, 3))))
         extra = gh.GroupChain(target, 3)
         for _ in range(3):
-            cell = cells[int(rng.integers(len(cells)))]
-            extra.add_cell(cell, int(rng.integers(-2, 3)))
+            i = int(rng.integers(n ** 3))  # the i-th 3-cell in lexicographic order
+            extra.add_cell((i // n ** 2, i // n % n, i % n), int(rng.integers(-2, 3)))
         cycles.append(cyc.add(gh.bar_boundary(extra)))
     return cycles
 

@@ -219,23 +219,20 @@ class CyclicChain:
             total = piece if total is None else total + piece
         return total
 
-    def project(self):
-        return cyclic_project(self)
-
     def equals(self, other):
         if other.degree != self.degree:
             return False
-        a = self.project().materialize()
-        b = other.project().materialize()
+        a = cyclic_project(self).materialize()
+        b = cyclic_project(other).materialize()
         if a is None and b is None:
             return True
         if a is None or b is None:
             present = a if a is not None else b
-            return np.linalg.norm(present) <= CHAIN_TOL
+            return bool(np.linalg.norm(present) <= CHAIN_TOL)
         if a.shape != b.shape:
             return False
         scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
-        return np.linalg.norm(a - b) <= CHAIN_TOL * scale
+        return bool(np.linalg.norm(a - b) <= CHAIN_TOL * scale)
 
 
 def cyclic_t(c):
@@ -470,6 +467,8 @@ def tilde_gamma(s1, s2, tol=1e-9):
     """
     if not (isinstance(s1, SimplexPath) and isinstance(s2, SimplexPath)):
         raise InputError("relative logarithm expects two paths")
+    if not (math.isfinite(tol) and tol >= 0):  # a NaN tol would pass every check
+        raise InputError("relative logarithm tolerance must be finite and >= 0")
     if s1.n != 1 or s2.n != 1:
         raise InputError("relative logarithm is defined for 1-simplices")
     _paths_compatible(s1, s2)

@@ -23,11 +23,10 @@ elements are indices 0..order-1.
 """
 
 import heapq
-import json
 
 import numpy as np
 
-from ._errors import InputError, InvariantViolation
+from ._errors import InputError, InvariantViolation, read_json
 
 # n-th homology needs chains of degree n+1; cap the bar module size.
 MAX_BAR_CELLS = 4096
@@ -191,6 +190,8 @@ class FiniteGroup:
         if "order" not in data or "table" not in data:
             raise InputError("group record needs order and table")
         table, labels = data["table"], data.get("labels")
+        if type(data["order"]) is not int:
+            raise InputError("group order must be an integer")
         if not isinstance(table, list) or len(table) != data["order"]:
             raise InputError("group table does not match declared order")
         if not all(isinstance(row, list) for row in table):
@@ -221,17 +222,21 @@ class GroupHom:
         self.source = source
         self.target = target
         self.mapping = list(mapping)
-        if section is not None:
-            section = list(section)
-            if len(section) != target.order:
-                raise InputError("section must list one lift per target element")
-            for h, g in enumerate(section):
-                if type(g) is not int or not 0 <= g < source.order:
-                    raise InputError("section entry out of range")
-                if mapping[g] != h:
-                    raise InputError("section is not a right inverse of the map")
-        self.section = section
+        self.section = None if section is None else self._checked_section(section)
         self._quotient = None
+
+    def _checked_section(self, section):
+        """section as a list, checked to be a right inverse of the map: one
+        source element index t(h) per target element h, with phi(t(h)) = h."""
+        section = list(section)
+        if len(section) != self.target.order:
+            raise InputError("section must list one lift per target element")
+        for h, g in enumerate(section):
+            if type(g) is not int or not 0 <= g < self.source.order:
+                raise InputError("section entry out of range")
+            if self.mapping[g] != h:
+                raise InputError("section is not a right inverse of the map")
+        return section
 
     def __call__(self, g):
         return self.mapping[g]
@@ -554,9 +559,12 @@ def _smith(mat):
                         do(row_ops, i, t)
                         break
             else:
+                # column t is now zero off row t, so the column operation
+                # col j -= q * col t changes A[t, j] alone
                 for j in range(t + 1, n):
                     if A[t, j]:
-                        do(col_ops, j, t, A[t, j] // A[t, t])
+                        q, A[t, j] = divmod(A[t, j], A[t, t])
+                        col_ops.append((j, t, q))
                         if A[t, j]:
                             do(col_ops, j, t)
                             break
@@ -697,6 +705,7 @@ def f_phi_section(hom, cycle, section=None):
     ker(phi)/[G, ker(phi)]: with d_i = t(a_i) t(b_i) t(a_i b_i)^{-1} the
     defect of cell i, multiply the powers d_i^{z_i} of the positive cells
     and divide by the product of the powers d_i^{-z_i} of the negative ones.
+    A given section t is checked as GroupHom checks its own.
 
     Returns the minimal-index representative of the class.
     """
@@ -705,12 +714,7 @@ def f_phi_section(hom, cycle, section=None):
         raise InputError("not a 2-cycle")
     if not bar_boundary(cycle).is_zero():
         raise InputError("not a 2-cycle")
-    if section is None:
-        t = hom.section_table()
-    else:
-        t = list(section)
-        if len(t) != H.order or any(hom.mapping[t[h]] != h for h in range(H.order)):
-            raise InputError("section is not a right inverse of the map")
+    t = hom.section_table() if section is None else hom._checked_section(section)
     tab, inv = G.table, G._inv
     num = den = G.identity
     for (a, b), z in sorted(cycle.coeffs.items()):
@@ -880,13 +884,7 @@ def load_catalog_file(path):
     """Read a JSON catalog file: {"groups": {name: record}, "surjections":
     {name: {"source": ..., "target": ..., "map": ..., "section": ...}}}.
     An unreadable file or invalid JSON is an InputError, as a bad record is."""
-    try:
-        with open(path, "r") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InputError("catalog must be a JSON object")
     group_recs, hom_recs = data.get("groups", {}), data.get("surjections", {})

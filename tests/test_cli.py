@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from fredk2 import cli, group_homology
-from fredk2._errors import NumericalError
+from fredk2._errors import InputError, NumericalError, read_json
 from fredk2.cli import main
 from fredk2.fourier_loops import FourierLoop, loop_to_json
 from fredk2.group_homology import FiniteGroup
@@ -450,6 +451,47 @@ class TestHomologyCommand:
             assert res.exit_code == 2
         res = runner.invoke(main, ["homology", cat, "--samples", "5", "--seed", "3"])
         assert json.loads(res.output)["config"] == {"format": "json", "seed": 3}
+
+
+    def test_sampled_cells_decode_the_draw_that_indexed_all_cells(self):
+        def reference(hom, samples, rng):  # the sampler that listed all |G|^3 cells
+            basis = group_homology.cycle_basis(hom.target, 2)
+            cells = group_homology._all_cells(hom.target, 3)
+            cycles = []
+            for _ in range(samples):
+                cyc = group_homology.GroupChain(hom.target, 2)
+                for chain in basis:
+                    cyc = cyc.add(chain.scale(int(rng.integers(-2, 3))))
+                extra = group_homology.GroupChain(hom.target, 3)
+                for _ in range(3):
+                    cell = cells[int(rng.integers(len(cells)))]
+                    extra.add_cell(cell, int(rng.integers(-2, 3)))
+                cycles.append(cyc.add(group_homology.bar_boundary(extra)))
+            return cycles
+
+        for name, hom in group_homology.builtin_catalog().items():
+            got = cli._sample_cycles(hom, 10, np.random.default_rng(7))
+            assert got == reference(hom, 10, np.random.default_rng(7)), name
+
+
+# file bytes for each file the JSON reader refuses; None is a missing file
+UNREADABLE = {"missing": None, "invalid-json": b"{nope", "not-utf-8": b'{"coeffs": "\xe9"}',
+              "int-past-digit-limit": b"[" + b"1" * 5000 + b"]"}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_read_refusal_passes_unedited(runner, tmp_path, case):
+    path = tmp_path / "input.json"
+    if UNREADABLE[case] is not None:
+        path.write_bytes(UNREADABLE[case])
+    with pytest.raises(InputError) as read:
+        read_json(str(path))
+    with pytest.raises(InputError) as catalog:
+        group_homology.load_catalog_file(str(path))
+    assert str(catalog.value) == str(read.value)
+    for args in (["symbol", str(path), str(path)], ["homology", str(path)]):
+        res = runner.invoke(main, args)
+        assert (res.exit_code, res.output) == (2, f"error: {read.value}\n")
 
 
 class TestNumericOptions:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -350,6 +352,22 @@ class TestBoundaryOfLogarithm:
         assert np.linalg.norm(lhs - acc) < 1e-8
 
 
+# (make_a, make_b, equal) for CyclicChain.equals, one per branch
+EQUALS_CASES = [
+    (lambda e: CyclicChain(0, [(1.0, (e,))]), lambda e: CyclicChain(1, [(1.0, (e, e))]),
+     False),
+    (lambda e: CyclicChain(1, []), lambda e: CyclicChain(1, []), True),
+    (lambda e: CyclicChain(0, []), lambda e: CyclicChain(0, [(1.0, (e,)), (-1.0, (e,))]),
+     True),
+    (lambda e: CyclicChain(0, [(1.0, (e,))]), lambda e: CyclicChain(0, []), False),
+    (lambda e: CyclicChain(0, [(1.0, (e,))]), lambda e: CyclicChain(0, [(1.0, (e[:1],))]),
+     False),
+    (lambda e: CyclicChain(0, [(2.0, (e,))]), lambda e: CyclicChain(0, [(1.0, (e,))]), False),
+]
+EQUALS_IDS = ["degrees", "both-empty", "empty-and-zero", "empty-and-nonzero", "shapes",
+              "values"]
+
+
 class TestCyclicOperators:
     def rand_chain(self, rng, degree, m, nterms):
         return CyclicChain(degree, [
@@ -411,22 +429,17 @@ class TestCyclicOperators:
         c = self.rand_chain(rng, 2, 3, 4)
         assert cyclic_b(cyclic_project(c)).equals(cyclic_b(c))
 
-    @pytest.mark.parametrize("make_a, make_b, equal", [
-        (lambda e: CyclicChain(0, [(1.0, (e,))]), lambda e: CyclicChain(1, [(1.0, (e, e))]),
-         False),
-        (lambda e: CyclicChain(1, []), lambda e: CyclicChain(1, []), True),
-        (lambda e: CyclicChain(0, []), lambda e: CyclicChain(0, [(1.0, (e,)), (-1.0, (e,))]),
-         True),
-        (lambda e: CyclicChain(0, [(1.0, (e,))]), lambda e: CyclicChain(0, []), False),
-        (lambda e: CyclicChain(0, [(1.0, (e,))]), lambda e: CyclicChain(0, [(1.0, (e[:1],))]),
-         False),
-        (lambda e: CyclicChain(0, [(2.0, (e,))]), lambda e: CyclicChain(0, [(1.0, (e,))]), False),
-    ], ids=["degrees", "both-empty", "empty-and-zero", "empty-and-nonzero", "shapes",
-            "values"])
+    @pytest.mark.parametrize("make_a, make_b, equal", EQUALS_CASES, ids=EQUALS_IDS)
     def test_equals_cases(self, make_a, make_b, equal):
         e = np.eye(2, dtype=complex)
         assert make_a(e).equals(make_b(e)) == equal
         assert make_b(e).equals(make_a(e)) == equal
+
+    @pytest.mark.parametrize("make_a, make_b, equal", EQUALS_CASES, ids=EQUALS_IDS)
+    def test_equals_returns_a_python_bool(self, make_a, make_b, equal):
+        e = np.eye(2, dtype=complex)
+        assert make_a(e).equals(make_b(e)) is equal
+        assert make_b(e).equals(make_a(e)) is equal
 
     def test_b_of_degree_zero_is_empty(self):
         out = cyclic_b(CyclicChain(0, [(1.0, (np.eye(2),))]))
@@ -705,6 +718,13 @@ REFUSALS = {
                                                  InputError, "paths do not agree"),
     "relative-log-singular-node": (lambda: tilde_gamma(SINGULAR, SINGULAR), NumericalError,
                                    "singular simplex value"),
+    # a NaN tol would pass every comparison, a negative one fail every call
+    "relative-log-negative-tol": (lambda: tilde_gamma(LINE, LINE, tol=-1e-9), InputError,
+                                  "tolerance must be finite"),
+    "relative-log-nan-tol": (lambda: tilde_gamma(LINE, LINE, tol=math.nan), InputError,
+                             "tolerance must be finite"),
+    "relative-log-infinite-tol": (lambda: tilde_gamma(LINE, LINE, tol=math.inf), InputError,
+                                  "tolerance must be finite"),
 }
 
 

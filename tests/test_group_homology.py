@@ -433,6 +433,19 @@ class TestFPhiSection:
         with pytest.raises(InputError):
             f_phi_section(hom, x, section=[0, 0, 0, 0])
 
+    # each is refused by GroupHom; -1 would wrap to element 7 and True act as 1
+    @pytest.mark.parametrize("section", [[0, 4, 2, -1], [True, 4, 2, 6], [0, 4, 2, 6.0]],
+                             ids=["negative", "boolean", "float"])
+    def test_section_checked_as_grouphom_checks_it(self, section):
+        hom = builtin_catalog()["Q8->Z2xZ2"]
+        with pytest.raises(InputError, match="section entry out of range"):
+            GroupHom(hom.source, hom.target, hom.mapping, section)
+        with pytest.raises(InputError, match="section entry out of range"):
+            f_phi_section(hom, GroupChain(hom.target, 2), section=section)
+        # the cycle is checked first
+        with pytest.raises(InputError, match="not a 2-cycle"):
+            f_phi_section(hom, GroupChain(hom.target, 2, {(1, 1): 1}), section=section)
+
 
 class TestConeAndCoker:
     def test_cone_boundary_squares_to_zero(self):
@@ -1041,6 +1054,10 @@ GROUP_REFUSALS = {
     "group-record-list": (lambda: FiniteGroup.from_json([[0, 1], [1, 0]]), "JSON object"),
     "group-record-booleans": (lambda: FiniteGroup.from_json({"order": 2, "table": BOOLS}),
                               "entry out of range"),
+    "group-record-boolean-order": (lambda: FiniteGroup.from_json({"order": True, "table": [[0]]}),
+                                   "order must be an integer"),
+    "group-record-float-order": (lambda: FiniteGroup.from_json(
+        {"order": 2.0, "table": [[0, 1], [1, 0]]}), "order must be an integer"),
     "map-out-of-range": (lambda: GroupHom(Z2, Z2, [0, 2]), "image out of range"),
     "map-booleans": (lambda: GroupHom(Z2, Z2, [False, True]), "image out of range"),
     "section-length": (lambda: GroupHom(Z4, Z2, [0, 1, 0, 1], section=[0]), "one lift"),
@@ -1089,6 +1106,10 @@ CATALOG_REFUSALS = {
                       "entry out of range"),
     "boolean-map": (json.dumps({"groups": Z2_RECORDS, "surjections": {
         "f": {"source": "Z2", "target": "Z2", "map": [False, True]}}}), "image out of range"),
+    "boolean-order": (json.dumps({"groups": {"E": {"order": True, "table": [[0]]}}}),
+                      "order must be an integer"),
+    "float-order": (json.dumps({"groups": {"Z2": {"order": 2.0, "table": [[0, 1], [1, 0]]}}}),
+                    "order must be an integer"),
 }
 
 
