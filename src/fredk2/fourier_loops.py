@@ -53,6 +53,11 @@ def max_band() -> int:
     return int(os.environ.get("FREDK2_MAX_BAND", "512"))
 
 
+def _is_index(k) -> bool:
+    """A Python or numpy integer that is not a bool."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 class FourierLoop:
     """Finitely supported Fourier series Σ_k c_k e^{ikθ}, held as ``lo``,
     ``run`` = (c_lo, …, c_hi) with nonzero ends (lo = 0 and an empty run for
@@ -63,6 +68,8 @@ class FourierLoop:
 
     def __init__(self, coeffs=None, tail: float = 0.0):
         coeffs = coeffs or {}
+        if not all(map(_is_index, coeffs)):
+            raise InputError("loop indices must be integers")
         keys = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
         lo = int(min(coeffs, default=0))
         run = np.zeros(int(max(coeffs, default=-1)) - lo + 1, dtype=complex)
@@ -328,6 +335,8 @@ def z_loop(n: int = 1) -> FourierLoop:
 def from_samples(samples, band: int) -> FourierLoop:
     """Discrete Fourier analysis of equispaced samples, truncated to the
     requested band."""
+    if not (_is_index(band) and band >= 0):
+        raise InputError("band must be a non-negative integer")
     samples = np.asarray(samples, dtype=complex)
     n = len(samples)
     if n < 2 * band + 1:
@@ -411,10 +420,6 @@ class LoopLog:
     def __init__(self, winding: int, log_part: FourierLoop):
         self.winding = int(winding)
         self.log_part = log_part
-
-    @classmethod
-    def from_log(cls, ll: "LoopLog") -> "LoopLog":
-        return cls(ll.winding, ll.log_part)
 
     @classmethod
     def identity(cls) -> "LoopLog":

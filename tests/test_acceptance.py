@@ -278,7 +278,7 @@ def test_criterion_6_chain_level_identities():
     ok = worst_bg <= 1e-7 and worst_tau <= 1e-9 and worst_tg <= 1e-9
     _line(6, ok, f"b(gamma) vs -gamma(dN) rel {worst_bg:.2e} (tol 1e-7); "
                  f"tau_1 vs boundary trace dev {worst_tau:.2e} (tol 1e-9); "
-                 f"relative log forms + endpoint dets rel {worst_tg:.2e} "
+                 f"relative log vs endpoint dets rel {worst_tg:.2e} "
                  f"(tol 1e-9)")
 
 

@@ -582,6 +582,20 @@ class TestTauCocycle:
         assert abs(val - brute) < 1e-12
 
 
+def toeplitz_pair(w=64):
+    """T(e^{0.3z + 0.2/z}) + t·K for two corners K of rank 4, and the first K."""
+    rng = np.random.default_rng(113)
+    base = ToeplitzOp(FourierLoop({1: 0.3, -1: 0.2}).exp(), None, window=w)
+    ks = []
+    for _ in range(2):
+        corr = np.zeros((w, w), dtype=complex)
+        corr[:4, :4] = rand_mat(rng, 4, 0.1)
+        ks.append(ToeplitzOp(zero_loop(), corr, window=w))
+    s1, s2 = (SimplexPath(1, lambda t, k=k: base + t * k, lambda _i, t, k=k: k, based=False)
+              for k in ks)
+    return s1, s2, ks[0]
+
+
 class TestTildeGamma:
     def test_equal_paths(self):
         rng = np.random.default_rng(103)
@@ -605,9 +619,9 @@ class TestTildeGamma:
         assert abs(np.exp(val) - target) < 1e-8
 
     def test_one_inverse_per_path_and_node(self, monkeypatch):
-        # both forms come from one pass per node: the rules of orders 6 and
-        # 9, the ladder's first two rungs, agree, so each of those nodes
-        # takes one inverse of each path
+        # the rules of orders 6 and 9, the ladder's first two rungs, agree,
+        # so each of those nodes takes one inverse of each path, and the
+        # endpoint determinants take none
         rng = np.random.default_rng(109)
         x, y = rand_mat(rng, 3), rand_mat(rng, 3)
         calls = []
@@ -624,6 +638,32 @@ class TestTildeGamma:
         target = np.linalg.det(np.linalg.inv(curved_line(x, y).at(1.0))
                                @ curved_line(y, x).at(1.0))
         assert abs(np.exp(val) - target) < 1e-8 * abs(target)
+
+    def test_resolves_the_second_draw_of_seed_5(self):
+        # m = 7: while a second, cyclically equal form rode along in the
+        # quadrature, its roundoff (about 2e-8 between rungs) kept the pair
+        # from settling on any rung below the cap
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            m, scale = int(rng.integers(2, 9)), rng.uniform(0.2, 1.0)
+            x1, y1, x2, y2 = (rand_mat(rng, m, scale) for _ in range(4))
+        assert m == 7
+        s1, s2 = curved_line(x1, y1), curved_line(x2, y2)
+        val = tilde_gamma(s1, s2)
+        (sign2, log2), (sign1, log1) = (np.linalg.slogdet(s.at(1.0)) for s in (s2, s1))
+        assert abs(val.real - (log2 - log1)) < 1e-9 * max(1.0, abs(log2 - log1))
+        assert abs(np.exp(1j * val.imag) - sign2 / sign1) < 1e-9
+
+    def test_wrong_partial_refused(self):
+        # Tr(s2' s2^{-1} - s1' s1^{-1}) is integrated as given; only the
+        # endpoint determinants can tell a partial that is not the path's
+        rng = np.random.default_rng(109)
+        x, y = rand_mat(rng, 3), rand_mat(rng, 3)
+        good = curved_line(x, y)
+        wrong = SimplexPath(1, good.at, lambda _i, t: 1.01 * good.partial(1, t))
+        tilde_gamma(good, curved_line(y, x))
+        with pytest.raises(NumericalError, match="path leaves invertibles"):
+            tilde_gamma(wrong, curved_line(y, x))
 
     def test_matches_order_64_rule(self):
         rng = np.random.default_rng(109)
@@ -658,6 +698,32 @@ class TestTildeGamma:
         val = tilde_gamma(s1, s2)
         assert abs(val - (-np.log1p(lam))) < 1e-9
 
+    def test_toeplitz_pair_against_endpoint_determinants(self, monkeypatch):
+        s1, s2, k1 = toeplitz_pair()
+        nodes, muls = [], []
+        mul = ToeplitzOp.mul
+
+        def counted_mul(x, y):
+            muls.append(1)
+            return mul(x, y)
+
+        monkeypatch.setattr(ToeplitzOp, "mul", counted_mul)
+        counted = SimplexPath(1, s1.at, lambda _i, t: nodes.append(t) or k1, based=False)
+        val = tilde_gamma(counted, s2)
+        # one product per path and node, one per endpoint
+        assert len(muls) <= 2 * len(nodes) + 2
+        monkeypatch.setattr(ToeplitzOp, "mul", mul)
+        # both paths start at the same operator, so only t = 1 counts
+        want = np.log(np.linalg.det(s2.at(1.0).dense_section(128))
+                      / np.linalg.det(s1.at(1.0).dense_section(128)))
+        assert abs(val - want) < 1e-9
+
+    def test_toeplitz_wrong_partial_refused(self):
+        s1, s2, k1 = toeplitz_pair()
+        wrong = SimplexPath(1, s1.at, lambda _i, t: 1.01 * k1, based=False)
+        with pytest.raises(NumericalError, match="path leaves invertibles"):
+            tilde_gamma(wrong, s2)
+
     def test_symbol_mismatch_toeplitz(self):
         from fredk2.fourier_loops import FourierLoop
         w = 64
@@ -675,6 +741,8 @@ EYE = np.eye(2, dtype=complex)
 LINE = SimplexPath(1, lambda t: EYE, lambda _i, t: 0 * EYE)
 TRIANGLE = SimplexPath(2, lambda t1, t2: EYE, lambda _i, t1, t2: 0 * EYE)
 OP_LINE = SimplexPath(1, lambda t: identity_op(W), lambda _i, t: zero_op(W))
+BLOCK_LINE = SimplexPath(1, lambda t: BlockOp.diagonal(identity_op(W), identity_op(W), W),
+                        lambda _i, t: BlockOp.diagonal(zero_op(W), zero_op(W), W))
 SINGULAR = SimplexPath(1, lambda t: 0 * EYE, lambda _i, t: 0 * EYE, based=False)
 
 
@@ -712,6 +780,8 @@ REFUSALS = {
                                  "expects two paths"),
     "relative-log-of-triangles": (lambda: tilde_gamma(TRIANGLE, TRIANGLE), InputError,
                                   "1-simplices"),
+    "relative-log-of-block-lines": (lambda: tilde_gamma(BLOCK_LINE, BLOCK_LINE), InputError,
+                                    "matrix or Toeplitz paths"),
     "relative-log-mixed": (lambda: tilde_gamma(LINE, OP_LINE), InputError,
                            "paths do not agree"),
     "relative-log-symbols-between-checkpoints": (lambda: tilde_gamma(OP_LINE, BUMPED),

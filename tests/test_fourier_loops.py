@@ -66,6 +66,14 @@ class TestFromSamples:
             with pytest.raises(InputError, match="non-finite samples"):
                 from_samples(values, 3)
 
+    @pytest.mark.parametrize("band", [-1, 1.5, True], ids=["negative", "fraction", "bool"])
+    def test_band_must_be_a_non_negative_integer(self, band):
+        with pytest.raises(InputError, match="non-negative integer"):
+            from_samples(np.ones(16, dtype=complex), band)
+
+    def test_numpy_integer_band_accepted(self):
+        assert coeffs_close(from_samples(np.ones(16, dtype=complex), np.int64(4)), {0: 1.0})
+
     def test_roundtrip_eval(self):
         rng = np.random.default_rng(11)
         loop = random_loop(rng, band=5)
@@ -523,6 +531,16 @@ class TestCanonicalRun:
         self._canonical(f.derivative(),
                         _ref_map(fc, lambda k, c: (k, 1j * k * c if k else 0)), f.tail)
 
+    @pytest.mark.parametrize("coeffs", [{0.5: 1.0, 2.7: 3.0}, {True: 2.0}, {np.bool_(False): 1.0},
+                                        {"1": 1.0}], ids=["float", "bool", "numpy-bool", "str"])
+    def test_non_integer_indices_refused(self, coeffs):
+        with pytest.raises(InputError, match="indices must be integers"):
+            FourierLoop(coeffs)
+
+    def test_numpy_integer_indices_accepted(self):
+        f = FourierLoop({np.int64(-2): 1.0, np.int32(3): 2.0})
+        assert f.coeffs == {-2: 1.0, 3: 2.0} and f.lo == -2
+
     def test_derivative_drops_c0_even_nan(self):
         f = FourierLoop({0: complex("nan"), 1: 1.0})
         self._canonical(f.derivative(), {1: 1j}, 0.0)
@@ -827,11 +845,6 @@ class TestLoopLogGroup:
         x = LoopLog(1, zero_loop())
         assert x.__eq__((1, ())) is NotImplemented
         assert x != (1, ()) and x != 1
-
-    def test_from_log_is_an_equal_copy(self):
-        x = LoopLog(2, FourierLoop({1: 0.5, -1: 0.25j}))
-        y = LoopLog.from_log(x)
-        assert y == x and y is not x and hash(y) == hash(x)
 
 
 class TestJson:

@@ -675,9 +675,8 @@ class TestH2Cycle:
         chain = steinberg_to_h2_cycle(u, v)
         assert sorted(chain.coeffs.values()) == [-1, 1]
         assert chain.boundary().is_zero()
-        lu, lv = LoopLabel.from_log(u), LoopLabel.from_log(v)
-        assert chain.coeffs[(d13(lv), d12(lu))] == 1
-        assert chain.coeffs[(d12(lu), d13(lv))] == -1
+        assert chain.coeffs[(d13(v), d12(u))] == 1
+        assert chain.coeffs[(d12(u), d13(v))] == -1
 
     def test_accepts_raw_loops(self):
         alpha = FourierLoop({1: 1.0})

@@ -8,7 +8,7 @@ then the total.  Module and class bodies run on import and are not counted.
     python3 tools/unreached.py
 
 The exit status is 0 whatever the tests do, and the report names pytest's
-own status.  CI reads the total off the last line and fails above 1.
+own status.  CI reads the total off the last line and fails above 0.
 Python 3.11 or later.
 """
 
