@@ -27,35 +27,16 @@ import operator
 
 import numpy as np
 
-from ._errors import InputError, InvariantViolation, NumericalError
-from .fredholm import (_log_det, central_difference, endpoint_check, gl_adaptive, gl_nodes,
-                       gl_sum)
+from ._errors import InputError, InvariantViolation
+from .fourier_loops import _is_index
+from .fredholm import (_inverse, _line_log, _log_derivative, _log_det, _trace,
+                       central_difference, gl_adaptive, gl_nodes)
 from .toeplitz_calculus import ToeplitzOp, identity_op, zero_op
 
 LINE_MAX_ORDER = 512
 TRI_MAX_ORDER = 128
-LINE_TOL = 1e-11
 TRI_TOL = 1e-9
 CHAIN_TOL = 1e-10
-
-
-def _is_mat(x):
-    return isinstance(x, np.ndarray)
-
-
-def _e_inv(x):
-    if _is_mat(x):
-        try:
-            return np.linalg.inv(x)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular simplex value at a quadrature node") from exc
-    return x.inv()
-
-
-def _e_trace(x):
-    if _is_mat(x):
-        return complex(np.trace(x))
-    return x.op_trace()
 
 
 class SimplexPath:
@@ -76,9 +57,9 @@ class SimplexPath:
         self.based = bool(based)
         if self.based:
             v0 = self.at(*([0.0] * self.n))
-            if isinstance(v0, BlockOp) and _is_mat(v0.block(1, 1)):
+            if isinstance(v0, BlockOp) and isinstance(v0.block(1, 1), np.ndarray):
                 v0 = v0.dense()
-            if _is_mat(v0):
+            if isinstance(v0, np.ndarray):
                 gap, size = np.linalg.norm(v0 - np.eye(v0.shape[0])), np.linalg.norm(v0)
             elif isinstance(v0, BlockOp):
                 one = BlockOp.diagonal(*[identity_op(v0.window)] * len(v0.rows), v0.window)
@@ -133,7 +114,7 @@ def face(i, sigma):
 
 def based_zero_face(sigma):
     """d_0(sigma) right-translated by sigma(1-vertex)^{-1}."""
-    g = _e_inv(sigma.vertex(1))
+    g = _inverse(sigma.vertex(1))
     if sigma.n == 1:
         return face(0, sigma) @ g
     f0 = face(0, sigma)
@@ -210,7 +191,7 @@ class CyclicChain:
         linear isomorphism onto M_{m^(q+1)}, so this is faithful."""
         total = None
         for c, x in self.terms:
-            if not all(_is_mat(e) for e in x):
+            if not all(isinstance(e, np.ndarray) for e in x):
                 raise InputError("only dense matrix chains materialize")
             piece = x[0]
             for e in x[1:]:
@@ -270,11 +251,6 @@ def cyclic_b(c):
     return CyclicChain(q - 1, out)
 
 
-def _line_integral(fn):
-    """Adaptive Gauss-Legendre integral of fn on [0, 1]."""
-    return gl_adaptive(lambda o: gl_sum(fn, o), LINE_MAX_ORDER, LINE_TOL)
-
-
 def gamma_log(sigma):
     """Logarithm of a based simplex as a cyclic chain.
 
@@ -293,22 +269,12 @@ def gamma_log(sigma):
         return out if out is not None else CyclicChain(0, [])
     if not sigma.based:
         raise InputError("logarithm requires a based simplex")
-    probe = sigma.at(*([0.0] * sigma.n))
-    if not _is_mat(probe):
+    if not isinstance(sigma.at(*([0.0] * sigma.n)), np.ndarray):
         raise InputError("logarithm is defined for dense matrix simplices")
 
     if sigma.n == 1:
-        def logderiv(t):
-            f, fp = sigma.at(t), sigma.partial(1, t)
-            try:
-                return np.linalg.solve(f.T, fp.T).T
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    "singular simplex value at a quadrature node") from exc
-
-        integral = _line_integral(logderiv)
-        endpoint_check(_log_det(sigma.at(1.0)) - _log_det(sigma.at(0.0)),
-                       complex(np.trace(integral)), 1e-6)
+        integral = _line_log(lambda t: _log_derivative(sigma.at(t), sigma.partial(1, t)),
+                             lambda t: _log_det(sigma.at(t)), LINE_MAX_ORDER, 1e-6)
         return CyclicChain(0, [(1.0, (-integral,))])
 
     def triangle_chain(order):
@@ -319,7 +285,7 @@ def gamma_log(sigma):
                 t1 = float(u)
                 t2 = float(v * (1.0 - u))
                 w = float(wu * wv * (1.0 - u))
-                finv = _e_inv(sigma.at(t1, t2))
+                finv = _inverse(sigma.at(t1, t2))
                 a = sigma.partial(1, t1, t2) @ finv
                 b = sigma.partial(2, t1, t2) @ finv
                 terms.append((0.5 * w, (a, b)))
@@ -424,9 +390,8 @@ def tau_cocycle(p, chain):
     2p off-diagonal parts is block diagonal, so this is the trace of the
     (1,1) corner minus the trace of the (2,2) corner.
     """
-    p = int(p)
-    if p < 1 or chain.degree != 2 * p - 1:
-        raise InputError("cocycle degree must be 2p−1")
+    if not (_is_index(p) and p >= 1 and chain.degree == 2 * p - 1):
+        raise InputError("cocycle degree must be 2p−1 for an integer p ≥ 1")
     pref = float((-1) ** (p - 1)) * math.factorial(2 * p - 1) / math.factorial(p - 1)
     total = 0j
     for co, x in chain.terms:
@@ -440,7 +405,7 @@ def tau_cocycle(p, chain):
             else:
                 top = top @ el.block(1, 2)
                 bot = bot @ el.block(2, 1)
-        total += co * (_e_trace(top) - _e_trace(bot))
+        total += co * (_trace(top) - _trace(bot))
     return pref * total
 
 
@@ -449,16 +414,17 @@ def _paths_compatible(s1, s2):
         a, b = s1.at(t), s2.at(t)
         if not all(isinstance(v, (np.ndarray, ToeplitzOp)) for v in (a, b)):
             raise InputError("relative logarithm is defined for matrix or Toeplitz paths")
-        if _is_mat(a) != _is_mat(b) or (a.shape != b.shape if _is_mat(a)
-                                        else a.symbol.sub(b.symbol).l1() > 1e-9):
+        dense = isinstance(a, np.ndarray)
+        if dense != isinstance(b, np.ndarray) or (a.shape != b.shape if dense
+                                                  else a.symbol.sub(b.symbol).l1() > 1e-9):
             raise InputError("paths do not agree modulo trace class")
 
 
 def tilde_gamma(s1, s2, tol=1e-9):
     """Relative logarithm Tr integral of (s2' s2^{-1} - s1' s1^{-1}) dt of
-    a pair of paths with trace class difference, checked to tol against
-    log det(s2 s1^{-1}) from 0 to 1 by ``endpoint_check``: four slogdets
-    for matrices, det1p of s2 s1^{-1} for Toeplitz operators."""
+    a pair of paths with trace class difference, by ``_line_log``, checked
+    to tol against log det(s2 s1^{-1}) from 0 to 1: four slogdets for
+    matrices, det1p of s2 s1^{-1} for Toeplitz operators."""
     if not (isinstance(s1, SimplexPath) and isinstance(s2, SimplexPath)):
         raise InputError("relative logarithm expects two paths")
     if not (math.isfinite(tol) and tol >= 0):  # a NaN tol would pass every check
@@ -468,17 +434,16 @@ def tilde_gamma(s1, s2, tol=1e-9):
     _paths_compatible(s1, s2)
 
     def form(t):
-        return _e_trace(s2.partial(1, t) @ _e_inv(s2.at(t))
-                        - s1.partial(1, t) @ _e_inv(s1.at(t)))
+        try:
+            return _trace(_log_derivative(s2.at(t), s2.partial(1, t))
+                          - _log_derivative(s1.at(t), s1.partial(1, t)))
+        except InvariantViolation as exc:
+            # a nonzero-symbol trace means the paths differ by more than trace class
+            raise InputError("paths do not agree modulo trace class") from exc
 
     def log_ratio(t):
         f1, f2 = s1.at(t), s2.at(t)
-        return _log_det(f2) - _log_det(f1) if _is_mat(f1) else _log_det(f2 @ f1.inv())
+        return (_log_det(f2) - _log_det(f1) if isinstance(f1, np.ndarray)
+                else _log_det(f2 @ f1.inv()))
 
-    try:
-        val = complex(_line_integral(form))
-    except InvariantViolation as exc:
-        # a nonzero-symbol trace means the paths differ by more than trace class
-        raise InputError("paths do not agree modulo trace class") from exc
-    endpoint_check(log_ratio(1.0) - log_ratio(0.0), val, tol)
-    return val
+    return complex(_line_log(form, log_ratio, LINE_MAX_ORDER, tol))

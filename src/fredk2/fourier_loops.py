@@ -418,6 +418,8 @@ class LoopLog:
     __slots__ = ("winding", "log_part")
 
     def __init__(self, winding: int, log_part: FourierLoop):
+        if not _is_index(winding):
+            raise InputError("winding must be an integer")
         self.winding = int(winding)
         self.log_part = log_part
 

@@ -6,10 +6,10 @@ LU.  Square block operators of Toeplitz operators that are the identity
 modulo trace class are taken the same way.  Also provides the exp-pair
 identity det(e^x e^{−y}) = e^{Tr(x−y)} and the Gohberg–Krein path determinant
 
-    log det F(1)/det F(0) = ∫₀¹ Tr(F(t)⁻¹ F′(t)) dt,
+    log det F(1)/det F(0) = ∫₀¹ Tr(F′(t) F(t)⁻¹) dt,
 
-together with the adaptive Gauss–Legendre driver and endpoint check
-that every path integral in the package uses.
+with the adaptive Gauss–Legendre driver, the log-derivative F′F⁻¹ and the
+line driver with its endpoint check that every path integral here uses.
 """
 
 from __future__ import annotations
@@ -169,12 +169,6 @@ def gl_nodes(order: int):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def gl_sum(fn, order: int):
-    """Σ wᵢ·fn(tᵢ): the Gauss–Legendre rule of the given order for ∫₀¹ fn."""
-    nodes, weights = gl_nodes(order)
-    return functools.reduce(operator.add, (w * fn(float(t)) for t, w in zip(nodes, weights)))
-
-
 def gl_adaptive(estimate, max_order: int, tol: float, measure=None):
     """Adaptive Gauss–Legendre quadrature on the ladder o → ⌈3o/2⌉.
 
@@ -209,8 +203,37 @@ def _log_det(x) -> complex:
     return complex(log_abs, np.angle(sign))
 
 
+_SINGULAR_NODE = "path leaves invertibles: singular simplex value at a quadrature node"
+
+
+def _inverse(x):
+    """x⁻¹ of a matrix, or of an operator by its own ``inv``; NumericalError
+    on a singular matrix."""
+    if not isinstance(x, np.ndarray):
+        return x.inv()
+    try:
+        return np.linalg.inv(x)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(_SINGULAR_NODE) from exc
+
+
+def _log_derivative(f, f_prime):
+    """F′F⁻¹ at one node, of matrix or operator values F = f, F′ = f_prime;
+    NumericalError there on a singular F or a non-finite matrix result."""
+    with np.errstate(all="ignore"):  # an inf·0 is refused below, not warned
+        out = f_prime @ _inverse(f)
+    if isinstance(out, np.ndarray) and not np.isfinite(out).all():
+        raise NumericalError(_SINGULAR_NODE)
+    return out
+
+
+def _trace(x) -> complex:
+    """Tr x of a matrix, or of a trace-class operator by its ``op_trace``."""
+    return complex(np.trace(x)) if isinstance(x, np.ndarray) else x.op_trace()
+
+
 def endpoint_check(want: complex, log_det: complex, tol: float) -> None:
-    """NumericalError unless the quadrature log_det of ∫Tr F⁻¹F′ matches
+    """NumericalError unless the quadrature log_det of ∫Tr F′F⁻¹ matches
     want = log det F(1)/det F(0) from ``_log_det``: real parts within tol
     relative to max(1, |Re want|), phases within tol.  A crossing of the
     singular set can cancel in the quadrature (a symmetric pole of the
@@ -218,24 +241,28 @@ def endpoint_check(want: complex, log_det: complex, tol: float) -> None:
     identity."""
     if (abs(log_det.real - want.real) > tol * max(1.0, abs(want.real))
             or abs(cmath.exp(1j * (log_det.imag - want.imag)) - 1) > tol):
-        raise NumericalError("path leaves invertibles")
+        raise NumericalError("path leaves invertibles, or a derivative is not the path's: "
+                             "∫Tr F′F⁻¹ misses log det F(1)/det F(0)")
+
+
+def _line_log(form, log_det_at, max_order: int, tol: float):
+    """∫₀¹ form(t) dt by ``gl_adaptive`` to 1e-11 up to max_order; ``endpoint_check``
+    holds its trace (a number is its own) to log_det_at(1) − log_det_at(0) within tol."""
+
+    def rule(order):
+        nodes, weights = gl_nodes(order)
+        return functools.reduce(operator.add, (w * form(float(t)) for t, w in zip(nodes, weights)))
+
+    val = gl_adaptive(rule, max_order, 1e-11)
+    endpoint_check(log_det_at(1.0) - log_det_at(0.0),
+                   complex(np.trace(val) if np.ndim(val) else val), tol)
+    return val
 
 
 def path_log_det(path) -> complex:
-    """∫₀¹ Tr(F⁻¹F′) dt along an OperatorPath, by adaptive Gauss–Legendre."""
-
-    def integrand(t: float):
-        try:
-            sol = np.linalg.solve(path(t), path.deriv(t))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("path leaves invertibles") from exc
-        if not np.all(np.isfinite(sol)):
-            raise NumericalError("path leaves invertibles")
-        return np.trace(sol)
-
-    val = complex(gl_adaptive(lambda o: gl_sum(integrand, o), 1024, 1e-11))
-    endpoint_check(_log_det(path(1.0)) - _log_det(path(0.0)), val, 1e-6)
-    return val
+    """∫₀¹ Tr(F′F⁻¹) dt along an OperatorPath, by ``_line_log``."""
+    return complex(_line_log(lambda t: _trace(_log_derivative(path(t), path.deriv(t))),
+                             lambda t: _log_det(path(t)), 1024, 1e-6))
 
 
 def mult_commutator_det(u: ToeplitzOp, v: ToeplitzOp, strict: bool = True, *,

@@ -303,8 +303,8 @@ class GroupChain:
     their results unchecked (``_of``) and never share an operand's map."""
 
     def __init__(self, group, degree, coeffs=None):
-        if degree < 0:
-            raise InputError("chain degree must be nonnegative")
+        if type(degree) is not int or degree < 0:
+            raise InputError("chain degree must be a nonnegative integer")
         self.group = group
         self.degree = degree
         self.coeffs = {}
@@ -630,8 +630,8 @@ def homology(group, degree):
     Returns a HomologyResult; for nontrivial torsion the generator field
     holds an explicit cycle spanning the first torsion factor.
     """
-    if degree < 0:
-        raise InputError("homology degree must be nonnegative")
+    if type(degree) is not int or degree < 0:
+        raise InputError("homology degree must be a nonnegative integer")
     if degree > 2:
         raise InputError("homology implemented for degree at most 2")
     if group.order ** (degree + 1) > MAX_BAR_CELLS:
@@ -661,6 +661,8 @@ def _vector_to_chain(group, degree, cells, vec):
 
 def cycle_basis(group, degree):
     """Integer basis of the degree-cycles, as a list of GroupChain."""
+    if type(degree) is not int or degree < 0:
+        raise InputError("cycle degree must be a nonnegative integer")
     if group.order ** degree > MAX_BAR_CELLS:
         raise InputError("group too large for degree")
     D, _, cells = boundary_matrix(group, degree)

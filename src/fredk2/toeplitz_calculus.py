@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from ._errors import InputError, InvariantViolation, NumericalError, WindingError
-from .fourier_loops import FourierLoop, coeff_run, pairing_integral, zero_loop
+from .fourier_loops import FourierLoop, _is_index, coeff_run, pairing_integral, zero_loop
 
 DEFAULT_WINDOW = 256
 # Symbols with at most this many coefficients (S, S*, 1, 0) are applied
@@ -145,6 +145,8 @@ class ToeplitzOp:
 
     def __init__(self, symbol: FourierLoop, correction: np.ndarray | None = None,
                  window: int = DEFAULT_WINDOW, tail_bound: float = 0.0):
+        if not _is_index(window):
+            raise InputError("window must be an integer")
         corner = np.zeros((0, 0), dtype=complex)
         if correction is not None:
             # C order, so that _extent can scan it as a float array

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
@@ -24,6 +25,7 @@ from fredk2.cyclic_chains import (
     tilde_gamma,
 )
 from fredk2.fourier_loops import FourierLoop, zero_loop
+from fredk2.fredholm import OperatorPath, path_log_det
 from fredk2.toeplitz_calculus import ToeplitzOp, identity_op, shift_op, zero_op
 
 
@@ -665,6 +667,14 @@ class TestTildeGamma:
         with pytest.raises(NumericalError, match="path leaves invertibles"):
             tilde_gamma(wrong, curved_line(y, x))
 
+    def test_wrong_partial_is_named(self):
+        rng = np.random.default_rng(109)
+        x, y = rand_mat(rng, 3), rand_mat(rng, 3)
+        good = curved_line(x, y)
+        wrong = SimplexPath(1, good.at, lambda _i, t: 1.01 * good.partial(1, t))
+        with pytest.raises(NumericalError, match="a derivative is not the path's"):
+            tilde_gamma(wrong, curved_line(y, x))
+
     def test_matches_order_64_rule(self):
         rng = np.random.default_rng(109)
         s1 = curved_line(rand_mat(rng, 3), rand_mat(rng, 3))
@@ -736,6 +746,41 @@ class TestTildeGamma:
             tilde_gamma(s1, s2)
 
 
+class TestOneLogDerivative:
+    """path_log_det, tilde_gamma and gamma_log's line case integrate one
+    log-derivative F′F⁻¹ through one line driver."""
+
+    @staticmethod
+    def infinite_derivative_line(calls):
+        return SimplexPath(1, lambda t: calls.append(t) or np.eye(2, dtype=complex),
+                           lambda _i, t: calls.append(t) or np.full((2, 2), np.inf))
+
+    @pytest.mark.parametrize("integral", [gamma_log, lambda s: tilde_gamma(s, LINE)],
+                             ids=["gamma_log", "tilde_gamma"])
+    def test_infinite_derivative_refused_at_its_node(self, integral):
+        # refused at the first node, not after every rung of the ladder
+        calls = []
+        with pytest.raises(NumericalError, match="path leaves invertibles"):
+            integral(self.infinite_derivative_line(calls))
+        assert len(calls) <= 10
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 6),
+           scale=st.floats(0.2, 1.0))
+    def test_three_integrals_agree(self, seed, m, scale):
+        rng = np.random.default_rng(seed)
+        x, y = rand_mat(rng, m, scale), rand_mat(rng, m, scale)
+        line = curved_line(x, y)
+        one = SimplexPath(1, lambda t: np.eye(m, dtype=complex),
+                          lambda _i, t: np.zeros((m, m), dtype=complex))
+        by_path = path_log_det(OperatorPath(line.at, lambda t: line.partial(1, t)))
+        by_pair = tilde_gamma(one, line)
+        by_chain = -np.trace(gamma_log(line).materialize())
+        scale_of = max(1.0, abs(by_path))
+        assert abs(by_pair - by_path) < 1e-10 * scale_of
+        assert abs(by_chain - by_path) < 1e-10 * scale_of
+
+
 W = 16
 EYE = np.eye(2, dtype=complex)
 LINE = SimplexPath(1, lambda t: EYE, lambda _i, t: 0 * EYE)
@@ -789,6 +834,10 @@ REFUSALS = {
     "relative-log-singular-node": (lambda: tilde_gamma(SINGULAR, SINGULAR), NumericalError,
                                    "singular simplex value"),
     # a NaN tol would pass every comparison, a negative one fail every call
+    "cocycle-fraction-index": (lambda: tau_cocycle(1.5, CyclicChain(1)), InputError,
+                               "for an integer p"),
+    "cocycle-boolean-index": (lambda: tau_cocycle(True, CyclicChain(1)), InputError,
+                              "for an integer p"),
     "relative-log-negative-tol": (lambda: tilde_gamma(LINE, LINE, tol=-1e-9), InputError,
                                   "tolerance must be finite"),
     "relative-log-nan-tol": (lambda: tilde_gamma(LINE, LINE, tol=math.nan), InputError,

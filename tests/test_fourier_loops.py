@@ -841,6 +841,16 @@ class TestLoopLogGroup:
             want = x.reconstruct().mul(y.reconstruct())
             assert xy.reconstruct().sub(want).l1() < 1e-12 * want.l1()
 
+    @pytest.mark.parametrize("winding", [1.5, 2.0, True, "2"],
+                             ids=["fraction", "float", "bool", "str"])
+    def test_non_integer_winding_refused(self, winding):
+        with pytest.raises(InputError, match="winding must be an integer"):
+            LoopLog(winding, zero_loop())
+
+    def test_numpy_integer_winding_accepted(self):
+        x = LoopLog(np.int64(-2), zero_loop())
+        assert x == LoopLog(-2, zero_loop()) and type(x.winding) is int
+
     def test_other_types_are_left_to_python(self):
         x = LoopLog(1, zero_loop())
         assert x.__eq__((1, ())) is NotImplemented

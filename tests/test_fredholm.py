@@ -425,6 +425,12 @@ class TestPathLogDet:
         with pytest.raises(NumericalError, match="path leaves invertibles"):
             path_log_det(OperatorPath(*self.LEAVING[case]))
 
+    def test_wrong_derivative_is_named(self):
+        p = exp_product_path(13)
+        wrong = OperatorPath(p.value, lambda t: 1.01 * p.deriv(t))
+        with pytest.raises(NumericalError, match="a derivative is not the path's"):
+            path_log_det(wrong)
+
     def test_values_must_be_arrays(self):
         with pytest.raises(TypeError, match="unsupported type"):
             path_log_det(OperatorPath(lambda t: [[1.0]]))

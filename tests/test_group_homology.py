@@ -750,6 +750,8 @@ CHAIN_REFUSALS = {
     "push-wrong-group": (lambda h, o: h.push(GroupChain(h.target, 1)), "homomorphism source"),
     "lift-wrong-group": (lambda h, o: h.lift(GroupChain(h.source, 1)), "homomorphism target"),
     "negative-degree": (lambda h, o: GroupChain(h.source, -1), "nonnegative"),
+    "fraction-degree": (lambda h, o: GroupChain(h.source, 1.5), "chain degree must be a nonnegative integer"),
+    "boolean-degree": (lambda h, o: GroupChain(h.source, True), "chain degree must be a nonnegative integer"),
     "cone-groups": (lambda h, o: ConeChain(h, GroupChain(h.source, 2), GroupChain(h.source, 1)),
                     "wrong groups"),
     "cone-degrees": (lambda h, o: _cone(h, 1, 1), "inconsistent"),
@@ -1040,8 +1042,8 @@ LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4,
 BOOLS = [[False, True], [True, False]]
 
 # (call, message) for each refusal of the group and homomorphism constructors,
-# their JSON readers, chain cells and the connecting map; a JSON boolean is
-# not an element index
+# their JSON readers, chain cells, homology degrees and the connecting map; a
+# JSON boolean is not an element index, nor a bool or a float a degree
 GROUP_REFUSALS = {
     "empty-table": (lambda: FiniteGroup([]), "empty"),
     "entry-out-of-range": (lambda: FiniteGroup([[0, 2], [1, 0]]), "entry out of range"),
@@ -1074,6 +1076,14 @@ GROUP_REFUSALS = {
     "hom-record-booleans": (lambda: GroupHom.from_json({"map": [False, True]}, Z2, Z2),
                             "image out of range"),
     "cell-booleans": (lambda: GroupChain(Z2, 1, {(True,): True}), "group element index"),
+    "homology-fraction-degree": (lambda: homology(Z2, 1.5), "homology degree must be a nonnegative integer"),
+    "homology-boolean-degree": (lambda: homology(Z2, True), "homology degree must be a nonnegative integer"),
+    "cycle-basis-fraction-degree": (lambda: cycle_basis(Z2, 1.5),
+                                    "cycle degree must be a nonnegative integer"),
+    "cycle-basis-boolean-degree": (lambda: cycle_basis(Z2, True),
+                                   "cycle degree must be a nonnegative integer"),
+    "cycle-basis-negative-degree": (lambda: cycle_basis(Z2, -1),
+                                    "cycle degree must be a nonnegative integer"),
     "connecting-map-degree": (lambda: boundary_to_relative(GroupChain(Z2, 1),
                                                            builtin_catalog()["Z4->Z2"]),
                               "not a 2-cycle"),

@@ -55,6 +55,26 @@ class TestConstruction:
         with pytest.raises(InputError, match="correction window shape mismatch"):
             ToeplitzOp(FourierLoop({0: 1.0}), np.zeros((8, 8)), 16)
 
+    # (build, window) for each window refused before it is truncated or used
+    BAD_WINDOWS = {
+        "operator-fraction": (lambda w: ToeplitzOp(FourierLoop({0: 1.0}), None, w), 64.7),
+        "operator-bool": (lambda w: ToeplitzOp(FourierLoop({0: 1.0}), None, w), True),
+        "operator-str": (lambda w: ToeplitzOp(FourierLoop({0: 1.0}), None, w), "64"),
+        "correction-float": (lambda w: ToeplitzOp(FourierLoop({0: 1.0}), np.zeros((64, 64)), w),
+                             64.0),
+        "toeplitz-fraction": (lambda w: toeplitz(FourierLoop({1: 0.5}), w), 64.7),
+        "identity-float": (identity_op, 16.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_WINDOWS))
+    def test_non_integer_window_refused(self, case):
+        build, window = self.BAD_WINDOWS[case]
+        with pytest.raises(InputError, match="window must be an integer"):
+            build(window)
+
+    def test_numpy_integer_window_accepted(self):
+        assert toeplitz(FourierLoop({1: 0.5}), np.int64(16)).window == 16
+
     @pytest.mark.parametrize("build", [toeplitz, wiener_hopf_pair, hankel_op])
     def test_window_rule_boundary(self, build):
         band_3 = FourierLoop({-3: 0.1, 2: 0.2j})
