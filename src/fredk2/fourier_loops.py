@@ -495,6 +495,8 @@ def loop_from_json(data: dict) -> FourierLoop:
             raise InputError(f"bad coeffs entry: {entry!r}")
         if abs(entry[0]) > max_band():  # a loop is stored densely over its span
             raise InputError("band exceeds FREDK2_MAX_BAND")
+        if entry[0] in out:
+            raise InputError(f"repeated coeffs index {entry[0]}")
         try:
             out[entry[0]] = c = complex(entry[1], entry[2])
         except OverflowError:  # an integer past the largest float

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._errors import InputError, InvariantViolation, read_json
 
-# n-th homology needs chains of degree n+1; cap the bar module size.
+# Bar cells of one degree, capped in _boundary_columns (H_n needs degree n+1).
 MAX_BAR_CELLS = 4096
 
 
@@ -68,12 +68,9 @@ class FiniteGroup:
                 for c in range(n):
                     if rab[c] != ra[rb[c]]:
                         raise InputError("group table is not associative")
-        if labels is not None:
-            if len(labels) != n or len(set(labels)) != n:
-                raise InputError("group labels must be distinct, one per element")
-            self.labels = [str(s) for s in labels]
-        else:
-            self.labels = [str(i) for i in range(n)]
+        self.labels = [str(s) for s in (range(n) if labels is None else labels)]
+        if len(self.labels) != n or len(set(self.labels)) != n:
+            raise InputError("group labels must be distinct, one per element")
         self.name = name
 
     def op(self, a, b):
@@ -418,7 +415,13 @@ def _all_cells(group, degree):
 
 def _boundary_columns(group, degree):
     """Columns of the bar boundary C_degree -> C_{degree-1} as sparse dicts
-    {row: coefficient} over the lexicographic cell bases, with those bases."""
+    {row: coefficient} over the lexicographic cell bases, with those bases.
+    Every bar boundary is built here, so its degree and the MAX_BAR_CELLS
+    cap on its |G|^degree columns are checked here alone."""
+    if type(degree) is not int or degree < 0:
+        raise InputError("boundary/cycle degree must be a nonnegative integer")
+    if group.order ** degree > MAX_BAR_CELLS:
+        raise InputError("group too large for degree")
     rows = _all_cells(group, degree - 1)
     cols = _all_cells(group, degree)
     index = {c: i for i, c in enumerate(rows)}
@@ -634,8 +637,6 @@ def homology(group, degree):
         raise InputError("homology degree must be a nonnegative integer")
     if degree > 2:
         raise InputError("homology implemented for degree at most 2")
-    if group.order ** (degree + 1) > MAX_BAR_CELLS:
-        raise InputError("group too large for degree")
     if degree == 0:
         return HomologyResult(group, 0, 1, [], None, [])
     # H_n = ker D_n / im D_{n+1}.  ker D_n is a direct summand of C_n
@@ -661,10 +662,6 @@ def _vector_to_chain(group, degree, cells, vec):
 
 def cycle_basis(group, degree):
     """Integer basis of the degree-cycles, as a list of GroupChain."""
-    if type(degree) is not int or degree < 0:
-        raise InputError("cycle degree must be a nonnegative integer")
-    if group.order ** degree > MAX_BAR_CELLS:
-        raise InputError("group too large for degree")
     D, _, cells = boundary_matrix(group, degree)
     S, _row_ops, col_ops = _smith(D)
     r = len(snf_divisors(S))
@@ -889,6 +886,9 @@ def load_catalog_file(path):
     data = read_json(path)
     if not isinstance(data, dict):
         raise InputError("catalog must be a JSON object")
+    extra = set(data) - {"groups", "surjections"}
+    if extra:
+        raise InputError("unknown catalog keys: %s" % sorted(extra))
     group_recs, hom_recs = data.get("groups", {}), data.get("surjections", {})
     if not isinstance(group_recs, dict) or not isinstance(hom_recs, dict):
         raise InputError("catalog groups and surjections must be JSON objects")
@@ -907,6 +907,5 @@ def load_catalog_file(path):
         if src is None or tgt is None:
             raise InputError("surjection references an unknown group")
         homs[name] = GroupHom.from_json(
-            {k: v for k, v in rec.items() if k in ("map", "section")}, src, tgt
-        )
+            {k: v for k, v in rec.items() if k not in ("source", "target")}, src, tgt)
     return groups, homs

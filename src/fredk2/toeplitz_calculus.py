@@ -145,8 +145,7 @@ class ToeplitzOp:
 
     def __init__(self, symbol: FourierLoop, correction: np.ndarray | None = None,
                  window: int = DEFAULT_WINDOW, tail_bound: float = 0.0):
-        if not _is_index(window):
-            raise InputError("window must be an integer")
+        _require_window(window)
         corner = np.zeros((0, 0), dtype=complex)
         if correction is not None:
             # C order, so that _extent can scan it as a float array
@@ -190,6 +189,7 @@ class ToeplitzOp:
         return out
 
     def resized(self, window: int) -> "ToeplitzOp":
+        _require_window(window)
         if window == self.window:
             return self
         c, tail = self.corner, self.tail_bound
@@ -357,11 +357,14 @@ class ToeplitzOp:
 def needed_window(*loops: FourierLoop) -> int:
     """2·B + 2 for B the widest band among the loops: the smallest window
     that holds the band-wide corners of every Brown–Halmos correction
-    among their Toeplitz operators."""
-    return 2 * max(f.band for f in loops) + 2
+    among their Toeplitz operators (0 for no loops)."""
+    return 2 * max((f.band for f in loops), default=-1) + 2
 
 
 def _require_window(window: int, *loops: FourierLoop) -> None:
+    """The one window check: an integer, not a bool, at least needed_window(*loops)."""
+    if not _is_index(window):
+        raise InputError("window must be an integer")
     if window < needed_window(*loops):
         raise InputError("window must dominate band")
 

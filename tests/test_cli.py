@@ -130,6 +130,7 @@ class TestSymbolCommand:
         ([[1, 1.0, 0.0]], "loop JSON must be an object"),
         ({}, "loop JSON missing 'coeffs'"),
         ({"coeffs": {"1": [1.0, 0.0]}}, "coeffs must be a list"),
+        ({"coeffs": [[1, 0.5, 0], [1, 0.25, 0]]}, "repeated coeffs index 1"),
     ])
     def test_malformed_loop_exits_2(self, runner, tmp_path, data, message):
         bad = tmp_path / "bad.json"

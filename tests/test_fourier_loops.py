@@ -870,6 +870,10 @@ class TestJson:
         with pytest.raises(InputError):
             loop_from_json({"coeffs": [[0.5, 1.0, 0.0]]})
 
+    def test_repeated_index_rejected(self):
+        with pytest.raises(InputError, match="repeated coeffs index 1"):
+            loop_from_json({"coeffs": [[1, 0.5, 0], [0, 1.0, 0], [1, 0.25, 0]]})
+
     def test_key_beyond_band_cap_rejected(self):
         # a loop is stored densely from its lowest to its highest index, so
         # keys 2·10⁹ apart are refused before anything is allocated

@@ -348,6 +348,11 @@ class TestHomology:
         S, _, _, _, _ = smith_normal_form(D2)
         assert len(basis) == v.order ** 2 - len(snf_divisors(S))
 
+    def test_degree_0_cycle_basis_is_the_0_cell(self):
+        # D_0 is the 1×1 zero matrix, so the one 0-cell is the whole basis
+        basis = cycle_basis(FiniteGroup.cyclic(3), 0)
+        assert [(c.degree, c.coeffs) for c in basis] == [(0, {(): 1})]
+
 
 class TestKernelQuotient:
     def test_q8_center(self):
@@ -1036,14 +1041,15 @@ class TestClosedForms:
         assert homology(group, 2).torsion == _invariant_factors(h2)
 
 
-Z2, Z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+Z2, Z3, Z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(4)
 # a loop of order 5: identity 0, every element its own inverse, not associative
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 BOOLS = [[False, True], [True, False]]
 
 # (call, message) for each refusal of the group and homomorphism constructors,
-# their JSON readers, chain cells, homology degrees and the connecting map; a
-# JSON boolean is not an element index, nor a bool or a float a degree
+# their JSON readers, chain cells, homology, cycle and boundary degrees and the
+# connecting map; a JSON boolean is not an element index, nor a bool or a float
+# a degree, and labels are distinct as the strings they are stored as
 GROUP_REFUSALS = {
     "empty-table": (lambda: FiniteGroup([]), "empty"),
     "entry-out-of-range": (lambda: FiniteGroup([[0, 2], [1, 0]]), "entry out of range"),
@@ -1051,6 +1057,8 @@ GROUP_REFUSALS = {
     "not-associative": (lambda: FiniteGroup(LOOP5), "not associative"),
     "labels-per-element": (lambda: FiniteGroup([[0, 1], [1, 0]], labels=["a"]), "one per element"),
     "labels-distinct": (lambda: FiniteGroup([[0, 1], [1, 0]], labels=["a", "a"]), "distinct"),
+    "labels-distinct-as-strings": (lambda: FiniteGroup([[0, 1], [1, 0]], labels=[1, "1"]),
+                                   "distinct"),
     "cyclic-order-0": (lambda: FiniteGroup.cyclic(0), "positive"),
     "dihedral-0": (lambda: FiniteGroup.dihedral(0), "positive"),
     "group-record-list": (lambda: FiniteGroup.from_json([[0, 1], [1, 0]]), "JSON object"),
@@ -1084,6 +1092,12 @@ GROUP_REFUSALS = {
                                    "cycle degree must be a nonnegative integer"),
     "cycle-basis-negative-degree": (lambda: cycle_basis(Z2, -1),
                                     "cycle degree must be a nonnegative integer"),
+    "boundary-matrix-boolean-degree": (lambda: boundary_matrix(Z3, True),
+                                       "boundary/cycle degree must be a nonnegative integer"),
+    "boundary-matrix-negative-degree": (lambda: boundary_matrix(Z3, -1),
+                                        "boundary/cycle degree must be a nonnegative integer"),
+    "boundary-matrix-fraction-degree": (lambda: boundary_matrix(Z3, 1.5),
+                                        "boundary/cycle degree must be a nonnegative integer"),
     "connecting-map-degree": (lambda: boundary_to_relative(GroupChain(Z2, 1),
                                                            builtin_catalog()["Z4->Z2"]),
                               "not a 2-cycle"),
@@ -1120,6 +1134,11 @@ CATALOG_REFUSALS = {
                       "order must be an integer"),
     "float-order": (json.dumps({"groups": {"Z2": {"order": 2.0, "table": [[0, 1], [1, 0]]}}}),
                     "order must be an integer"),
+    "unknown-catalog-key": (json.dumps({"groups": Z2_RECORDS, "surjection": {
+        "f": {"source": "Z2", "target": "Z2", "map": [0, 1]}}}), "unknown catalog keys"),
+    "unknown-record-key": (json.dumps({"groups": Z2_RECORDS, "surjections": {
+        "f": {"source": "Z2", "target": "Z2", "map": [0, 1], "sectoin": [0, 1]}}}),
+        "unknown homomorphism record keys"),
 }
 
 

@@ -64,6 +64,10 @@ class TestConstruction:
                              64.0),
         "toeplitz-fraction": (lambda w: toeplitz(FourierLoop({1: 0.5}), w), 64.7),
         "identity-float": (identity_op, 16.0),
+        "hankel-fraction": (lambda w: hankel_op(FourierLoop({1: 0.5}), w), 64.5),
+        "toeplitz-str": (lambda w: toeplitz(FourierLoop({1: 0.5}), w), "64"),
+        "resized-fraction": (lambda w: toeplitz(FourierLoop({1: 0.5}), 16).resized(w), 2.5),
+        "resized-bool": (lambda w: toeplitz(FourierLoop({1: 0.5}), 16).resized(w), True),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_WINDOWS))
@@ -81,6 +85,15 @@ class TestConstruction:
         build(band_3, 8)
         with pytest.raises(InputError, match="window must dominate band"):
             build(band_3, 7)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ToeplitzOp(FourierLoop({0: 1.0}), None, -3),
+        lambda: toeplitz(FourierLoop({1: 0.5}), 16).resized(-3),
+    ], ids=["operator", "resized"])
+    def test_negative_window_refused(self, build):
+        # with no loops to dominate, the least window is 0
+        with pytest.raises(InputError, match="window must dominate band"):
+            build()
 
     def test_toeplitz_matrix_matches_diagonal_loop(self):
         def reference(symbol, rows, cols):
