@@ -70,6 +70,8 @@ class FourierLoop:
         coeffs = coeffs or {}
         if not all(map(_is_index, coeffs)):
             raise InputError("loop indices must be integers")
+        if not tail >= 0:  # NaN included
+            raise InputError("tail must be non-negative")
         keys = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
         lo = int(min(coeffs, default=0))
         run = np.zeros(int(max(coeffs, default=-1)) - lo + 1, dtype=complex)
@@ -162,7 +164,8 @@ class FourierLoop:
         tail = ((self.tail * (other.l1() + other.tail) if self.tail else 0.0)
                 + (self.l1() * other.tail if other.tail else 0.0))
         if not (self.run.size and other.run.size):
-            return FourierLoop({}, tail)
+            # built by _of: a product of unchecked tails may be NaN (∞·0)
+            return FourierLoop._of(0, np.zeros(0, dtype=complex), tail)
         # a fixed operand order makes mul exactly commutative
         (lo_f, f), (lo_g, g) = sorted(((self.lo, self.run), (other.lo, other.run)),
                                       key=lambda d: (d[0], len(d[1]), d[1].tobytes()))
@@ -334,7 +337,8 @@ def z_loop(n: int = 1) -> FourierLoop:
 
 def from_samples(samples, band: int) -> FourierLoop:
     """Discrete Fourier analysis of equispaced samples, truncated to the
-    requested band."""
+    requested band.  The tail is the ℓ¹ mass of every coefficient not kept:
+    those past the band and those below ``COEFF_CUTOFF``."""
     if not (_is_index(band) and band >= 0):
         raise InputError("band must be a non-negative integer")
     samples = np.asarray(samples, dtype=complex)
@@ -345,7 +349,10 @@ def from_samples(samples, band: int) -> FourierLoop:
         raise InputError("non-finite samples")
     spec, mags = _spectrum(samples)
     ks = np.arange(-band, band + 1)
-    return FourierLoop._of(-band, np.where(mags[ks] >= COEFF_CUTOFF, spec[ks], 0))
+    kept = np.zeros(n, dtype=bool)
+    kept[ks] = mags[ks] >= COEFF_CUTOFF
+    return FourierLoop._of(-band, np.where(kept[ks], spec[ks], 0),
+                           math.fsum(memoryview(mags[~kept])))
 
 
 def _phase_steps(values: np.ndarray) -> np.ndarray:

@@ -387,8 +387,6 @@ def _lift(ll: LoopLog, window: int):
     exact inverse diag(T(e^{−a}), T(e^a))·ρ(z⁻ⁿ), with T(e^{±a}) from
     wiener_hopf_pair; ρ(zⁿ) = ρ(z)ⁿ and ρ(z⁻ⁿ) are exact inverses."""
     n, a = ll.winding, ll.log_part
-    if a.is_zero():
-        return rho(z_loop(n), window), rho(z_loop(-n), window)
     e_pos, e_neg = wiener_hopf_pair(a, window)
     ef = BlockOp.diagonal(e_pos, e_neg, window)
     eb = BlockOp.diagonal(e_neg, e_pos, window)

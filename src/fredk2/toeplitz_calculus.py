@@ -42,9 +42,6 @@ from ._errors import InputError, InvariantViolation, NumericalError, WindingErro
 from .fourier_loops import FourierLoop, _is_index, coeff_run, pairing_integral, zero_loop
 
 DEFAULT_WINDOW = 256
-# Symbols with at most this many coefficients (S, S*, 1, 0) are applied
-# to a block as shifted row or column slices rather than a dense product.
-FEW_COEFFS = 4
 
 
 def toeplitz_matrix(symbol: FourierLoop, rows: int, cols: int | None = None) -> np.ndarray:
@@ -121,15 +118,7 @@ def _live(region: np.ndarray) -> np.ndarray:
 
 def _toeplitz_times(symbol: FourierLoop, block: np.ndarray, rows: int) -> np.ndarray:
     """T_φ[:rows, :n] @ block for a block with n rows."""
-    n = block.shape[0]
-    if np.count_nonzero(symbol.run) > FEW_COEFFS:
-        return toeplitz_matrix(symbol, rows, n) @ block
-    out = np.zeros((rows, block.shape[1]), dtype=complex)
-    for k, c in symbol.coeffs.items():
-        lo, hi = max(0, k), min(rows, n + k)
-        if lo < hi:
-            out[lo:hi] += c * block[lo - k:hi - k]
-    return out
+    return toeplitz_matrix(symbol, rows, block.shape[0]) @ block
 
 
 class ToeplitzOp:
@@ -146,6 +135,8 @@ class ToeplitzOp:
     def __init__(self, symbol: FourierLoop, correction: np.ndarray | None = None,
                  window: int = DEFAULT_WINDOW, tail_bound: float = 0.0):
         _require_window(window)
+        if not tail_bound >= 0:  # NaN included
+            raise InputError("tail bound must be non-negative")
         corner = np.zeros((0, 0), dtype=complex)
         if correction is not None:
             # C order, so that _extent can scan it as a float array

@@ -53,6 +53,18 @@ class TestFromSamples:
         loop = from_samples(samples, band=4)
         assert coeffs_close(loop, {1: 0.3, -2: 0.1})
 
+    def test_dropped_frequency_counts_in_tail(self):
+        # e^{10iθ} lies past band 4: its 0.5 is not kept, so it is tail
+        theta = 2 * np.pi * np.arange(64) / 64
+        loop = from_samples(1 + 0.5 * np.exp(10j * theta), band=4)
+        assert coeffs_close(loop, {0: 1.0})
+        assert loop.tail >= 0.5
+
+    def test_kept_spectrum_leaves_a_roundoff_tail(self):
+        theta = 2 * np.pi * np.arange(64) / 64
+        samples = 0.3 * np.exp(1j * theta) + 0.1 * np.exp(-2j * theta)
+        assert from_samples(samples, band=4).tail <= 1e-14
+
     def test_too_few_samples(self):
         with pytest.raises(InputError, match="insufficient resolution"):
             from_samples([1.0, 1.0, 1.0], band=4)

@@ -9,7 +9,6 @@ from fredk2 import InputError, InvariantViolation, NumericalError, toeplitz_calc
 from fredk2.fourier_loops import FourierLoop, pairing_integral
 from fredk2.invariants import hankel_op
 from fredk2.toeplitz_calculus import (
-    FEW_COEFFS,
     HankelWindow,
     ToeplitzOp,
     coshift_op,
@@ -75,6 +74,15 @@ class TestConstruction:
         build, window = self.BAD_WINDOWS[case]
         with pytest.raises(InputError, match="window must be an integer"):
             build(window)
+
+    @pytest.mark.parametrize("tail", [-0.5, math.nan], ids=["negative", "nan"])
+    @pytest.mark.parametrize("build", [
+        lambda t: FourierLoop({0: 1.0}, tail=t),
+        lambda t: ToeplitzOp(FourierLoop({0: 1.0}), None, 8, tail_bound=t),
+    ], ids=["loop", "operator"])
+    def test_tail_must_be_non_negative(self, build, tail):
+        with pytest.raises(InputError, match="must be non-negative"):
+            build(tail)
 
     def test_numpy_integer_window_accepted(self):
         assert toeplitz(FourierLoop({1: 0.5}), np.int64(16)).window == 16
@@ -317,7 +325,7 @@ class TestMulBlocks:
         assert MUL_CASES["band_70"][0].symbol.band == 70
         assert MUL_CASES["band_70"][0].window == 64
         assert (len(MUL_CASES["few_coeffs_both"][0].symbol.coeffs)
-                <= FEW_COEFFS < len(MUL_CASES["both_live"][1].symbol.coeffs))
+                <= 4 < len(MUL_CASES["both_live"][1].symbol.coeffs))
 
     def test_cases_cover_corners(self):
         def extent(op):
