@@ -58,6 +58,11 @@ def _is_index(k) -> bool:
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
+def _is_tail(t) -> bool:
+    """A Python or numpy float or index (not a bool) >= 0; NaN fails."""
+    return (isinstance(t, (float, np.floating)) or _is_index(t)) and t >= 0
+
+
 class FourierLoop:
     """Finitely supported Fourier series Σ_k c_k e^{ikθ}, held as ``lo``,
     ``run`` = (c_lo, …, c_hi) with nonzero ends (lo = 0 and an empty run for
@@ -70,7 +75,7 @@ class FourierLoop:
         coeffs = coeffs or {}
         if not all(map(_is_index, coeffs)):
             raise InputError("loop indices must be integers")
-        if not tail >= 0:  # NaN included
+        if not _is_tail(tail):
             raise InputError("tail must be non-negative")
         keys = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
         lo = int(min(coeffs, default=0))

@@ -10,25 +10,26 @@ section t:
   * the boundary / section map sending a 2-cycle x over H to the class
     f_phi(x) in ker(phi) modulo commutators [g, k].
 
-H_n is read off the boundary D_{n+1}, built sparse from the multiplication
-table: its +-1 pivots are eliminated exactly (Dumas-Saunders-Villard) and
-only the small residual goes through the Smith normal form.  The Smith
-form records its elementary operations, and each caller replays only the
-transform it reads.  The bar complex is the unnormalized one, with its
-faces written out for degrees 1 to 3 (H_2 needs C_3 -> C_2); a chain of
-higher degree is refused.
+H_1 is read off the bar boundary D_2 and H_2 off Hopf's formula on the
+Cayley graph, both built sparse from the multiplication table: their +-1
+pivots are eliminated exactly (Dumas-Saunders-Villard) and only the small
+residual goes through the Smith normal form.  The Smith form records its
+elementary operations, and each caller replays only the transform it
+reads.  The bar complex is the unnormalized one, with its faces written
+out for degrees 1 to 3; a chain of higher degree is refused.
 
 All arithmetic is exact (python ints).  Groups are given by index tables;
 elements are indices 0..order-1.
 """
 
 import heapq
+import itertools
 
 import numpy as np
 
 from ._errors import InputError, InvariantViolation, read_json
 
-# Bar cells of one degree, capped in _boundary_columns (H_n needs degree n+1).
+# Bar cells of one degree, capped in _boundary_columns (H_1 needs the 2-cells).
 MAX_BAR_CELLS = 4096
 
 
@@ -379,7 +380,7 @@ def _bar_terms(cell, table):
     """(face, sign) terms of the bar boundary of a cell of degree <= 3, with
     products table[a][b]: d(a) = () - () (and likewise for the 0-cell),
     d(a, b) = (b) - (ab) + (a), d(a, b, c) = (b, c) - (ab, c) + (a, bc) - (a, b).
-    A higher cell is refused: nothing builds one (H_2 needs C_3 -> C_2)."""
+    A higher cell is refused: nothing builds one."""
     n = len(cell)
     if n == 2:
         a, b = cell
@@ -447,8 +448,9 @@ def boundary_matrix(group, degree):
     return mat, rows, cols
 
 
-def _reduced_boundary(group, degree):
-    """The bar boundary D = D_degree with its +-1 pivots eliminated exactly.
+def _reduced_boundary(columns, nrows):
+    """The integer matrix D with the given sparse columns ({row: coefficient}
+    over nrows rows, consumed) with its +-1 pivots eliminated exactly.
 
     A pivot D[r, c] = +-1 is cleared from the rest of row r by column
     operations; then Z^rows / im D = Z^(rows - r) / im D', with D' the
@@ -457,11 +459,10 @@ def _reduced_boundary(group, degree):
     shortest row, to limit fill-in.  Columns that repeat another up to
     sign are dropped from the residual; the column lattice is unchanged.
 
-    Returns (pivots, residual, cells): the number of pivots, the residual
-    as a dense object array, and the (degree-1)-cells labelling its rows.
+    Returns (residual, kept): the residual as a dense object array, and
+    the indices of the rows of D it keeps.
     """
-    columns, faces, _cells = _boundary_columns(group, degree)
-    rows = [set() for _ in faces]
+    rows = [set() for _ in range(nrows)]
     for j, col in enumerate(columns):
         for i in col:
             rows[i].add(j)
@@ -500,7 +501,7 @@ def _reduced_boundary(group, degree):
             rows[i].discard(j)
         columns[j] = {}
         pivot_rows.add(r)
-    kept = [i for i in range(len(faces)) if i not in pivot_rows]
+    kept = [i for i in range(nrows) if i not in pivot_rows]
     position = {i: a for a, i in enumerate(kept)}
     unique = {}
     for col in columns:
@@ -513,7 +514,52 @@ def _reduced_boundary(group, degree):
     for j, key in enumerate(unique):
         for i, z in key:
             residual[position[i], j] = z
-    return len(pivot_rows), residual, [faces[i] for i in kept]
+    return residual, kept
+
+
+def _relation_columns(group):
+    """Hopf's H_2(G) = (R & [F, F]) / [F, R], from the Cayley graph.
+
+    Generators S: the elements, in index order, outside the subgroup of
+    those before.  A BFS tree spells each h as w_h, and each non-tree edge
+    e = (h, s) closes c_e = w_h s w_{hs}^-1, a basis of R_ab.  The columns
+    g c_e - c_e (g in S), read on the non-tree edges, span [F, R] / [R, R],
+    so the torsion of their cokernel R / [F, R] is H_2.  rows[e] holds the
+    terms of sum_{i >= 2} [p_{i-1} | y_i] - sum [u | u^-1] - (q - 1) [1 | 1]
+    over c_e's letters y_i, prefixes p_i and q inverse letters u^-1: a bar
+    2-chain with boundary sum_u (exponent sum of u) [u].
+    """
+    table, inv, one = group.table, group._inv, group.identity
+    gens, closure = [], {one}
+    for g in range(group.order):
+        if g not in closure:
+            gens.append(g)
+            closure = set(group.subgroup_closure(gens))
+    words, queue = {one: []}, [one]
+    for h in queue:  # grows while it is read, in BFS order
+        for s in gens:
+            if table[h][s] not in words:
+                words[table[h][s]] = words[h] + [s]
+                queue.append(table[h][s])
+    edges = [(h, s) for h in queue for s in gens if words[table[h][s]] != words[h] + [s]]
+    index = {e: i for i, e in enumerate(edges)}
+    columns, rows = [], []
+    for g in gens:
+        for i, (h, s) in enumerate(edges):
+            col = {i: -1}  # g c_e - c_e: c_e's two paths from 1 to hs, moved to g
+            for word, z, v in ((words[h] + [s], 1, g), (words[table[h][s]], -1, g)):
+                for y in word:
+                    if (v, y) in index:
+                        col[index[v, y]] = col.get(index[v, y], 0) + z
+                    v = table[v][y]
+            columns.append({j: z for j, z in col.items() if z})
+    for h, s in edges:
+        back = words[table[h][s]]
+        letters = words[h] + [s] + [inv[u] for u in reversed(back)]
+        prefixes = itertools.accumulate(letters, lambda p, y: table[p][y])
+        rows.append([((one, one), 1 - len(back))] + [((u, inv[u]), -1) for u in back]
+                    + [((p, y), 1) for p, y in zip(prefixes, letters[1:])])
+    return columns, rows
 
 
 def _apply(M, op):
@@ -628,36 +674,43 @@ class HomologyResult:
 
 
 def homology(group, degree):
-    """Integral bar homology H_degree(group; Z) for degree <= 2.
-
+    """Integral homology H_degree(group; Z) for degree <= 2: H_1 from the bar
+    boundary C_2 -> C_1, whose |G|^2 cells MAX_BAR_CELLS caps, H_2 from
+    Hopf's formula (``_relation_columns``), which builds no bar cell.
     Returns a HomologyResult; for nontrivial torsion the generator field
-    holds an explicit cycle spanning the first torsion factor.
-    """
+    holds an explicit bar cycle spanning the first torsion factor."""
     if type(degree) is not int or degree < 0:
         raise InputError("homology degree must be a nonnegative integer")
     if degree > 2:
         raise InputError("homology implemented for degree at most 2")
     if degree == 0:
         return HomologyResult(group, 0, 1, [], None, [])
-    # H_n = ker D_n / im D_{n+1}.  ker D_n is a direct summand of C_n
-    # containing im D_{n+1}, so coker D_{n+1} = C_n / ker D_n (+) H_n and
-    # D_{n+1} has the divisors of any presentation of H_n.  A torsion class
-    # u of coker D_{n+1} is a cycle: d u in im D_{n+1} gives d D_n u = 0.
-    pivots, residual, cells = _reduced_boundary(group, degree + 1)
+    if degree == 1:  # each row is one bar 1-cell
+        columns, faces, _cells = _boundary_columns(group, 2)
+        rows = [[(face, 1)] for face in faces]
+    else:
+        columns, rows = _relation_columns(group)
+    residual, kept = _reduced_boundary(columns, len(rows))
     S, row_ops, _col_ops = _smith(residual)
     reduced = snf_divisors(S)
-    divisors = [1] * pivots + reduced
-    torsion = [d for d in divisors if d > 1]
+    torsion = [d for d in reduced if d > 1]
+    # ker D_n is a direct summand of C_n containing im D_{n+1}, so D_{n+1}
+    # has the divisors of any presentation of H_n: 1s, then the torsion,
+    # rank D_{n+1} in all.  D_1 = 0 and H_1 is finite, so rank D_2 = |G|;
+    # H_2 is finite, so rank D_3 = |G|^2 - |G|.
+    rank = group.order if degree == 1 else group.order ** 2 - group.order
+    divisors = [1] * (rank - len(torsion)) + torsion
     generator = None
-    if torsion:  # column jt of Uinv is row jt of the inverse replay
-        uinv_t = _replay(row_ops, len(cells), inverse=True)
-        generator = _vector_to_chain(group, degree, cells, uinv_t[reduced.index(torsion[0])])
+    if torsion:
+        # row jt of the inverse replay is column jt of Uinv, a torsion class u:
+        # a cycle in degree 1 (d u = 0), of exponent sums 0 in degree 2
+        vec = _replay(row_ops, len(kept), inverse=True)[reduced.index(torsion[0])]
+        generator = GroupChain(group, degree)
+        for i, z in zip(kept, vec):
+            for cell, sign in rows[i] if z else ():
+                generator.add_cell(cell, sign * int(z))
     # H_n of a finite group is |G|-torsion for n >= 1: rank 0
     return HomologyResult(group, degree, 0, torsion, generator, divisors)
-
-
-def _vector_to_chain(group, degree, cells, vec):
-    return GroupChain._of(group, degree, {cell: int(z) for cell, z in zip(cells, vec) if z})
 
 
 def cycle_basis(group, degree):
@@ -666,7 +719,8 @@ def cycle_basis(group, degree):
     S, _row_ops, col_ops = _smith(D)
     r = len(snf_divisors(S))
     v_t = _replay(col_ops, len(cells))  # the columns of V as rows
-    return [_vector_to_chain(group, degree, cells, v_t[j]) for j in range(r, len(cells))]
+    return [GroupChain._of(group, degree, {c: int(z) for c, z in zip(cells, v_t[j]) if z})
+            for j in range(r, len(cells))]
 
 
 class KernelQuotient:

@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from ._errors import InputError, InvariantViolation, NumericalError, WindingError
-from .fourier_loops import FourierLoop, _is_index, coeff_run, pairing_integral, zero_loop
+from .fourier_loops import FourierLoop, _is_index, _is_tail, coeff_run, pairing_integral, zero_loop
 
 DEFAULT_WINDOW = 256
 
@@ -135,7 +135,7 @@ class ToeplitzOp:
     def __init__(self, symbol: FourierLoop, correction: np.ndarray | None = None,
                  window: int = DEFAULT_WINDOW, tail_bound: float = 0.0):
         _require_window(window)
-        if not tail_bound >= 0:  # NaN included
+        if not _is_tail(tail_bound):
             raise InputError("tail bound must be non-negative")
         corner = np.zeros((0, 0), dtype=complex)
         if correction is not None:

@@ -329,7 +329,7 @@ class TestHomology:
 
     def test_size_guard(self):
         with pytest.raises(InputError, match="group too large for degree"):
-            homology(FiniteGroup.cyclic(17), 2)
+            homology(FiniteGroup.cyclic(65), 1)
         with pytest.raises(InputError):
             homology(FiniteGroup.cyclic(2), 3)
 
@@ -712,7 +712,16 @@ class TestSparseHomology:
         (lambda: FiniteGroup.dihedral(8), [2]),
         (lambda: _product(_z(2), _z(2), _z(2), _z(2)), [2] * 6),
         (_quaternion16, []),
-    ], ids=["D6", "Z2xZ6", "Z2xZ8", "Z2xD4", "Z4xZ4", "D8", "Z2^4", "Q16"])
+        (lambda: _product(*[_z(2)] * 5), [2] * 10),
+        (lambda: FiniteGroup.dihedral(16), [2]),
+        (lambda: _product(_z(4), _z(8)), [4]),
+        (lambda: _product(FiniteGroup.quaternion(), _z(4)), [2, 2]),
+        (lambda: FiniteGroup.dihedral(24), [2]),
+        (lambda: _product(*[_z(2)] * 6), [2] * 15),
+        (lambda: _product(_z(4), _z(4), _z(4)), [4, 4, 4]),
+        (lambda: FiniteGroup.dihedral(64), [2]),
+    ], ids=["D6", "Z2xZ6", "Z2xZ8", "Z2xD4", "Z4xZ4", "D8", "Z2^4", "Q16",
+            "Z2^5", "D16", "Z4xZ8", "Q8xZ4", "D24", "Z2^6", "Z4^3", "D64"])
     def test_schur_multipliers_order_12_and_16(self, make, torsion):
         h = homology(make(), 2)
         assert h.rank == 0 and h.torsion == torsion
@@ -728,11 +737,23 @@ class TestSparseHomology:
 
         monkeypatch.setattr(group_homology, "_bar_terms", no_boundary)
         with pytest.raises(InputError, match="group too large for degree"):
-            homology(FiniteGroup.cyclic(17), 2)
-        with pytest.raises(InputError, match="group too large for degree"):
             homology(FiniteGroup.cyclic(65), 1)
         with pytest.raises(InputError, match="group too large for degree"):
             cycle_basis(FiniteGroup.cyclic(65), 2)
+
+    @pytest.mark.parametrize("make, torsion", [
+        (lambda: _z(17), []),
+        (lambda: FiniteGroup.dihedral(5), []),
+        (lambda: _product(_z(2), _z(2), _z(2)), [2, 2, 2]),
+    ], ids=["Z17", "D5", "Z2^3"])
+    def test_h2_builds_no_bar_cell(self, make, torsion, monkeypatch):
+        group = make()
+
+        def no_boundary(*_args):
+            raise AssertionError("bar cell built for H_2")
+
+        monkeypatch.setattr(group_homology, "_bar_terms", no_boundary)
+        assert homology(group, 2).torsion == torsion
 
     def test_boundary_matrix_matches_bar_boundary(self):
         s3 = FiniteGroup.dihedral(3)

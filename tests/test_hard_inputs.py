@@ -101,14 +101,14 @@ def test_no_new_refusal(family, tmp_path_factory):
 
 
 def test_homology_past_the_bar_cell_cap_exits_2(tmp_path):
-    z34, z17 = FiniteGroup.cyclic(34), FiniteGroup.cyclic(17)
-    assert z17.order ** 3 > MAX_BAR_CELLS  # H_2 needs the bar 3-cells
+    z130, z65 = FiniteGroup.cyclic(130), FiniteGroup.cyclic(65)
+    assert z65.order ** 2 > MAX_BAR_CELLS  # the cycle basis needs the bar 2-cells
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps({
-        "groups": {"Z34": z34.to_json(), "Z17": z17.to_json()},
-        "surjections": {"Z34->Z17": {"source": "Z34", "target": "Z17",
-                                     "map": [g % 17 for g in range(34)],
-                                     "section": list(range(17))}}}))
+        "groups": {"Z130": z130.to_json(), "Z65": z65.to_json()},
+        "surjections": {"Z130->Z65": {"source": "Z130", "target": "Z65",
+                                      "map": [g % 65 for g in range(130)],
+                                      "section": list(range(65))}}}))
     res = CliRunner().invoke(main, ["homology", str(path), "--samples", "2"])
     assert res.exit_code == 2, res.output
     assert "group too large for degree" in res.stderr

@@ -75,7 +75,8 @@ class TestConstruction:
         with pytest.raises(InputError, match="window must be an integer"):
             build(window)
 
-    @pytest.mark.parametrize("tail", [-0.5, math.nan], ids=["negative", "nan"])
+    @pytest.mark.parametrize("tail", [-0.5, math.nan, "0.5", None, 1j, True],
+                             ids=["negative", "nan", "string", "none", "complex", "bool"])
     @pytest.mark.parametrize("build", [
         lambda t: FourierLoop({0: 1.0}, tail=t),
         lambda t: ToeplitzOp(FourierLoop({0: 1.0}), None, 8, tail_bound=t),

@@ -7,10 +7,12 @@ outputs, as Python ints and in the same order.  A report, not a gate.
 
 Sections:
 
-  homology   ``homology(G, 1|2)``: rank, torsion, ``presentation_divisors``
-             and the generator's coefficient map in insertion order, for
-             every product of Z_n, D_n (order 2n, n >= 3) and Q8 factors of
-             order <= 16;
+  homology   ``homology(G, 1|2)``: rank, torsion and
+             ``presentation_divisors``, for every product of Z_n, D_n
+             (order 2n, n >= 3) and Q8 factors of order <= 16;
+  generators the generator's coefficient map in insertion order, on the
+             same groups and degrees (a cycle is one of many, so it can
+             move while the homology line stays);
   cycles     ``cycle_basis(G, 2)`` maps on the same groups;
   boundary   ``bar_boundary`` on seeded random chains of degree 1 to 3 over
              the same groups;
@@ -76,13 +78,14 @@ def sections():
     from fredk2 import group_homology as gh
 
     rng = np.random.default_rng(SEED)
-    out = {"homology": [], "cycles": [], "boundary": [], "smith": [], "two_path": []}
+    out = {"homology": [], "generators": [], "cycles": [], "boundary": [], "smith": [],
+           "two_path": []}
     for name in words():
         group = build(name)
         for degree in (1, 2):
             h = gh.homology(group, degree)
-            out["homology"].append((name, degree, h.rank, h.torsion,
-                                    h.presentation_divisors, chain_key(h.generator)))
+            out["homology"].append((name, degree, h.rank, h.torsion, h.presentation_divisors))
+            out["generators"].append((name, degree, chain_key(h.generator)))
         out["cycles"].append((name, [chain_key(c) for c in gh.cycle_basis(group, 2)]))
         for degree in (1, 2, 3):
             for _ in range(3):
@@ -115,7 +118,7 @@ def main():
     sys.path.insert(0, os.path.join(ROOT, "src"))
     for section, records in sections().items():
         digest = hashlib.sha256(repr(records).encode()).hexdigest()
-        print("%-9s %5d  %s" % (section, len(records), digest))
+        print("%-10s %5d  %s" % (section, len(records), digest))
 
 
 if __name__ == "__main__":

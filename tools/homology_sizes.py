@@ -1,13 +1,13 @@
 """Size and cost of H_2 for named finite groups, one fresh process per group.
 
-For each group named on the command line it prints the order, the number
-of bar 3-cells, the shape of the residual that reaches the Smith form, the
-H_2 torsion, and the wall time and peak RSS of ``homology(G, 2)``.  Each
-group runs in a subprocess of its own, and only that subprocess raises
-``group_homology.MAX_BAR_CELLS`` to |G|^3, so no measurement sees another
+For each group named on the command line it prints the order, the shape
+m x |S|m of Hopf's relation matrix (m non-tree edges of the Cayley graph,
+|S| generators), the shape of the residual that reaches the Smith form,
+the H_2 torsion, and the wall time and peak RSS of ``homology(G, 2)``.
+Each group runs in a subprocess of its own, so no measurement sees another
 group's memory.  A report, not a gate.
 
-    python3 tools/homology_sizes.py 'Z2^5' D16
+    python3 tools/homology_sizes.py 'Z2^5' D16 D24 'Z2^6' D64
 
 A name is a product of factors joined by 'x': Zn (cyclic of order n), Dn
 (dihedral of order 2n) or Q8, each raised to a power by '^k'.  With no
@@ -50,23 +50,22 @@ def measure(name):
     from fredk2 import group_homology
 
     group = build(name)
-    cells = group.order ** 3
-    group_homology.MAX_BAR_CELLS = max(group_homology.MAX_BAR_CELLS, cells)
     reduced_boundary = group_homology._reduced_boundary
     shapes = []
 
-    def recording(*args):
-        out = reduced_boundary(*args)
-        shapes.append(out[1].shape)
+    def recording(columns, nrows):
+        shapes.append((nrows, len(columns)))
+        out = reduced_boundary(columns, nrows)
+        shapes.append(out[0].shape)
         return out
 
     group_homology._reduced_boundary = recording
     start = time.perf_counter()
     h2 = group_homology.homology(group, 2)
     wall = time.perf_counter() - start
-    return {"group": name, "order": group.order, "cells": cells,
-            "residual": "%d x %d" % shapes[0], "torsion": h2.torsion,
-            "wall_s": round(wall, 3),
+    return {"group": name, "order": group.order,
+            "relations": "%d x %d" % shapes[0], "residual": "%d x %d" % shapes[1],
+            "torsion": h2.torsion, "wall_s": round(wall, 3),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)}
 
 
@@ -75,7 +74,7 @@ def main(argv):
         sys.path.insert(0, os.path.join(ROOT, "src"))
         print(json.dumps(measure(argv[1])))
         return
-    print("group        order  3-cells  residual      H_2 torsion            wall_s  peak_rss_mb")
+    print("group        order  relations     residual      H_2 torsion            wall_s  peak_rss_mb")
     for name in argv or DEFAULT:
         out = subprocess.run([sys.executable, os.path.abspath(__file__), "--one", name],
                              capture_output=True, text=True)
@@ -86,8 +85,8 @@ def main(argv):
         counts = {d: row["torsion"].count(d) for d in row["torsion"]}
         torsion = " x ".join("Z%d" % d + ("^%d" % k if k > 1 else "")
                              for d, k in counts.items()) or "0"
-        print("%-12s %5d  %7d  %-12s  %-21s  %6.2f  %11.1f" % (
-            name, row["order"], row["cells"], row["residual"], torsion,
+        print("%-12s %5d  %-12s  %-12s  %-21s  %6.3f  %11.1f" % (
+            name, row["order"], row["relations"], row["residual"], torsion,
             row["wall_s"], row["peak_rss_mb"]))
 
 
