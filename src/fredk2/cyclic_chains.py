@@ -39,6 +39,13 @@ TRI_TOL = 1e-9
 CHAIN_TOL = 1e-10
 
 
+def _chain_degree(k):
+    """k as an int, refused unless it is a nonnegative integer (not a bool)."""
+    if not (_is_index(k) and k >= 0):
+        raise InputError("chain degree must be a nonnegative integer")
+    return int(k)
+
+
 class SimplexPath:
     """C^2 map from the n-simplex into invertible m x m elements.
 
@@ -49,7 +56,7 @@ class SimplexPath:
     """
 
     def __init__(self, dimension, value, partials=None, based=True):
-        if dimension not in (1, 2):
+        if not (_is_index(dimension) and dimension in (1, 2)):
             raise InputError("simplex dimension must be 1 or 2")
         self.n = dimension
         self._value = value
@@ -128,7 +135,7 @@ class FormalChain:
     dimension zero."""
 
     def __init__(self, dimension, terms=()):
-        self.n = int(dimension)
+        self.n = _chain_degree(dimension)
         self.terms = [(complex(c), s) for c, s in terms]
 
     def scaled(self, c):
@@ -170,7 +177,7 @@ class CyclicChain:
     matrices; equality is tested after cyclic symmetrization."""
 
     def __init__(self, degree, terms=()):
-        self.degree = int(degree)
+        self.degree = _chain_degree(degree)
         self.terms = []
         for c, x in terms:
             x = tuple(x)

@@ -1,4 +1,4 @@
-"""Bar-complex homology of finite groups and relative cycle machinery.
+"""Homology of finite groups, bar chains and relative cycle machinery.
 
 Integer chain complexes of finite groups in the inhomogeneous bar model,
 Smith normal form over Z, low-degree homology (n <= 2), and the relative
@@ -10,13 +10,13 @@ section t:
   * the boundary / section map sending a 2-cycle x over H to the class
     f_phi(x) in ker(phi) modulo commutators [g, k].
 
-H_1 is read off the bar boundary D_2 and H_2 off Hopf's formula on the
-Cayley graph, both built sparse from the multiplication table: their +-1
-pivots are eliminated exactly (Dumas-Saunders-Villard) and only the small
-residual goes through the Smith normal form.  The Smith form records its
-elementary operations, and each caller replays only the transform it
-reads.  The bar complex is the unnormalized one, with its faces written
-out for degrees 1 to 3; a chain of higher degree is refused.
+H_1 and H_2 are read off one Cayley-graph presentation, built sparse from
+the multiplication table: the +-1 pivots are eliminated exactly
+(Dumas-Saunders-Villard) and only the small residual goes through the
+Smith normal form.  The Smith form records its elementary operations, and
+each caller replays only the transform it reads.  The bar complex is the
+unnormalized one, with its faces written out for degrees 1 to 3; a chain
+of higher degree is refused.
 
 All arithmetic is exact (python ints).  Groups are given by index tables;
 elements are indices 0..order-1.
@@ -29,7 +29,7 @@ import numpy as np
 
 from ._errors import InputError, InvariantViolation, read_json
 
-# Bar cells of one degree, capped in _boundary_columns (H_1 needs the 2-cells).
+# Bar cells of one degree, capped in boundary_matrix (cycle_basis needs the 2-cells).
 MAX_BAR_CELLS = 4096
 
 
@@ -414,9 +414,9 @@ def _all_cells(group, degree):
     return cells
 
 
-def _boundary_columns(group, degree):
-    """Columns of the bar boundary C_degree -> C_{degree-1} as sparse dicts
-    {row: coefficient} over the lexicographic cell bases, with those bases.
+def boundary_matrix(group, degree):
+    """Matrix of the bar boundary C_degree -> C_{degree-1} in the lexicographic
+    cell bases, as a numpy object array of python ints, with those bases.
     Every bar boundary is built here, so its degree and the MAX_BAR_CELLS
     cap on its |G|^degree columns are checked here alone."""
     if type(degree) is not int or degree < 0:
@@ -426,25 +426,10 @@ def _boundary_columns(group, degree):
     rows = _all_cells(group, degree - 1)
     cols = _all_cells(group, degree)
     index = {c: i for i, c in enumerate(rows)}
-    table = group.table
-    columns = []
-    for cell in cols:
-        col = {}
-        for face, sgn in _bar_terms(cell, table):
-            i = index[face]
-            col[i] = col.get(i, 0) + sgn
-        columns.append({i: z for i, z in col.items() if z})
-    return columns, rows, cols
-
-
-def boundary_matrix(group, degree):
-    """Matrix of the bar boundary C_degree -> C_{degree-1} in the lexicographic
-    cell basis, as a numpy object array of python ints."""
-    columns, rows, cols = _boundary_columns(group, degree)
     mat = np.zeros((len(rows), len(cols)), dtype=object)
-    for j, col in enumerate(columns):
-        for i, z in col.items():
-            mat[i, j] = z
+    for j, cell in enumerate(cols):
+        for face, sgn in _bar_terms(cell, group.table):
+            mat[index[face], j] += sgn
     return mat, rows, cols
 
 
@@ -517,16 +502,20 @@ def _reduced_boundary(columns, nrows):
     return residual, kept
 
 
-def _relation_columns(group):
-    """Hopf's H_2(G) = (R & [F, F]) / [F, R], from the Cayley graph.
+def _presentation(group, degree):
+    """(columns, rows) of H_degree, for degree 1 or 2, from one presentation.
 
     Generators S: the elements, in index order, outside the subgroup of
-    those before.  A BFS tree spells each h as w_h, and each non-tree edge
-    e = (h, s) closes c_e = w_h s w_{hs}^-1, a basis of R_ab.  The columns
-    g c_e - c_e (g in S), read on the non-tree edges, span [F, R] / [R, R],
-    so the torsion of their cokernel R / [F, R] is H_2.  rows[e] holds the
-    terms of sum_{i >= 2} [p_{i-1} | y_i] - sum [u | u^-1] - (q - 1) [1 | 1]
-    over c_e's letters y_i, prefixes p_i and q inverse letters u^-1: a bar
+    those before.  A BFS tree of the Cayley graph spells each h as w_h, and
+    each non-tree edge e = (h, s) closes c_e = w_h s w_{hs}^-1, a basis of
+    R_ab.  H_1 = F / R[F, F] is the cokernel of R_ab -> F_ab: one column per
+    c_e, its exponent sums over S, and rows[s] the bar 1-cell [s], a cycle
+    with [a] + [b] = [ab] modulo im D_2.  H_2 is Hopf's (R & [F, F]) / [F, R]:
+    the columns g c_e - c_e (g in S), read on the non-tree edges, span
+    [F, R] / [R, R], so the torsion of their cokernel R / [F, R] is H_2.
+    rows[e] holds the terms of
+    sum_{i >= 2} [p_{i-1} | y_i] - sum [u | u^-1] - (q - 1) [1 | 1] over
+    c_e's letters y_i, prefixes p_i and q inverse letters u^-1: a bar
     2-chain with boundary sum_u (exponent sum of u) [u].
     """
     table, inv, one = group.table, group._inv, group.identity
@@ -542,17 +531,24 @@ def _relation_columns(group):
                 words[table[h][s]] = words[h] + [s]
                 queue.append(table[h][s])
     edges = [(h, s) for h in queue for s in gens if words[table[h][s]] != words[h] + [s]]
+
+    def read(col, v, h, s, basis):
+        """col plus c_e's two paths from v to v w_h s (w_h s forward, w_hs
+        back): the letter y leaving vertex u adds its sign to basis[u, y]."""
+        for word, z in ((words[h] + [s], 1), (words[table[h][s]], -1)):
+            u = v
+            for y in word:
+                if (u, y) in basis:
+                    col[basis[u, y]] = col.get(basis[u, y], 0) + z
+                u = table[u][y]
+        return {i: z for i, z in col.items() if z}
+
+    if degree == 1:
+        by_letter = {(u, s): a for u in queue for a, s in enumerate(gens)}
+        return [read({}, one, h, s, by_letter) for h, s in edges], [[((s,), 1)] for s in gens]
     index = {e: i for i, e in enumerate(edges)}
-    columns, rows = [], []
-    for g in gens:
-        for i, (h, s) in enumerate(edges):
-            col = {i: -1}  # g c_e - c_e: c_e's two paths from 1 to hs, moved to g
-            for word, z, v in ((words[h] + [s], 1, g), (words[table[h][s]], -1, g)):
-                for y in word:
-                    if (v, y) in index:
-                        col[index[v, y]] = col.get(index[v, y], 0) + z
-                    v = table[v][y]
-            columns.append({j: z for j, z in col.items() if z})
+    columns = [read({i: -1}, g, h, s, index) for g in gens for i, (h, s) in enumerate(edges)]
+    rows = []
     for h, s in edges:
         back = words[table[h][s]]
         letters = words[h] + [s] + [inv[u] for u in reversed(back)]
@@ -674,22 +670,17 @@ class HomologyResult:
 
 
 def homology(group, degree):
-    """Integral homology H_degree(group; Z) for degree <= 2: H_1 from the bar
-    boundary C_2 -> C_1, whose |G|^2 cells MAX_BAR_CELLS caps, H_2 from
-    Hopf's formula (``_relation_columns``), which builds no bar cell.
-    Returns a HomologyResult; for nontrivial torsion the generator field
-    holds an explicit bar cycle spanning the first torsion factor."""
+    """Integral homology H_degree(group; Z) for degree <= 2, both degrees
+    from one Cayley-graph presentation (``_presentation``), which builds no
+    bar cell.  Returns a HomologyResult; for nontrivial torsion the generator
+    field holds an explicit bar cycle spanning the first torsion factor."""
     if type(degree) is not int or degree < 0:
         raise InputError("homology degree must be a nonnegative integer")
     if degree > 2:
         raise InputError("homology implemented for degree at most 2")
     if degree == 0:
         return HomologyResult(group, 0, 1, [], None, [])
-    if degree == 1:  # each row is one bar 1-cell
-        columns, faces, _cells = _boundary_columns(group, 2)
-        rows = [[(face, 1)] for face in faces]
-    else:
-        columns, rows = _relation_columns(group)
+    columns, rows = _presentation(group, degree)
     residual, kept = _reduced_boundary(columns, len(rows))
     S, row_ops, _col_ops = _smith(residual)
     reduced = snf_divisors(S)
@@ -702,8 +693,8 @@ def homology(group, degree):
     divisors = [1] * (rank - len(torsion)) + torsion
     generator = None
     if torsion:
-        # row jt of the inverse replay is column jt of Uinv, a torsion class u:
-        # a cycle in degree 1 (d u = 0), of exponent sums 0 in degree 2
+        # row jt of the inverse replay is column jt of Uinv, a torsion class u,
+        # of exponent sums 0 in degree 2; sum u_s [s] has u's order in degree 1
         vec = _replay(row_ops, len(kept), inverse=True)[reduced.index(torsion[0])]
         generator = GroupChain(group, degree)
         for i, z in zip(kept, vec):

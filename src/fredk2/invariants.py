@@ -47,7 +47,7 @@ from .toeplitz_calculus import (
     _require_window,
 )
 from .fredholm import det1p, mult_commutator_det
-from .cyclic_chains import BlockOp, CyclicChain
+from .cyclic_chains import BlockOp, CyclicChain, _chain_degree
 from .group_homology import _bar_terms
 
 TWO_PI = 2.0 * math.pi
@@ -335,7 +335,7 @@ class LabelChain:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int):
-        self.degree = int(degree)
+        self.degree = _chain_degree(degree)
         self.coeffs = {}
 
     def add_cell(self, cell, co):

@@ -311,6 +311,23 @@ class TestConvergeCommand:
         res = runner.invoke(main, ["converge", wide, zf, "--windows", "14,64"])
         assert res.exit_code in (0, 4)
 
+    def test_final_delta_is_the_last_row(self, runner, tmp_path):
+        # window 14 truncates the band-6 loop, so the two rows' deltas differ
+        wide = write_loop(tmp_path / "w.json", FourierLoop({6: 0.1}).exp())
+        res = runner.invoke(main, ["converge", wide, z_file(tmp_path), "--windows", "14,64"])
+        report = json.loads(res.output)
+        assert report["rows"][0][3] != report["rows"][-1][3]
+        assert report["final_delta"] == report["rows"][-1][3]
+
+    def test_tolerance_is_absolute_below_unit_modulus(self, runner, tmp_path):
+        # |closed| = exp(-0.06) < 1, so the final delta d is held to --tol itself
+        args = ["converge", *exp_pair_files(tmp_path), "--windows", "32,64"]
+        report = json.loads(runner.invoke(main, args).output)
+        d = report["final_delta"]
+        assert abs(complex(*report["closed_value"])) < 1 and d > 0
+        assert runner.invoke(main, args + ["--tol", repr(d / 1.25)]).exit_code == 4
+        assert runner.invoke(main, args + ["--tol", repr(d)]).exit_code == 0
+
     def test_takes_no_operator_options(self, runner, tmp_path):
         # the sweep's windows are --windows, each run with strict=False
         af, bf = exp_pair_files(tmp_path)

@@ -177,6 +177,11 @@ class TestFaces:
         assert chain.n == 0
         assert np.linalg.norm(chain.materialize()) < 1e-12
 
+    def test_scaled_multiplies_non_unit_coefficients(self):
+        # dN's coefficients are all +-1, where c * co and c / co agree
+        sig = exp_line(np.zeros((2, 2), dtype=complex))
+        assert FormalChain(1, [(0.5, sig)]).scaled(4).terms == [(2, sig)]
+
     def test_input_validation(self):
         sig = SimplexPath(1, lambda t: np.eye(2, dtype=complex))
         with pytest.raises(InputError):
@@ -818,6 +823,19 @@ REFUSALS = {
                        "degrees differ"),
     "cyclic-materialize": (lambda: CyclicChain(0, [(1.0, (identity_op(W),))]).materialize(),
                            InputError, "only dense matrix"),
+    # a degree or dimension is a nonnegative integer, never truncated or cast
+    **{"chain-degree-%s" % name: (call, InputError, "chain degree must be a nonnegative integer")
+       for name, call in [("cyclic-fraction", lambda: CyclicChain(1.5, [])),
+                          ("cyclic-string", lambda: CyclicChain("1", [])),
+                          ("cyclic-none", lambda: CyclicChain(None, [])),
+                          ("cyclic-boolean", lambda: CyclicChain(True, [])),
+                          ("cyclic-negative", lambda: CyclicChain(-1, [])),
+                          ("formal-fraction", lambda: FormalChain(0.7)),
+                          ("formal-boolean", lambda: FormalChain(True))]},
+    "simplex-boolean-dimension": (lambda: SimplexPath(True, lambda t: EYE), InputError,
+                                  "simplex dimension must be 1 or 2"),
+    "simplex-fraction-dimension": (lambda: SimplexPath(1.0, lambda t: EYE), InputError,
+                                   "simplex dimension must be 1 or 2"),
     "log-of-triangle-chain": (lambda: gamma_log(FormalChain(2, [(1.0, TRIANGLE)])),
                               InputError, "1-simplex chains"),
     "log-of-operators": (lambda: gamma_log(OP_LINE), InputError, "dense matrix simplices"),

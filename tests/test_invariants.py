@@ -701,6 +701,9 @@ class TestH2Cycle:
             LabelChain(2).add_cell((LoopLabel.identity(),), 1)
         with pytest.raises(InputError, match="degree-0"):
             LabelChain(0).boundary()
+        for degree in (2.9, True, -1, "2", None):
+            with pytest.raises(InputError, match="chain degree must be a nonnegative integer"):
+                LabelChain(degree)
 
     def test_diag_labels(self):
         x = LoopLabel(1, zero_loop())

@@ -1,11 +1,13 @@
-"""Size and cost of H_2 for named finite groups, one fresh process per group.
+"""Size and cost of H_1 and H_2 for named finite groups, one fresh process per group.
 
-For each group named on the command line it prints the order, the shape
-m x |S|m of Hopf's relation matrix (m non-tree edges of the Cayley graph,
-|S| generators), the shape of the residual that reaches the Smith form,
-the H_2 torsion, and the wall time and peak RSS of ``homology(G, 2)``.
-Each group runs in a subprocess of its own, so no measurement sees another
-group's memory.  A report, not a gate.
+Both degrees read one Cayley-graph presentation (m non-tree edges, |S|
+generators).  For each group named on the command line it prints the
+order; for H_1 the shape |S| x m of the abelianized relator matrix, the
+torsion and the wall time of ``homology(G, 1)``; for H_2 the shape
+m x |S|m of Hopf's relation matrix, the shape of the residual that reaches
+the Smith form, the torsion and the wall time of ``homology(G, 2)``; and
+the peak RSS of the process.  Each group runs in a subprocess of its own,
+so no measurement sees another group's memory.  A report, not a gate.
 
     python3 tools/homology_sizes.py 'Z2^5' D16 D24 'Z2^6' D64
 
@@ -60,13 +62,23 @@ def measure(name):
         return out
 
     group_homology._reduced_boundary = recording
-    start = time.perf_counter()
-    h2 = group_homology.homology(group, 2)
-    wall = time.perf_counter() - start
-    return {"group": name, "order": group.order,
-            "relations": "%d x %d" % shapes[0], "residual": "%d x %d" % shapes[1],
-            "torsion": h2.torsion, "wall_s": round(wall, 3),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)}
+    row = {"group": name, "order": group.order}
+    for degree in (1, 2):
+        start = time.perf_counter()
+        h = group_homology.homology(group, degree)
+        row["h%d" % degree] = {"relations": "%d x %d" % shapes[-2],
+                               "residual": "%d x %d" % shapes[-1],
+                               "torsion": h.torsion,
+                               "wall_s": round(time.perf_counter() - start, 3)}
+    row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+    return row
+
+
+def cyclic_sum(torsion):
+    """Torsion factors as a sum of cyclic groups, such as Z2^3 x Z4."""
+    counts = {d: torsion.count(d) for d in torsion}
+    return " x ".join("Z%d" % d + ("^%d" % k if k > 1 else "")
+                      for d, k in counts.items()) or "0"
 
 
 def main(argv):
@@ -74,7 +86,8 @@ def main(argv):
         sys.path.insert(0, os.path.join(ROOT, "src"))
         print(json.dumps(measure(argv[1])))
         return
-    print("group        order  relations     residual      H_2 torsion            wall_s  peak_rss_mb")
+    print("group        order  H_1 relations  H_1 torsion     wall_s  "
+          "H_2 relations  residual      H_2 torsion            wall_s  peak_rss_mb")
     for name in argv or DEFAULT:
         out = subprocess.run([sys.executable, os.path.abspath(__file__), "--one", name],
                              capture_output=True, text=True)
@@ -82,12 +95,11 @@ def main(argv):
             print("%-12s failed: %s" % (name, (out.stderr.strip().splitlines() or ["?"])[-1]))
             continue
         row = json.loads(out.stdout)
-        counts = {d: row["torsion"].count(d) for d in row["torsion"]}
-        torsion = " x ".join("Z%d" % d + ("^%d" % k if k > 1 else "")
-                             for d, k in counts.items()) or "0"
-        print("%-12s %5d  %-12s  %-12s  %-21s  %6.3f  %11.1f" % (
-            name, row["order"], row["relations"], row["residual"], torsion,
-            row["wall_s"], row["peak_rss_mb"]))
+        h1, h2 = row["h1"], row["h2"]
+        print("%-12s %5d  %-13s  %-14s  %6.3f  %-13s  %-12s  %-21s  %6.3f  %11.1f" % (
+            name, row["order"], h1["relations"], cyclic_sum(h1["torsion"]), h1["wall_s"],
+            h2["relations"], h2["residual"], cyclic_sum(h2["torsion"]), h2["wall_s"],
+            row["peak_rss_mb"]))
 
 
 if __name__ == "__main__":
