@@ -22,6 +22,7 @@ from .invariants import (
     mult_character,
     operator_route_at,
     route_windows,
+    w0_representative,
 )
 from . import group_homology as gh
 
@@ -128,8 +129,10 @@ def _report_options(fn):
                    "from the bands of its lifts.")
 @click.option("--strict/--fast", "strict", default=True,
               help="Strict mode refuses a window below the one the operator "
-                   "route needs and bounds each determinant's change on twice "
-                   "its window from the window's own LU.")
+                   "route needs, refuses a cross determinant that its window "
+                   "moves from the untruncated one, and bounds the "
+                   "Helton-Howe determinant's change on twice its window "
+                   "from the window's own LU.")
 @_report_options
 def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
            dump_operator, window, strict, fmt, seed):
@@ -154,15 +157,17 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
                 raise InputError(f"window too small for band: the operator "
                                  f"route needs {needed}, --window is {window}")
             chosen = route_windows(parts, window)
-            values[name], rep = operator_route_at(parts, chosen, strict)
+            values[name] = operator_route_at(parts, chosen, strict)
         timings[name] = time.perf_counter() - t0
         if name == "operator":
-            # the re-run on twice the chosen windows checks the value;
-            # it is not part of its cost
+            # the re-run on twice the chosen windows checks the value, and
+            # the cross representative is built for the report alone;
+            # neither is part of the value's cost
+            rep = w0_representative(parts.cross[0], chosen[0], parts.cross[1])
             tails[name] = rep.tail_bound
             windows = {"cross": chosen[0], "helton_howe": chosen[1]}
             doubled = tuple(None if w is None else 2 * w for w in chosen)
-            redo = operator_route_at(parts, doubled, strict=False)[0]
+            redo = operator_route_at(parts, doubled, strict=False)
             doubling[name] = abs(redo - values[name])
             if dump_operator:
                 with open(dump_operator, "w", encoding="utf-8") as fh:
@@ -221,7 +226,7 @@ def converge(alpha_file, beta_file, windows, tol, fmt, seed):
     for size in sizes:
         # every sweep window is taken as given, with strict=False
         t0 = time.perf_counter()
-        val = operator_route_at(parts, (size, size), strict=False)[0]
+        val = operator_route_at(parts, (size, size), strict=False)
         timings[str(size)] = time.perf_counter() - t0
         rows.append([size, val.real, val.imag, abs(val - reference)])
     final_delta = rows[-1][3]

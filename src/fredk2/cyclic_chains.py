@@ -137,6 +137,8 @@ class FormalChain:
     def __init__(self, dimension, terms=()):
         self.n = _chain_degree(dimension)
         self.terms = [(complex(c), s) for c, s in terms]
+        if any(isinstance(s, SimplexPath) and s.n != self.n for _c, s in self.terms):
+            raise InputError("simplex dimension differs from the chain's")
 
     def scaled(self, c):
         return FormalChain(self.n, [(c * co, s) for co, s in self.terms])

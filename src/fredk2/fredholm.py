@@ -31,6 +31,17 @@ GL_START_ORDER = 6
 FD_STEP = 1e-4    # step of central_difference
 
 
+def _unit_deviation_l1(dev: FourierLoop) -> float:
+    """‖dev‖₁ of a symbol's deviation from its unit value, the one symbol
+    check of a determinant: NumericalError when it is not finite,
+    InvariantViolation beyond UNIT_SYMBOL_TOL."""
+    if not np.isfinite(l1 := dev.l1()):
+        raise NumericalError("non-finite symbol coefficient")
+    if l1 > UNIT_SYMBOL_TOL:
+        raise InvariantViolation("not determinant class")
+    return l1
+
+
 def det1p(x, strict: bool = True) -> complex:
     """Fredholm determinant of a determinant-class operator: a ToeplitzOp
     with unit symbol, or a square BlockOp of ToeplitzOps whose diagonal
@@ -52,10 +63,7 @@ def det1p(x, strict: bool = True) -> complex:
     for i, row in enumerate(getattr(x, "rows", ((x,),))):
         for j, blk in enumerate(row):
             dev = blk.symbol.sub(FourierLoop({0: 1.0})) if i == j else blk.symbol
-            if not np.isfinite(l1 := dev.l1()):
-                raise NumericalError("non-finite symbol coefficient")
-            if l1 > UNIT_SYMBOL_TOL:
-                raise InvariantViolation("not determinant class")
+            l1 = _unit_deviation_l1(dev)
             if not np.isfinite(blk.corner).all():
                 raise NumericalError("non-finite correction")
             trace += dev[0] if i == j else 0

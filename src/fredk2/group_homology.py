@@ -28,6 +28,7 @@ import itertools
 import numpy as np
 
 from ._errors import InputError, InvariantViolation, read_json
+from .fourier_loops import _is_index
 
 # Bar cells of one degree, capped in boundary_matrix (cycle_basis needs the 2-cells).
 MAX_BAR_CELLS = 4096
@@ -301,10 +302,10 @@ class GroupChain:
     their results unchecked (``_of``) and never share an operand's map."""
 
     def __init__(self, group, degree, coeffs=None):
-        if type(degree) is not int or degree < 0:
+        if not (_is_index(degree) and degree >= 0):
             raise InputError("chain degree must be a nonnegative integer")
         self.group = group
-        self.degree = degree
+        self.degree = int(degree)
         self.coeffs = {}
         if coeffs:
             for cell, z in coeffs.items():
@@ -419,8 +420,9 @@ def boundary_matrix(group, degree):
     cell bases, as a numpy object array of python ints, with those bases.
     Every bar boundary is built here, so its degree and the MAX_BAR_CELLS
     cap on its |G|^degree columns are checked here alone."""
-    if type(degree) is not int or degree < 0:
+    if not (_is_index(degree) and degree >= 0):
         raise InputError("boundary/cycle degree must be a nonnegative integer")
+    degree = int(degree)
     if group.order ** degree > MAX_BAR_CELLS:
         raise InputError("group too large for degree")
     rows = _all_cells(group, degree - 1)
@@ -674,8 +676,9 @@ def homology(group, degree):
     from one Cayley-graph presentation (``_presentation``), which builds no
     bar cell.  Returns a HomologyResult; for nontrivial torsion the generator
     field holds an explicit bar cycle spanning the first torsion factor."""
-    if type(degree) is not int or degree < 0:
+    if not (_is_index(degree) and degree >= 0):
         raise InputError("homology degree must be a nonnegative integer")
+    degree = int(degree)
     if degree > 2:
         raise InputError("homology implemented for degree at most 2")
     if degree == 0:
@@ -710,7 +713,7 @@ def cycle_basis(group, degree):
     S, _row_ops, col_ops = _smith(D)
     r = len(snf_divisors(S))
     v_t = _replay(col_ops, len(cells))  # the columns of V as rows
-    return [GroupChain._of(group, degree, {c: int(z) for c, z in zip(cells, v_t[j]) if z})
+    return [GroupChain._of(group, int(degree), {c: int(z) for c, z in zip(cells, v_t[j]) if z})
             for j in range(r, len(cells))]
 
 

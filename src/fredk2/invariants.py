@@ -2,8 +2,10 @@
 
 A symbol {u, v} of commuting nonvanishing smooth loops on the circle gets a
 determinant value through three independent routes: a closed coefficient
-formula, circle integrals, and operator determinants of explicit
-multiplicative-commutator representatives in the Toeplitz picture.  The
+formula, circle integrals, and operator determinants in the Toeplitz
+picture: the cross factor {z, e^c} as the 2x2 determinant that Sylvester's
+identity makes of its rank-two defect, and the Helton–Howe factor as the
+Fredholm determinant of an explicit multiplicative commutator.  The
 module also houses the 2x2 block realization of multiplication operators in
 the shift basis, the chain-level bridge between the cyclic 1-cocycle and the
 relative boundary trace, and the degree-2 bar cycle attached to a symbol
@@ -23,6 +25,7 @@ from .fourier_loops import (
     LoopLog,
     _trapezoid_grid,
     circle_integral,
+    coeff_run,
     log_split,
     z_loop,
     zero_loop,
@@ -45,8 +48,9 @@ from .toeplitz_calculus import (
     wiener_hopf_pair,
     zero_op,
     _require_window,
+    _toeplitz_times,
 )
-from .fredholm import det1p, mult_commutator_det
+from .fredholm import _unit_deviation_l1, det1p, mult_commutator_det
 from .cyclic_chains import BlockOp, CyclicChain, _chain_degree
 from .group_homology import _bar_terms
 
@@ -184,7 +188,9 @@ def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW,
                       exps: tuple[FourierLoop, ...] | None = None) -> ToeplitzOp:
     """S U S* U⁻¹ + (1 − SS*) U⁻¹, the determinant-class representative of
     the cross part {z, e^c}, with U = T(e^c) and its exact inverse U⁻¹ from
-    wiener_hopf_pair (given c's split exponentials ``exps``, if known)."""
+    wiener_hopf_pair (given c's split exponentials ``exps``, if known).  The
+    operator route takes its determinant by ``_cross_det`` and never builds
+    it; ``fredk2 symbol`` builds it for its report."""
     s = shift_op(window)
     st = coshift_op(window)
     u, u_inv = wiener_hopf_pair(c, window, exps)
@@ -192,19 +198,58 @@ def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW,
     return mul(mul(mul(s, u), st), u_inv).add(mul(p0, u_inv))
 
 
+def _cross_det(c: FourierLoop, exps: tuple[FourierLoop, ...], window: int,
+               strict: bool) -> complex:
+    """det w0_representative(c, window, exps) without building it.
+
+    With U = T(f), f = e^{c₋}·e^{c₊}, and U⁻¹ = T(e^{−c₊})·T(e^{−c₋}), the
+    representative is I + D·U⁻¹, D = S U S* + P₀ − U = e₀αᵀ + βe₀ᵀ with
+    α = (1 − f₀, −f₋₁, −f₋₂, …) and β = (0, −f₁, −f₂, …).  By Sylvester's
+    identity its determinant is det(I₂ + M), M = [[αᵀU⁻¹e₀, αᵀU⁻¹β],
+    [(U⁻¹e₀)₀, (U⁻¹β)₀]], exact on these finitely supported vectors.  The
+    window cuts α and β to their first ``window`` entries; in strict mode
+    a cut that moves the value by more than 1e-9 (relative) raises."""
+    _require_window(window, c)
+    e_minus, e_plus, e_plus_inv, e_minus_inv = exps
+    f = e_minus.mul(e_plus)
+    _unit_deviation_l1(f.mul(e_plus_inv.mul(e_minus_inv)).sub(FourierLoop({0: 1.0})))
+    size = max(1 - f.lo, f.lo + f.run.size)  # the longer of α and β
+    alpha = -coeff_run(f, 1 - size, size)[::-1]
+    alpha[0] += 1.0
+    cols = np.zeros((size, 3), dtype=complex)  # e₀, β, and β cut to the window
+    cols[0, 0] = 1.0
+    cols[1:, 1] = -coeff_run(f, 1, size - 1)
+    cols[1:window, 2] = cols[1:window, 1]
+    for g in (e_minus_inv, e_plus_inv):  # a product by T(g) grows the support by g's top index
+        cols = _toeplitz_times(g, cols, cols.shape[0] + max(g.lo + g.run.size - 1, 0))
+
+    def det2(a, beta):
+        m = a @ cols[:a.size, (0, beta)]
+        return complex((1 + m[0]) * (1 + cols[0, beta]) - m[1] * cols[0, 0])
+
+    value = det2(alpha[:window], 2)
+    if not cmath.isfinite(value):
+        raise NumericalError("non-finite cross determinant")
+    if strict and size > window and abs(value - (full := det2(alpha, 1))) > 1e-9 * abs(full):
+        raise NumericalError("window too small")
+    return value
+
+
 def det_invariant_operator(sym: SteinbergSymbol, window: int = DEFAULT_WINDOW,
                            strict: bool = True) -> complex:
     """Operator route through the factorization {u, v} = {z, z}^{nm} ·
     {z, e^{c₀}} · {z, e^{c−c₀}} · {e^a, e^b}, c = nb − ma: (−1)^{nm}, e^{−c₀}
-    exactly, the Fredholm determinant of w0_representative(c − c₀), and the
-    multiplicative commutator determinant of the Wiener–Hopf lifts of
-    e^{a−a₀}, e^{b−b₀} with their exact inverses (the constants cancel).
+    exactly, the cross determinant det w0_representative(c − c₀) as a 2x2
+    determinant (``_cross_det``), and the multiplicative commutator
+    determinant of the Wiener–Hopf lifts of e^{a−a₀}, e^{b−b₀} with their
+    exact inverses (the constants cancel).
 
     Each determinant is taken on the window its lifts need (see
     route_windows), at most ``window``; a cap below that need truncates
-    the lifts, with the discarded mass in their tail bounds."""
+    the lifts, with the discarded mass in their tail bounds, and cuts the
+    cross defect's vectors."""
     parts = RouteParts(sym)
-    return operator_route_at(parts, route_windows(parts, window), strict)[0]
+    return operator_route_at(parts, route_windows(parts, window), strict)
 
 
 def _nonconstant(f: FourierLoop) -> FourierLoop:
@@ -256,12 +301,12 @@ def route_windows(parts: RouteParts, cap: float) -> tuple:
     return min(cap, w_c), min(cap, needed_window(a, *a_exps, b, *b_exps))
 
 
-def operator_route_at(parts: RouteParts, windows: tuple, strict: bool):
+def operator_route_at(parts: RouteParts, windows: tuple, strict: bool) -> complex:
     """The operator route's value on the explicit (cross, Helton–Howe)
-    windows, and the w0_representative it used."""
+    windows: the cross factor by ``_cross_det``, which builds no
+    representative, and the Helton–Howe factor by det1p."""
     (c, c_exps), w_h = parts.cross, windows[1]
-    rep = w0_representative(c, windows[0], c_exps)
-    cross = parts.factor * det1p(rep, strict=strict)
+    cross = parts.factor * _cross_det(c, c_exps, windows[0], strict)
     if parts.helton is None:
         helton = 1.0 + 0j
     else:
@@ -270,7 +315,7 @@ def operator_route_at(parts: RouteParts, windows: tuple, strict: bool):
         eb, eb_inv = wiener_hopf_pair(b, w_h, b_exps)
         helton = mult_commutator_det(ea, eb, strict=strict,
                                      u_inv=ea_inv, v_inv=eb_inv)
-    return parts.sign * cross * helton, rep
+    return parts.sign * cross * helton
 
 
 def mult_character(sym: SteinbergSymbol) -> complex:

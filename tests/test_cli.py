@@ -312,9 +312,11 @@ class TestConvergeCommand:
         assert res.exit_code in (0, 4)
 
     def test_final_delta_is_the_last_row(self, runner, tmp_path):
-        # window 14 truncates the band-6 loop, so the two rows' deltas differ
+        # window 14 truncates the Helton–Howe lifts of the band-6 logs, so
+        # the two rows' deltas differ
         wide = write_loop(tmp_path / "w.json", FourierLoop({6: 0.1}).exp())
-        res = runner.invoke(main, ["converge", wide, z_file(tmp_path), "--windows", "14,64"])
+        co = write_loop(tmp_path / "c.json", FourierLoop({-6: 0.2}).exp())
+        res = runner.invoke(main, ["converge", wide, co, "--windows", "14,64"])
         report = json.loads(res.output)
         assert report["rows"][0][3] != report["rows"][-1][3]
         assert report["final_delta"] == report["rows"][-1][3]

@@ -836,6 +836,11 @@ REFUSALS = {
                                   "simplex dimension must be 1 or 2"),
     "simplex-fraction-dimension": (lambda: SimplexPath(1.0, lambda t: EYE), InputError,
                                    "simplex dimension must be 1 or 2"),
+    # a simplex of another dimension than its chain's
+    "formal-triangle-in-dimension-1": (lambda: gamma_log(FormalChain(1, [(1.0, TRIANGLE)])),
+                                       InputError, "simplex dimension differs"),
+    "formal-line-in-dimension-2": (lambda: dN(FormalChain(2, [(1.0, LINE)])), InputError,
+                                   "simplex dimension differs"),
     "log-of-triangle-chain": (lambda: gamma_log(FormalChain(2, [(1.0, TRIANGLE)])),
                               InputError, "1-simplex chains"),
     "log-of-operators": (lambda: gamma_log(OP_LINE), InputError, "dense matrix simplices"),

@@ -290,6 +290,30 @@ class TestSmithNormalForm:
 
 
 class TestHomology:
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_degrees_are_python_ints(self, kind):
+        # the bar and analytic chains share one degree rule (_is_index)
+        z3, d3 = FiniteGroup.cyclic(3), FiniteGroup.dihedral(3)
+        assert homology(z3, kind(1)).torsion == [3]
+        for g, d in ((z3, 0), (z3, 1), (z3, 2), (d3, 1), (d3, 2)):
+            got, want = homology(g, kind(d)), homology(g, d)
+            assert type(got.degree) is int and got.degree == d
+            assert ((got.rank, got.torsion, got.presentation_divisors)
+                    == (want.rank, want.torsion, want.presentation_divisors))
+            assert (got.generator is None) == (want.generator is None)
+            if want.generator is not None:
+                assert got.generator.coeffs == want.generator.coeffs
+        for d in (1, 2):
+            got, want = boundary_matrix(d3, kind(d)), boundary_matrix(d3, d)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+            assert ([c.coeffs for c in cycle_basis(d3, kind(d))]
+                    == [c.coeffs for c in cycle_basis(d3, d)])
+            assert all(type(c.degree) is int for c in cycle_basis(d3, kind(d)))
+        chain = GroupChain(d3, kind(2), {(1, 2): 1, (3, 4): -2})
+        assert type(chain.degree) is int
+        assert (bar_boundary(chain).coeffs
+                == bar_boundary(GroupChain(d3, 2, {(1, 2): 1, (3, 4): -2})).coeffs)
+
     def test_h0(self):
         g = FiniteGroup.cyclic(3)
         h = homology(g, 0)
@@ -779,6 +803,10 @@ CHAIN_REFUSALS = {
     "negative-degree": (lambda h, o: GroupChain(h.source, -1), "nonnegative"),
     "fraction-degree": (lambda h, o: GroupChain(h.source, 1.5), "chain degree must be a nonnegative integer"),
     "boolean-degree": (lambda h, o: GroupChain(h.source, True), "chain degree must be a nonnegative integer"),
+    "numpy-negative-degree": (lambda h, o: GroupChain(h.source, np.int64(-1)),
+                              "chain degree must be a nonnegative integer"),
+    "numpy-boolean-degree": (lambda h, o: GroupChain(h.source, np.True_),
+                             "chain degree must be a nonnegative integer"),
     "cone-groups": (lambda h, o: ConeChain(h, GroupChain(h.source, 2), GroupChain(h.source, 1)),
                     "wrong groups"),
     "cone-degrees": (lambda h, o: _cone(h, 1, 1), "inconsistent"),
@@ -1110,6 +1138,14 @@ GROUP_REFUSALS = {
     "cell-booleans": (lambda: GroupChain(Z2, 1, {(True,): True}), "group element index"),
     "homology-fraction-degree": (lambda: homology(Z2, 1.5), "homology degree must be a nonnegative integer"),
     "homology-boolean-degree": (lambda: homology(Z2, True), "homology degree must be a nonnegative integer"),
+    "homology-numpy-boolean-degree": (lambda: homology(Z2, np.True_),
+                                      "homology degree must be a nonnegative integer"),
+    "homology-numpy-negative-degree": (lambda: homology(Z2, np.int64(-1)),
+                                       "homology degree must be a nonnegative integer"),
+    "homology-numpy-fraction-degree": (lambda: homology(Z2, np.float64(1.0)),
+                                       "homology degree must be a nonnegative integer"),
+    "boundary-matrix-numpy-negative-degree": (lambda: boundary_matrix(Z3, np.int64(-1)),
+                                              "boundary/cycle degree must be a nonnegative integer"),
     "cycle-basis-fraction-degree": (lambda: cycle_basis(Z2, 1.5),
                                     "cycle degree must be a nonnegative integer"),
     "cycle-basis-boolean-degree": (lambda: cycle_basis(Z2, True),

@@ -586,6 +586,85 @@ class TestClosedForms:
         assert abs(math.sqrt(total) - schatten2_commutator_F(f)) < 1e-12
 
 
+TAIL_W, TAIL_N = 16, 40  # operand window, size of the dense reference
+TAIL_J = TAIL_W + 2      # where a realised tail sits, past the window
+
+
+def _unit(j, k):
+    e = np.zeros((TAIL_N, TAIL_N), dtype=complex)
+    e[j, k] = 1.0
+    return e
+
+
+def _tail_mul_cases():
+    """(x, y, X, Y, D): operands whose tails (and y's symbol tail) are
+    realised in the dense sections X, Y as perturbations of exactly that
+    trace norm (ℓ¹ mass) placed past the window, and D the realisation of
+    the product symbol's tail, all aligned so that the true error is as
+    large as the bound allows."""
+    j, w, n = TAIL_J, TAIL_W, TAIL_N
+    one, z = FourierLoop({0: 1.0}), FourierLoop({1: 1.0})
+    corner = np.zeros((w, w), dtype=complex)
+    corner[:2, :2] = [[1e-3, 2e-3], [-1e-3, 5e-4]]    # ‖·‖_F < 3e-3
+    t_x, t_y, tau = 1e-2, 2e-2, 1e-2
+    none = np.zeros((n, n), dtype=complex)
+    return {
+        # (I + E)(S + C): S is an isometry, so the true error E·S has norm t_x
+        "left_tail": (ToeplitzOp(one, None, w, t_x), ToeplitzOp(z, corner, w),
+                      np.eye(n) + t_x * _unit(j, j),
+                      toeplitz_matrix(z, n) + np.pad(corner, (0, n - w)), none),
+        "both_tails": (ToeplitzOp(one, None, w, t_x), ToeplitzOp(z, corner, w, t_y),
+                       np.eye(n) + t_x * _unit(j, j),
+                       toeplitz_matrix(z, n) + np.pad(corner, (0, n - w))
+                       + t_y * _unit(j, j - 1), none),
+        "right_tail": (ToeplitzOp(z, 50 * corner, w, 1e-3), ToeplitzOp(one, None, w, t_y),
+                       toeplitz_matrix(z, n) + np.pad(50 * corner, (0, n - w))
+                       + 1e-3 * _unit(j + 1, j),
+                       np.eye(n) + t_y * _unit(j, j), none),
+        # y's symbol is z with tail tau, realised as (1 + tau)·z
+        "symbol_tail": (ToeplitzOp(one, None, w, t_x),
+                        ToeplitzOp(FourierLoop({1: 1.0}, tail=tau), corner, w),
+                        np.eye(n) + t_x * _unit(j, j),
+                        toeplitz_matrix(z, n) * (1 + tau) + np.pad(corner, (0, n - w)),
+                        tau * toeplitz_matrix(z, n)),
+    }
+
+
+TAIL_MUL_CASES = _tail_mul_cases()
+
+
+def _trace_norm(m):
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+class TestTailBounds:
+    """A tail bound t is the trace norm of whatever fell off the window.  Each
+    operand's t is realised as a dense perturbation of trace norm t past the
+    window, in a larger dense reference; the trace norm of the true error of
+    the result must not exceed the tail bound it reports."""
+
+    @pytest.mark.parametrize("name", sorted(TAIL_MUL_CASES))
+    def test_mul(self, name):
+        x, y, big_x, big_y, sym_tail = TAIL_MUL_CASES[name]
+        prod = x.mul(y)
+        m = TAIL_N - 4  # the last rows see the dense sections' own edge
+        err = (big_x @ big_y - prod.dense_section(TAIL_N) - sym_tail)[:m, :m]
+        true = _trace_norm(err)
+        assert true > 0.8 * prod.tail_bound  # the bound is nearly attained
+        assert true <= prod.tail_bound * (1 + 1e-12)
+
+    def test_inv(self):
+        # T(φ) is lower triangular, so the dense section of (T(φ) + E)⁻¹ is
+        # exact; ‖T(φ)⁻¹‖ ≈ 2 > 1 and the true error is about 4t
+        phi, t = FourierLoop({0: 0.5, 1: 0.1}), 1e-3
+        x = ToeplitzOp(phi, None, TAIL_W, t)
+        inv = x.inv()
+        big = toeplitz_matrix(phi, TAIL_N) + t * _unit(TAIL_J, TAIL_J)
+        true = _trace_norm(np.linalg.inv(big) - inv.dense_section(TAIL_N))
+        assert true > 3 * t
+        assert true <= inv.tail_bound
+
+
 class TestInvExp:
     def test_inv_identity(self):
         y = identity_op(16).inv()
