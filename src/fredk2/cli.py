@@ -129,10 +129,9 @@ def _report_options(fn):
                    "from the bands of its lifts.")
 @click.option("--strict/--fast", "strict", default=True,
               help="Strict mode refuses a window below the one the operator "
-                   "route needs, refuses a cross determinant that its window "
-                   "moves from the untruncated one, and bounds the "
-                   "Helton-Howe determinant's change on twice its window "
-                   "from the window's own LU.")
+                   "route needs and bounds the Helton-Howe determinant's "
+                   "change on twice its window from the window's own LU; "
+                   "the cross determinant is exact at every window.")
 @_report_options
 def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
            dump_operator, window, strict, fmt, seed):
@@ -161,8 +160,9 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
         timings[name] = time.perf_counter() - t0
         if name == "operator":
             # the re-run on twice the chosen windows checks the value, and
-            # the cross representative is built for the report alone;
-            # neither is part of the value's cost
+            # the cross representative is built for the report alone (its
+            # tail bound carries the split exponentials' tails, which the
+            # cross determinant reads too); neither is part of the value's cost
             rep = w0_representative(parts.cross[0], chosen[0], parts.cross[1])
             tails[name] = rep.tail_bound
             windows = {"cross": chosen[0], "helton_howe": chosen[1]}

@@ -198,17 +198,18 @@ def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW,
     return mul(mul(mul(s, u), st), u_inv).add(mul(p0, u_inv))
 
 
-def _cross_det(c: FourierLoop, exps: tuple[FourierLoop, ...], window: int,
-               strict: bool) -> complex:
-    """det w0_representative(c, window, exps) without building it.
+def _cross_det(c: FourierLoop, exps: tuple[FourierLoop, ...], window: int) -> complex:
+    """det w0_representative(c, w, exps) on a window w that holds its
+    corrections whole, without building it.
 
     With U = T(f), f = e^{c₋}·e^{c₊}, and U⁻¹ = T(e^{−c₊})·T(e^{−c₋}), the
     representative is I + D·U⁻¹, D = S U S* + P₀ − U = e₀αᵀ + βe₀ᵀ with
     α = (1 − f₀, −f₋₁, −f₋₂, …) and β = (0, −f₁, −f₂, …).  By Sylvester's
     identity its determinant is det(I₂ + M), M = [[αᵀU⁻¹e₀, αᵀU⁻¹β],
-    [(U⁻¹e₀)₀, (U⁻¹β)₀]], exact on these finitely supported vectors.  The
-    window cuts α and β to their first ``window`` entries; in strict mode
-    a cut that moves the value by more than 1e-9 (relative) raises."""
+    [(U⁻¹e₀)₀, (U⁻¹β)₀]], exact on these finitely supported vectors, so no
+    window cuts it: ``window`` is only checked against c's band.  det1p
+    takes det(I₂ + M) as the Fredholm determinant of the rank-two
+    correction M, with its non-finite check."""
     _require_window(window, c)
     e_minus, e_plus, e_plus_inv, e_minus_inv = exps
     f = e_minus.mul(e_plus)
@@ -216,23 +217,13 @@ def _cross_det(c: FourierLoop, exps: tuple[FourierLoop, ...], window: int,
     size = max(1 - f.lo, f.lo + f.run.size)  # the longer of α and β
     alpha = -coeff_run(f, 1 - size, size)[::-1]
     alpha[0] += 1.0
-    cols = np.zeros((size, 3), dtype=complex)  # e₀, β, and β cut to the window
+    cols = np.zeros((size, 2), dtype=complex)  # e₀ and β
     cols[0, 0] = 1.0
     cols[1:, 1] = -coeff_run(f, 1, size - 1)
-    cols[1:window, 2] = cols[1:window, 1]
     for g in (e_minus_inv, e_plus_inv):  # a product by T(g) grows the support by g's top index
         cols = _toeplitz_times(g, cols, cols.shape[0] + max(g.lo + g.run.size - 1, 0))
-
-    def det2(a, beta):
-        m = a @ cols[:a.size, (0, beta)]
-        return complex((1 + m[0]) * (1 + cols[0, beta]) - m[1] * cols[0, 0])
-
-    value = det2(alpha[:window], 2)
-    if not cmath.isfinite(value):
-        raise NumericalError("non-finite cross determinant")
-    if strict and size > window and abs(value - (full := det2(alpha, 1))) > 1e-9 * abs(full):
-        raise NumericalError("window too small")
-    return value
+    m = np.array([alpha @ cols[:size], cols[0]])
+    return det1p(ToeplitzOp(FourierLoop({0: 1.0}), m, 2))
 
 
 def det_invariant_operator(sym: SteinbergSymbol, window: int = DEFAULT_WINDOW,
@@ -246,8 +237,8 @@ def det_invariant_operator(sym: SteinbergSymbol, window: int = DEFAULT_WINDOW,
 
     Each determinant is taken on the window its lifts need (see
     route_windows), at most ``window``; a cap below that need truncates
-    the lifts, with the discarded mass in their tail bounds, and cuts the
-    cross defect's vectors."""
+    the Helton–Howe lifts, with the discarded mass in their tail bounds,
+    and leaves the cross determinant exact."""
     parts = RouteParts(sym)
     return operator_route_at(parts, route_windows(parts, window), strict)
 
@@ -304,9 +295,10 @@ def route_windows(parts: RouteParts, cap: float) -> tuple:
 def operator_route_at(parts: RouteParts, windows: tuple, strict: bool) -> complex:
     """The operator route's value on the explicit (cross, Helton–Howe)
     windows: the cross factor by ``_cross_det``, which builds no
-    representative, and the Helton–Howe factor by det1p."""
+    representative and is exact at every window, and the Helton–Howe
+    factor by det1p on its window section."""
     (c, c_exps), w_h = parts.cross, windows[1]
-    cross = parts.factor * _cross_det(c, c_exps, windows[0], strict)
+    cross = parts.factor * _cross_det(c, c_exps, windows[0])
     if parts.helton is None:
         helton = 1.0 + 0j
     else:

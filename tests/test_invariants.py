@@ -42,10 +42,8 @@ from fredk2.toeplitz_calculus import (
     exp_op,
     identity_op,
     mul,
-    needed_window,
     schatten2_commutator_F,
     shift_op,
-    split_exponentials,
     toeplitz,
     wiener_hopf_pair,
     zero_op,
@@ -522,8 +520,8 @@ class TestRouteWindows:
         assert min(need) > 64 and capped == (64, 64)
         cross, helton = [], []
         cross_det, pair = invariants._cross_det, invariants.wiener_hopf_pair
-        monkeypatch.setattr(invariants, "_cross_det", lambda c, exps, window, strict:
-                            cross.append(window) or cross_det(c, exps, window, strict))
+        monkeypatch.setattr(invariants, "_cross_det", lambda c, exps, window:
+                            cross.append(window) or cross_det(c, exps, window))
         monkeypatch.setattr(invariants, "wiener_hopf_pair", lambda a, window, exps:
                             helton.append(window) or pair(a, window, exps))
         invariants.operator_route_at(parts, capped, False)
@@ -564,17 +562,6 @@ class TestRouteWindows:
         assert windows and set(windows) == {32}
 
 
-def cross_section_det(c, w):
-    """det(I_w + (D·U⁻¹)_w) with the defect D = S U S* + P₀ − U cut to the
-    w×w window and U⁻¹ exact: dense matrices read off operators on a window
-    that holds every correction whole, and one LU."""
-    big = max(w, needed_window(c, *split_exponentials(c), FourierLoop({1: 1.0})))
-    u, u_inv = wiener_hopf_pair(c, big)
-    s, st_ = shift_op(big), coshift_op(big)
-    d = mul(mul(s, u), st_).add(identity_op(big).sub(mul(s, st_))).sub(u)
-    return complex(np.linalg.det(np.eye(w) + d.dense_section(w) @ u_inv.dense_section(w)))
-
-
 def cross_parts(sym, cap):
     parts = invariants.RouteParts(sym)
     c, exps = parts.cross
@@ -585,36 +572,28 @@ class TestCrossDet:
     """The cross factor as the 2x2 determinant of Sylvester's identity,
     against the Fredholm determinant of its window-sized representative."""
 
-    @pytest.mark.parametrize("cap", [math.inf, 64])
-    def test_matches_the_representative(self, cap):
+    def test_matches_the_representative(self):
         for sym in ACCEPTANCE_CORPUS:
-            c, exps, w = cross_parts(sym, cap)
+            c, exps, w = cross_parts(sym, math.inf)
             want = det1p(w0_representative(c, w, exps), strict=False)
-            assert abs(invariants._cross_det(c, exps, w, False) - want) <= 1e-12 * abs(want)
+            assert abs(invariants._cross_det(c, exps, w) - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("cap", [32, 64])
-    def test_a_window_cuts_the_defect(self, cap):
-        # below the need, the value is the determinant of the section with
-        # the defect's vectors cut to the window
+    def test_a_cap_cuts_nothing(self, cap):
+        # the defect's vectors are finitely supported, so the value below
+        # the need is the untruncated one
         for sym in ACCEPTANCE_CORPUS:
             c, exps, w = cross_parts(sym, cap)
-            want = cross_section_det(c, w)
-            assert abs(invariants._cross_det(c, exps, w, False) - want) <= 1e-12 * abs(want)
+            full = invariants._cross_det(c, exps, cross_parts(sym, math.inf)[2])
+            assert invariants._cross_det(c, exps, w) == full
 
     @pytest.mark.parametrize("index", [0, 3])
-    def test_strict_refuses_a_cut_that_moves_the_value(self, index):
+    def test_a_cap_below_the_need_keeps_the_cross_value(self, index):
+        # the representative's section at cap 32 left these 5.1e-7 and
+        # 1.6e-9 off the closed value
         sym = ACCEPTANCE_CORPUS[index]
-        c, exps, w = cross_parts(sym, 32)
-        full = invariants._cross_det(c, exps, cross_parts(sym, math.inf)[2], True)
-        assert abs(invariants._cross_det(c, exps, w, False) - full) > 1e-9 * abs(full)
-        with pytest.raises(NumericalError, match="window too small"):
-            det_invariant_operator(sym, window=32)
-
-    def test_a_cut_that_moves_nothing_passes_strict(self):
-        sym = ACCEPTANCE_CORPUS[5]
-        c, exps, w = cross_parts(sym, 32)
-        full = invariants._cross_det(c, exps, cross_parts(sym, math.inf)[2], True)
-        assert abs(invariants._cross_det(c, exps, w, True) - full) <= 1e-9 * abs(full)
+        want = det_invariant_closed(sym)
+        assert abs(det_invariant_operator(sym, window=32) - want) <= 1e-10 * abs(want)
 
     def test_not_determinant_class_through_the_shared_check(self, monkeypatch):
         c, (em, ep, ep_inv, em_inv), w = cross_parts(ACCEPTANCE_CORPUS[1], math.inf)
@@ -623,34 +602,43 @@ class TestCrossDet:
                             lambda dev: checked.append(dev) or fredholm._unit_deviation_l1(dev))
         corrupt = (em, ep, ep_inv.add(FourierLoop({2: 1e-6})), em_inv)
         with pytest.raises(InvariantViolation, match="not determinant class"):
-            invariants._cross_det(c, corrupt, w, True)
+            invariants._cross_det(c, corrupt, w)
         assert len(checked) == 1
         with pytest.raises(NumericalError, match="non-finite symbol coefficient"):
             invariants._cross_det(c, (em, ep, ep_inv.add(FourierLoop._of(3, np.array([np.inf]))),
-                                      em_inv), w, True)
+                                      em_inv), w)
 
     def test_non_finite_determinant_raises(self, monkeypatch):
         c, (em, ep, ep_inv, em_inv), w = cross_parts(ACCEPTANCE_CORPUS[1], math.inf)
         # past the symbol check, which a NaN would fail first
         monkeypatch.setattr(invariants, "_unit_deviation_l1", lambda dev: 0.0)
         nan = (em, ep, ep_inv.add(FourierLoop._of(1, np.array([np.nan + 0j]))), em_inv)
-        with pytest.raises(NumericalError, match="non-finite cross determinant"):
-            invariants._cross_det(c, nan, w, True)
+        with pytest.raises(NumericalError, match="non-finite correction"):
+            invariants._cross_det(c, nan, w)
 
     def test_route_builds_no_representative(self, monkeypatch):
         def refused(*_args):
             raise AssertionError("w0_representative called")
 
-        calls = []
+        windows = []
         orig = fredholm.det1p
+
+        def counted(x, strict=True):
+            windows.append(x.window)
+            return orig(x, strict)
+
         monkeypatch.setattr(invariants, "w0_representative", refused)
-        monkeypatch.setattr(fredholm, "det1p", lambda x, strict=True:
-                            calls.append(x) or orig(x, strict))
+        monkeypatch.setattr(invariants, "det1p", counted)
+        monkeypatch.setattr(fredholm, "det1p", counted)
         for sym in ACCEPTANCE_CORPUS[:10]:
-            calls.clear()
+            windows.clear()
             want = det_invariant_closed(sym)
             assert abs(det_invariant_operator(sym) - want) <= 1e-12 * abs(want)
-            assert len(calls) == (invariants.RouteParts(sym).helton is not None)
+            # the cross factor's one determinant is 2x2; a Helton–Howe
+            # part adds its window section
+            parts = invariants.RouteParts(sym)
+            assert windows == [2] + ([] if parts.helton is None
+                                     else [invariants.route_windows(parts, 256)[1]])
 
 
 small_logs = st.dictionaries(
