@@ -11,8 +11,8 @@ import click
 import numpy as np
 
 from ._errors import FredK2Error, InputError, InvariantViolation, read_json
-from .fourier_loops import FourierLoop, loop_from_json
-from .toeplitz_calculus import DEFAULT_WINDOW, _require_window
+from .fourier_loops import FourierLoop, loop_from_json, z_loop
+from .toeplitz_calculus import DEFAULT_WINDOW, _require_window, needed_window
 from .invariants import (
     RouteParts,
     SteinbergSymbol,
@@ -21,7 +21,7 @@ from .invariants import (
     det_invariant_operator,
     mult_character,
     operator_route_at,
-    route_windows,
+    route_window,
     w0_representative,
 )
 from . import group_homology as gh
@@ -122,16 +122,16 @@ def _report_options(fn):
               help="Operator route agreement tolerance (relative).")
 @click.option("--dump-operator", default=None, type=click.Path(),
               help="Write the operator route's cross-part representative "
-                   "w0_representative(c - c0), at its chosen window, to "
-                   "this JSON file.")
+                   "w0_representative(c - c0), on the window its bands "
+                   "need (at most --window), to this JSON file.")
 @click.option("--window", default=DEFAULT_WINDOW, show_default=True,
-              help="Cap on the operator route's windows, which are chosen "
-                   "from the bands of its lifts.")
+              help="Cap on the operator route's Helton-Howe window, which "
+                   "is chosen from the bands of its lifts; the cross "
+                   "determinant takes no window.")
 @click.option("--strict/--fast", "strict", default=True,
-              help="Strict mode refuses a window below the one the operator "
-                   "route needs and bounds the Helton-Howe determinant's "
-                   "change on twice its window from the window's own LU; "
-                   "the cross determinant is exact at every window.")
+              help="Strict mode refuses a window below the one the "
+                   "Helton-Howe determinant needs and bounds its change on "
+                   "twice its window from the window's own LU.")
 @_report_options
 def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
            dump_operator, window, strict, fmt, seed):
@@ -151,23 +151,26 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
             values[name] = det_invariant_integral(sym)
         else:
             parts = RouteParts(sym)
-            needed = max(w for w in route_windows(parts, math.inf) if w)
-            if strict and needed > window:
+            needed = route_window(parts, math.inf)
+            if strict and needed is not None and needed > window:
                 raise InputError(f"window too small for band: the operator "
                                  f"route needs {needed}, --window is {window}")
-            chosen = route_windows(parts, window)
+            chosen = route_window(parts, window)
             values[name] = operator_route_at(parts, chosen, strict)
         timings[name] = time.perf_counter() - t0
         if name == "operator":
-            # the re-run on twice the chosen windows checks the value, and
-            # the cross representative is built for the report alone (its
-            # tail bound carries the split exponentials' tails, which the
-            # cross determinant reads too); neither is part of the value's cost
-            rep = w0_representative(parts.cross[0], chosen[0], parts.cross[1])
+            # the re-run on twice the chosen window checks the value, and
+            # the cross representative is built for the report alone, on
+            # the window its bands and the shift need (its tail bound
+            # carries the split exponentials' tails, which the cross
+            # determinant reads too); neither is part of the value's cost
+            c, c_exps = parts.cross
+            rep = w0_representative(
+                c, min(window, needed_window(c, *c_exps, z_loop(1))), c_exps)
             tails[name] = rep.tail_bound
-            windows = {"cross": chosen[0], "helton_howe": chosen[1]}
-            doubled = tuple(None if w is None else 2 * w for w in chosen)
-            redo = operator_route_at(parts, doubled, strict=False)
+            windows = {"helton_howe": chosen}
+            redo = operator_route_at(
+                parts, None if chosen is None else 2 * chosen, strict=False)
             doubling[name] = abs(redo - values[name])
             if dump_operator:
                 with open(dump_operator, "w", encoding="utf-8") as fh:
@@ -226,7 +229,7 @@ def converge(alpha_file, beta_file, windows, tol, fmt, seed):
     for size in sizes:
         # every sweep window is taken as given, with strict=False
         t0 = time.perf_counter()
-        val = operator_route_at(parts, (size, size), strict=False)
+        val = operator_route_at(parts, size, strict=False)
         timings[str(size)] = time.perf_counter() - t0
         rows.append([size, val.real, val.imag, abs(val - reference)])
     final_delta = rows[-1][3]

@@ -190,7 +190,8 @@ def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW,
     the cross part {z, e^c}, with U = T(e^c) and its exact inverse U⁻¹ from
     wiener_hopf_pair (given c's split exponentials ``exps``, if known).  The
     operator route takes its determinant by ``_cross_det`` and never builds
-    it; ``fredk2 symbol`` builds it for its report."""
+    it; ``fredk2 symbol`` builds it for its report, on the window its
+    bands and the shift's need, at most ``--window``."""
     s = shift_op(window)
     st = coshift_op(window)
     u, u_inv = wiener_hopf_pair(c, window, exps)
@@ -198,19 +199,17 @@ def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW,
     return mul(mul(mul(s, u), st), u_inv).add(mul(p0, u_inv))
 
 
-def _cross_det(c: FourierLoop, exps: tuple[FourierLoop, ...], window: int) -> complex:
-    """det w0_representative(c, w, exps) on a window w that holds its
-    corrections whole, without building it.
+def _cross_det(exps: tuple[FourierLoop, ...]) -> complex:
+    """det w0_representative(c, w, exps) for c's split exponentials
+    ``exps``, without building it, and the same at every window w.
 
     With U = T(f), f = e^{c₋}·e^{c₊}, and U⁻¹ = T(e^{−c₊})·T(e^{−c₋}), the
     representative is I + D·U⁻¹, D = S U S* + P₀ − U = e₀αᵀ + βe₀ᵀ with
     α = (1 − f₀, −f₋₁, −f₋₂, …) and β = (0, −f₁, −f₂, …).  By Sylvester's
     identity its determinant is det(I₂ + M), M = [[αᵀU⁻¹e₀, αᵀU⁻¹β],
     [(U⁻¹e₀)₀, (U⁻¹β)₀]], exact on these finitely supported vectors, so no
-    window cuts it: ``window`` is only checked against c's band.  det1p
-    takes det(I₂ + M) as the Fredholm determinant of the rank-two
-    correction M, with its non-finite check."""
-    _require_window(window, c)
+    window enters.  det1p takes det(I₂ + M) as the Fredholm determinant of
+    the rank-two correction M, with its non-finite check."""
     e_minus, e_plus, e_plus_inv, e_minus_inv = exps
     f = e_minus.mul(e_plus)
     _unit_deviation_l1(f.mul(e_plus_inv.mul(e_minus_inv)).sub(FourierLoop({0: 1.0})))
@@ -235,12 +234,13 @@ def det_invariant_operator(sym: SteinbergSymbol, window: int = DEFAULT_WINDOW,
     determinant of the Wiener–Hopf lifts of e^{a−a₀}, e^{b−b₀} with their
     exact inverses (the constants cancel).
 
-    Each determinant is taken on the window its lifts need (see
-    route_windows), at most ``window``; a cap below that need truncates
-    the Helton–Howe lifts, with the discarded mass in their tail bounds,
-    and leaves the cross determinant exact."""
+    The Helton–Howe determinant is taken on the window its lifts need (see
+    route_window), at most ``window``; a cap below that need truncates its
+    lifts, with the discarded mass in their tail bounds.  The cross
+    determinant is exact and takes no window."""
+    _require_window(window)
     parts = RouteParts(sym)
-    return operator_route_at(parts, route_windows(parts, window), strict)
+    return operator_route_at(parts, route_window(parts, window), strict)
 
 
 def _nonconstant(f: FourierLoop) -> FourierLoop:
@@ -279,32 +279,27 @@ def _with_exps(f: FourierLoop):
     return f, split_exponentials(f)
 
 
-def route_windows(parts: RouteParts, cap: float) -> tuple:
-    """(cross, Helton–Howe) windows of the operator route, each at most
-    ``cap``.  The cross window covers c, its split exponentials and the
-    shift; the Helton–Howe window covers a, b and theirs (None when that
-    part is not taken)."""
-    c, c_exps = parts.cross
-    w_c = needed_window(c, *c_exps, z_loop(1))
+def route_window(parts: RouteParts, cap: float) -> int | None:
+    """The Helton–Howe window of the operator route, at most ``cap``: the
+    one that covers a, b and their split exponentials (None when that part
+    is not taken)."""
     if parts.helton is None:
-        return min(cap, w_c), None
+        return None
     (a, a_exps), (b, b_exps) = parts.helton
-    return min(cap, w_c), min(cap, needed_window(a, *a_exps, b, *b_exps))
+    return min(cap, needed_window(a, *a_exps, b, *b_exps))
 
 
-def operator_route_at(parts: RouteParts, windows: tuple, strict: bool) -> complex:
-    """The operator route's value on the explicit (cross, Helton–Howe)
-    windows: the cross factor by ``_cross_det``, which builds no
-    representative and is exact at every window, and the Helton–Howe
-    factor by det1p on its window section."""
-    (c, c_exps), w_h = parts.cross, windows[1]
-    cross = parts.factor * _cross_det(c, c_exps, windows[0])
+def operator_route_at(parts: RouteParts, window: int | None, strict: bool) -> complex:
+    """The operator route's value with the Helton–Howe factor by det1p on
+    its ``window`` section and the cross factor by ``_cross_det``, which
+    builds no representative and takes no window."""
+    cross = parts.factor * _cross_det(parts.cross[1])
     if parts.helton is None:
         helton = 1.0 + 0j
     else:
         (a, a_exps), (b, b_exps) = parts.helton
-        ea, ea_inv = wiener_hopf_pair(a, w_h, a_exps)
-        eb, eb_inv = wiener_hopf_pair(b, w_h, b_exps)
+        ea, ea_inv = wiener_hopf_pair(a, window, a_exps)
+        eb, eb_inv = wiener_hopf_pair(b, window, b_exps)
         helton = mult_commutator_det(ea, eb, strict=strict,
                                      u_inv=ea_inv, v_inv=eb_inv)
     return parts.sign * cross * helton

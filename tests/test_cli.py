@@ -14,7 +14,7 @@ from fredk2.invariants import (
     RouteParts,
     SteinbergSymbol,
     operator_route_at,
-    route_windows,
+    route_window,
 )
 
 from test_group_homology import CATALOG_REFUSALS, write_catalog
@@ -40,6 +40,15 @@ def exp_pair_files(tmp_path):
     beta = FourierLoop({-1: 0.2}).exp().shift(1)
     return (write_loop(tmp_path / "alpha.json", alpha),
             write_loop(tmp_path / "beta.json", beta))
+
+
+# {e^{0.1z⁶}, e^{0.2z⁻⁶}}: a Helton–Howe part whose lifts need window 122
+WIDE_PAIR = (FourierLoop({6: 0.1}).exp(), FourierLoop({-6: 0.2}).exp())
+
+
+def wide_pair_files(tmp_path):
+    return (write_loop(tmp_path / "wa.json", WIDE_PAIR[0]),
+            write_loop(tmp_path / "wb.json", WIDE_PAIR[1]))
 
 
 def overflow_files(tmp_path):
@@ -155,27 +164,38 @@ class TestSymbolCommand:
         assert "exponential overflows" in res.output
 
     def test_strict_window_band_rule(self, runner, tmp_path):
-        wide = write_loop(tmp_path / "w.json",
-                          FourierLoop({6: 0.1, 0: 1.0}).exp())
-        zf = z_file(tmp_path)
-        res = runner.invoke(main, ["symbol", wide, zf, "--window", "32"])
+        af, bf = wide_pair_files(tmp_path)
+        res = runner.invoke(main, ["symbol", af, bf, "--window", "32"])
         assert res.exit_code == 2
         assert "window too small for band" in res.output
-        res = runner.invoke(main, ["symbol", wide, zf, "--window", "32", "--fast"])
+        res = runner.invoke(main, ["symbol", af, bf, "--window", "32", "--fast"])
         assert res.exit_code in (0, 2)
 
     def test_strict_rule_names_the_needed_window(self, runner, tmp_path):
-        wide_loop = FourierLoop({6: 0.1, 0: 1.0}).exp()
-        wide = write_loop(tmp_path / "w.json", wide_loop)
-        zf = z_file(tmp_path)
-        parts = RouteParts(SteinbergSymbol.from_loops(wide_loop, FourierLoop({1: 1.0})))
-        needed = max(w for w in route_windows(parts, math.inf) if w)
-        res = runner.invoke(main, ["symbol", wide, zf, "--window", str(needed - 1)])
+        af, bf = wide_pair_files(tmp_path)
+        parts = RouteParts(SteinbergSymbol.from_loops(*WIDE_PAIR))
+        needed = route_window(parts, math.inf)
+        assert needed == 122
+        res = runner.invoke(main, ["symbol", af, bf, "--window", str(needed - 1)])
         assert res.exit_code == 2
         assert f"needs {needed}" in res.output
-        res = runner.invoke(main, ["symbol", wide, zf, "--window", str(needed)])
+        res = runner.invoke(main, ["symbol", af, bf, "--window", str(needed)])
         assert res.exit_code == 0
-        assert json.loads(res.output)["windows"]["cross"] == needed
+        assert json.loads(res.output)["windows"]["helton_howe"] == needed
+
+    def test_no_window_refused_without_a_helton_howe_part(self, runner, tmp_path):
+        # {e^{1+0.1z⁶}, z} has only a cross part, whose determinant no
+        # window cuts: under strict, --window 32 below its bands' 110 is
+        # taken, and the value is the one window 110 gives
+        wide = write_loop(tmp_path / "w.json", FourierLoop({6: 0.1, 0: 1.0}).exp())
+        zf = z_file(tmp_path)
+        res = runner.invoke(main, ["symbol", wide, zf, "--window", "32"])
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        assert report["windows"] == {"helton_howe": None}
+        assert report["discrepancies"]["closed_vs_operator"] < 1e-12
+        full = runner.invoke(main, ["symbol", wide, zf, "--window", "110"])
+        assert report["values"]["operator"] == json.loads(full.output)["values"]["operator"]
 
     def test_corpus_symbol_at_the_default_window(self, runner, tmp_path):
         # the loops have bands 64 and 42: the former rule, window >=
@@ -193,17 +213,16 @@ class TestSymbolCommand:
                                                           monkeypatch):
         calls = []
 
-        def recorded(parts, windows, strict):
-            calls.append(windows)
-            return operator_route_at(parts, windows, strict)
+        def recorded(parts, window, strict):
+            calls.append(window)
+            return operator_route_at(parts, window, strict)
 
         monkeypatch.setattr(cli, "operator_route_at", recorded)
         af, bf = exp_pair_files(tmp_path)
         res = runner.invoke(main, ["symbol", af, bf, "--method", "operator"])
         assert res.exit_code == 0
-        report = json.loads(res.output)
-        chosen = (report["windows"]["cross"], report["windows"]["helton_howe"])
-        assert calls == [chosen, (2 * chosen[0], 2 * chosen[1])]
+        chosen = json.loads(res.output)["windows"]["helton_howe"]
+        assert calls == [chosen, 2 * chosen]
 
     def test_doubling_sees_a_window_below_the_need(self, runner, tmp_path):
         sym = corpus_symbols(20260814, count=1)[0]
@@ -212,7 +231,7 @@ class TestSymbolCommand:
         res = runner.invoke(main, ["symbol", af, bf, "--method", "operator",
                                    "--window", "64", "--fast"])
         report = json.loads(res.output)
-        assert report["windows"] == {"cross": 64, "helton_howe": 64}
+        assert report["windows"] == {"helton_howe": 64}
         assert report["window_doubling"]["operator"] > 0
 
     def test_takes_no_quadrature_order(self, runner, tmp_path):
@@ -238,7 +257,9 @@ class TestSymbolCommand:
                                    "--dump-operator", str(out)])
         assert res.exit_code == 0
         data = json.loads(out.read_text())
-        assert data["window"] == json.loads(res.output)["windows"]["cross"]
+        # {z, z} has c = 0: the shift's band alone sizes the window
+        assert data["window"] == 4
+        assert json.loads(res.output)["windows"] == {"helton_howe": None}
         assert "symbol" in data and "correction" in data
 
     def test_csv_and_text_formats(self, runner, tmp_path):
@@ -344,15 +365,15 @@ class TestConvergeCommand:
     def test_sweeps_the_given_windows(self, runner, tmp_path, monkeypatch):
         calls = []
 
-        def recorded(parts, windows, strict):
-            calls.append((windows, strict))
-            return operator_route_at(parts, windows, strict)
+        def recorded(parts, window, strict):
+            calls.append((window, strict))
+            return operator_route_at(parts, window, strict)
 
         monkeypatch.setattr(cli, "operator_route_at", recorded)
         af, bf = exp_pair_files(tmp_path)
         res = runner.invoke(main, ["converge", af, bf, "--windows", "16,32,64"])
         assert res.exit_code == 0
-        assert calls == [((16, 16), False), ((32, 32), False), ((64, 64), False)]
+        assert calls == [(16, False), (32, False), (64, False)]
 
     def test_unconverged_flags_exit_4(self, runner, tmp_path):
         af, bf = exp_pair_files(tmp_path)

@@ -42,6 +42,7 @@ from fredk2.toeplitz_calculus import (
     exp_op,
     identity_op,
     mul,
+    needed_window,
     schatten2_commutator_F,
     shift_op,
     toeplitz,
@@ -486,18 +487,17 @@ ACCEPTANCE_CORPUS = corpus_symbols(20260814, count=50)
 
 
 class TestRouteWindows:
-    """The operator route takes each determinant on the window its lifts'
-    bands need, with the ``window`` argument as a cap."""
+    """The operator route takes its Helton–Howe determinant on the window
+    its lifts' bands need, with the ``window`` argument as a cap; the cross
+    determinant takes no window."""
 
     def test_corpus_windows_and_values(self):
         for sym in ACCEPTANCE_CORPUS:
             parts = invariants.RouteParts(sym)
-            w_c, w_h = invariants.route_windows(parts, 256)
-            value = invariants.operator_route_at(parts, (w_c, w_h), True)
+            w_h = invariants.route_window(parts, 256)
+            value = invariants.operator_route_at(parts, w_h, True)
             _, bare = invariants._split_constants(sym)
-            n, a, m, b = invariants._parts(bare)
-            c = b.scalar_mul(n).sub(a.scalar_mul(m))
-            assert 2 * c.band + 2 <= w_c < 256
+            _, a, _, b = invariants._parts(bare)
             if w_h is None:
                 assert a.is_zero() or b.is_zero()
             else:
@@ -509,24 +509,31 @@ class TestRouteWindows:
     def test_a_cap_above_the_need_changes_nothing(self, index):
         sym = ACCEPTANCE_CORPUS[index]
         parts = invariants.RouteParts(sym)
-        assert invariants.route_windows(parts, 256) == invariants.route_windows(parts, 512)
+        assert invariants.route_window(parts, 256) == invariants.route_window(parts, 512)
         assert (det_invariant_operator(sym, window=256)
                 == det_invariant_operator(sym, window=512))
 
+    @pytest.mark.parametrize("window", [True, "64", 64.5, 40.0, -1],
+                             ids=["bool", "str", "fraction", "float", "negative"])
+    @pytest.mark.parametrize("sym", [
+        ACCEPTANCE_CORPUS[0],
+        SteinbergSymbol(LoopLog(1, FourierLoop({1: 0.2})), LoopLog(2, zero_loop())),
+    ], ids=["helton_howe", "cross_only"])
+    def test_a_window_not_a_nonnegative_integer_is_refused(self, sym, window):
+        with pytest.raises(InputError, match="window must"):
+            det_invariant_operator(sym, window=window)
+
     def test_a_cap_below_the_need_is_the_window(self, monkeypatch):
         parts = invariants.RouteParts(ACCEPTANCE_CORPUS[0])
-        need = invariants.route_windows(parts, math.inf)
-        capped = invariants.route_windows(parts, 64)
-        assert min(need) > 64 and capped == (64, 64)
-        cross, helton = [], []
-        cross_det, pair = invariants._cross_det, invariants.wiener_hopf_pair
-        monkeypatch.setattr(invariants, "_cross_det", lambda c, exps, window:
-                            cross.append(window) or cross_det(c, exps, window))
+        need = invariants.route_window(parts, math.inf)
+        capped = invariants.route_window(parts, 64)
+        assert need > 64 and capped == 64
+        helton = []
+        pair = invariants.wiener_hopf_pair
         monkeypatch.setattr(invariants, "wiener_hopf_pair", lambda a, window, exps:
                             helton.append(window) or pair(a, window, exps))
         invariants.operator_route_at(parts, capped, False)
-        assert (set(cross), set(helton)) == ({64}, {64})
-        assert (len(cross), len(helton)) == (1, 2)
+        assert helton == [64, 64]
 
     def test_each_split_exponential_is_taken_once(self, monkeypatch):
         sym = SteinbergSymbol(LoopLog(1, FourierLoop({1: 0.2, -2: 0.1})),
@@ -562,10 +569,11 @@ class TestRouteWindows:
         assert windows and set(windows) == {32}
 
 
-def cross_parts(sym, cap):
-    parts = invariants.RouteParts(sym)
-    c, exps = parts.cross
-    return c, exps, invariants.route_windows(parts, cap)[0]
+def cross_parts(sym):
+    """c, its split exponentials and the window the representative of
+    {z, e^c} needs: their bands and the shift's."""
+    c, exps = invariants.RouteParts(sym).cross
+    return c, exps, needed_window(c, *exps, FourierLoop({1: 1.0}))
 
 
 class TestCrossDet:
@@ -574,18 +582,9 @@ class TestCrossDet:
 
     def test_matches_the_representative(self):
         for sym in ACCEPTANCE_CORPUS:
-            c, exps, w = cross_parts(sym, math.inf)
+            c, exps, w = cross_parts(sym)
             want = det1p(w0_representative(c, w, exps), strict=False)
-            assert abs(invariants._cross_det(c, exps, w) - want) <= 1e-12 * abs(want)
-
-    @pytest.mark.parametrize("cap", [32, 64])
-    def test_a_cap_cuts_nothing(self, cap):
-        # the defect's vectors are finitely supported, so the value below
-        # the need is the untruncated one
-        for sym in ACCEPTANCE_CORPUS:
-            c, exps, w = cross_parts(sym, cap)
-            full = invariants._cross_det(c, exps, cross_parts(sym, math.inf)[2])
-            assert invariants._cross_det(c, exps, w) == full
+            assert abs(invariants._cross_det(exps) - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("index", [0, 3])
     def test_a_cap_below_the_need_keeps_the_cross_value(self, index):
@@ -596,25 +595,25 @@ class TestCrossDet:
         assert abs(det_invariant_operator(sym, window=32) - want) <= 1e-10 * abs(want)
 
     def test_not_determinant_class_through_the_shared_check(self, monkeypatch):
-        c, (em, ep, ep_inv, em_inv), w = cross_parts(ACCEPTANCE_CORPUS[1], math.inf)
+        _, (em, ep, ep_inv, em_inv), _ = cross_parts(ACCEPTANCE_CORPUS[1])
         checked = []
         monkeypatch.setattr(invariants, "_unit_deviation_l1",
                             lambda dev: checked.append(dev) or fredholm._unit_deviation_l1(dev))
         corrupt = (em, ep, ep_inv.add(FourierLoop({2: 1e-6})), em_inv)
         with pytest.raises(InvariantViolation, match="not determinant class"):
-            invariants._cross_det(c, corrupt, w)
+            invariants._cross_det(corrupt)
         assert len(checked) == 1
         with pytest.raises(NumericalError, match="non-finite symbol coefficient"):
-            invariants._cross_det(c, (em, ep, ep_inv.add(FourierLoop._of(3, np.array([np.inf]))),
-                                      em_inv), w)
+            invariants._cross_det((em, ep, ep_inv.add(FourierLoop._of(3, np.array([np.inf]))),
+                                   em_inv))
 
     def test_non_finite_determinant_raises(self, monkeypatch):
-        c, (em, ep, ep_inv, em_inv), w = cross_parts(ACCEPTANCE_CORPUS[1], math.inf)
+        _, (em, ep, ep_inv, em_inv), _ = cross_parts(ACCEPTANCE_CORPUS[1])
         # past the symbol check, which a NaN would fail first
         monkeypatch.setattr(invariants, "_unit_deviation_l1", lambda dev: 0.0)
         nan = (em, ep, ep_inv.add(FourierLoop._of(1, np.array([np.nan + 0j]))), em_inv)
         with pytest.raises(NumericalError, match="non-finite correction"):
-            invariants._cross_det(c, nan, w)
+            invariants._cross_det(nan)
 
     def test_route_builds_no_representative(self, monkeypatch):
         def refused(*_args):
@@ -638,7 +637,7 @@ class TestCrossDet:
             # part adds its window section
             parts = invariants.RouteParts(sym)
             assert windows == [2] + ([] if parts.helton is None
-                                     else [invariants.route_windows(parts, 256)[1]])
+                                     else [invariants.route_window(parts, 256)])
 
 
 small_logs = st.dictionaries(

@@ -664,6 +664,18 @@ class TestTailBounds:
         assert true > 3 * t
         assert true <= inv.tail_bound
 
+    def test_exp(self):
+        # T(φ) is lower triangular, so expm of its dense section is the
+        # section of T(e^φ); the tail t·E past the window is scaled by
+        # about e^{φ₀} ≈ 1.65, under the bound t·e^{‖x‖} ≈ 1.82t
+        phi, t = FourierLoop({0: 0.5, 1: 0.1}), 1e-3
+        x = ToeplitzOp(phi, None, TAIL_W, t)
+        exp = x.exp()
+        big = toeplitz_matrix(phi, TAIL_N) + t * _unit(TAIL_J, TAIL_J)
+        true = _trace_norm(scipy.linalg.expm(big) - exp.dense_section(TAIL_N))
+        assert true > 1.6 * t
+        assert true <= exp.tail_bound
+
 
 class TestInvExp:
     def test_inv_identity(self):

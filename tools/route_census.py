@@ -10,8 +10,9 @@ each outcome into one of three kinds, against the closed formula:
            silently.
 
 Routes: ``closed``, ``integral``, ``operator`` (``det_invariant_operator``
-at its defaults: cap 256, strict) and ``h2`` (``h2_representative_det`` at
-the larger of the operator route's two windows).  A route's value on a
+at its defaults: cap 256, strict) and ``h2`` (``h2_representative_det`` on
+the window that covers the cross log, the Helton–Howe logs, their split
+exponentials and the shift, at most 256).  A route's value on a
 symbol whose closed value was refused counts as ``unchecked``.
 
 Symbols (seed 1): windings in [-12, 12]; each log has 1-5 terms at distinct
@@ -58,18 +59,22 @@ def rand_symbol(rng):
                              for _ in "uv"))
 
 
-def h2_at_operator_windows(sym):
+def h2_at_operator_bands(sym):
     from fredk2 import invariants as inv
 
-    windows = inv.route_windows(inv.RouteParts(sym), inv.DEFAULT_WINDOW)
-    return inv.h2_representative_det(sym, window=max(w for w in windows if w))
+    parts = inv.RouteParts(sym)
+    loops = [inv.z_loop(1)]
+    for f, exps in (parts.cross, *(parts.helton or ())):
+        loops += [f, *exps]
+    window = min(inv.DEFAULT_WINDOW, inv.needed_window(*loops))
+    return inv.h2_representative_det(sym, window=window)
 
 
 def routes():
     from fredk2 import invariants as inv
 
     return {"closed": inv.det_invariant_closed, "integral": inv.det_invariant_integral,
-            "operator": inv.det_invariant_operator, "h2": h2_at_operator_windows}
+            "operator": inv.det_invariant_operator, "h2": h2_at_operator_bands}
 
 
 def census():
