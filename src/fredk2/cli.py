@@ -121,13 +121,13 @@ def _report_options(fn):
 @click.option("--tol-operator", default=1e-8, show_default=True, callback=_tolerance,
               help="Operator route agreement tolerance (relative).")
 @click.option("--dump-operator", default=None, type=click.Path(),
-              help="Write the operator route's cross-part representative "
-                   "w0_representative(c - c0), on the window its bands "
-                   "need (at most --window), to this JSON file.")
+              help="Write the representative w0_representative(c/N) of "
+                   "the cross factor's checked piece, on the window its "
+                   "bands need, to this JSON file.")
 @click.option("--window", default=DEFAULT_WINDOW, show_default=True,
               help="Cap on the operator route's Helton-Howe window, which "
                    "is chosen from the bands of its lifts; the cross "
-                   "determinant takes no window.")
+                   "factor's check takes no window.")
 @click.option("--strict/--fast", "strict", default=True,
               help="Strict mode refuses a window below the one the "
                    "Helton-Howe determinant needs and bounds its change on "
@@ -159,14 +159,8 @@ def symbol(alpha_file, beta_file, method, tol_pair, tol_operator,
             values[name] = operator_route_at(parts, chosen, strict)
         timings[name] = time.perf_counter() - t0
         if name == "operator":
-            # the re-run on twice the chosen window checks the value, and
-            # the cross representative is built for the report alone, on
-            # the window its bands and the shift need (its tail bound
-            # carries the split exponentials' tails, which the cross
-            # determinant reads too); neither is part of the value's cost
-            c, c_exps = parts.cross
-            rep = w0_representative(
-                c, min(window, needed_window(c, *c_exps, z_loop(1))), c_exps)
+            piece, exps = parts.cross
+            rep = w0_representative(piece, needed_window(piece, *exps, z_loop(1)), exps)
             tails[name] = rep.tail_bound
             windows = {"helton_howe": chosen}
             redo = operator_route_at(

@@ -3,9 +3,10 @@
 A symbol {u, v} of commuting nonvanishing smooth loops on the circle gets a
 determinant value through three independent routes: a closed coefficient
 formula, circle integrals, and operator determinants in the Toeplitz
-picture: the cross factor {z, e^c} as the 2x2 determinant that Sylvester's
-identity makes of its rank-two defect, and the Helton–Howe factor as the
-Fredholm determinant of an explicit multiplicative commutator.  The
+picture: the Helton–Howe factor as the Fredholm determinant of an explicit
+multiplicative commutator, and the cross factor {z, e^c}, 1 once its
+constant is split off, checked as the 2x2 determinant that Sylvester's
+identity makes of its rank-two defect.  The
 module also houses the 2x2 block realization of multiplication operators in
 the shift basis, the chain-level bridge between the cyclic 1-cocycle and the
 relative boundary trace, and the degree-2 bar cycle attached to a symbol
@@ -50,7 +51,7 @@ from .toeplitz_calculus import (
     _require_window,
     _toeplitz_times,
 )
-from .fredholm import _unit_deviation_l1, det1p, mult_commutator_det
+from .fredholm import UNIT_SYMBOL_TOL, _unit_deviation_l1, det1p, mult_commutator_det
 from .cyclic_chains import BlockOp, CyclicChain, _chain_degree
 from .group_homology import _bar_terms
 
@@ -190,8 +191,8 @@ def w0_representative(c: FourierLoop, window: int = DEFAULT_WINDOW,
     the cross part {z, e^c}, with U = T(e^c) and its exact inverse U⁻¹ from
     wiener_hopf_pair (given c's split exponentials ``exps``, if known).  The
     operator route takes its determinant by ``_cross_det`` and never builds
-    it; ``fredk2 symbol`` builds it for its report, on the window its
-    bands and the shift's need, at most ``--window``."""
+    it; ``fredk2 symbol`` builds it for its report on the checked piece c/N
+    (see RouteParts), on the window its bands and the shift's need."""
     s = shift_op(window)
     st = coshift_op(window)
     u, u_inv = wiener_hopf_pair(c, window, exps)
@@ -209,7 +210,9 @@ def _cross_det(exps: tuple[FourierLoop, ...]) -> complex:
     identity its determinant is det(I₂ + M), M = [[αᵀU⁻¹e₀, αᵀU⁻¹β],
     [(U⁻¹e₀)₀, (U⁻¹β)₀]], exact on these finitely supported vectors, so no
     window enters.  det1p takes det(I₂ + M) as the Fredholm determinant of
-    the rank-two correction M, with its non-finite check."""
+    the rank-two correction M, with its non-finite check.  RouteParts
+    takes it once per symbol, on the piece c/N, as the check that the cross
+    factor is 1."""
     e_minus, e_plus, e_plus_inv, e_minus_inv = exps
     f = e_minus.mul(e_plus)
     _unit_deviation_l1(f.mul(e_plus_inv.mul(e_minus_inv)).sub(FourierLoop({0: 1.0})))
@@ -228,16 +231,15 @@ def _cross_det(exps: tuple[FourierLoop, ...]) -> complex:
 def det_invariant_operator(sym: SteinbergSymbol, window: int = DEFAULT_WINDOW,
                            strict: bool = True) -> complex:
     """Operator route through the factorization {u, v} = {z, z}^{nm} ·
-    {z, e^{c₀}} · {z, e^{c−c₀}} · {e^a, e^b}, c = nb − ma: (−1)^{nm}, e^{−c₀}
-    exactly, the cross determinant det w0_representative(c − c₀) as a 2x2
-    determinant (``_cross_det``), and the multiplicative commutator
+    {z, e^{c₀}} · {z, e^{c−c₀}} · {e^a, e^b}, c = nb − ma: the exact scalar
+    (−1)^{nm}·e^{m·a₀ − n·b₀} times the multiplicative commutator
     determinant of the Wiener–Hopf lifts of e^{a−a₀}, e^{b−b₀} with their
-    exact inverses (the constants cancel).
+    exact inverses (the constants cancel).  The cross factor {z, e^{c−c₀}}
+    is 1; RouteParts checks it once, on one piece of c − c₀.
 
     The Helton–Howe determinant is taken on the window its lifts need (see
     route_window), at most ``window``; a cap below that need truncates its
-    lifts, with the discarded mass in their tail bounds.  The cross
-    determinant is exact and takes no window."""
+    lifts, with the discarded mass in their tail bounds."""
     _require_window(window)
     parts = RouteParts(sym)
     return operator_route_at(parts, route_window(parts, window), strict)
@@ -259,18 +261,24 @@ def _split_constants(sym: SteinbergSymbol):
 
 class RouteParts:
     """The operator route's inputs for sym = {zⁿ·e^a, z^m·e^b}, the log
-    constants split off: the exact scalar (−1)^{nm}·e^{m·a₀ − n·b₀}, the
-    cross log c = nb − ma, and the Helton–Howe logs a, b (``helton`` is
-    None when one of them is zero), each log paired with its
-    split_exponentials, computed once."""
+    constants split off: the exact ``scalar`` (−1)^{nm}·e^{m·a₀ − n·b₀},
+    the Helton–Howe logs a, b (``helton`` is None when one of them is
+    zero) and, in ``cross``, the piece c/N of the cross log c = nb − ma,
+    N = max(1, ⌈‖c‖₁/2⌉); each log is paired with its split_exponentials,
+    computed once.  The cross factor {z, e^c} = {z, e^{c/N}}^N is 1, so it
+    is not part of the value: ``_cross_det`` of the piece is checked
+    against 1 here, once, or InvariantViolation."""
 
-    __slots__ = ("sign", "factor", "cross", "helton")
+    __slots__ = ("scalar", "cross", "helton")
 
     def __init__(self, sym: SteinbergSymbol):
-        self.factor, bare = _split_constants(sym)
+        factor, bare = _split_constants(sym)
         n, a, m, b = _parts(bare)
-        self.sign = _winding_sign(n, m)
-        self.cross = _with_exps(b.scalar_mul(n).sub(a.scalar_mul(m)))
+        self.scalar = _winding_sign(n, m) * factor
+        c = b.scalar_mul(n).sub(a.scalar_mul(m))
+        self.cross = _with_exps(c.scalar_mul(1 / max(1, math.ceil(c.l1() / 2))))
+        if abs(_cross_det(self.cross[1]) - 1) > UNIT_SYMBOL_TOL:
+            raise InvariantViolation("cross factor is not 1")
         self.helton = (None if a.is_zero() or b.is_zero()
                        else (_with_exps(a), _with_exps(b)))
 
@@ -290,19 +298,16 @@ def route_window(parts: RouteParts, cap: float) -> int | None:
 
 
 def operator_route_at(parts: RouteParts, window: int | None, strict: bool) -> complex:
-    """The operator route's value with the Helton–Howe factor by det1p on
-    its ``window`` section and the cross factor by ``_cross_det``, which
-    builds no representative and takes no window."""
-    cross = parts.factor * _cross_det(parts.cross[1])
+    """The operator route's value: its exact scalar times the Helton–Howe
+    factor, det1p on its ``window`` section.  The cross factor is not read
+    here; RouteParts checked it once."""
     if parts.helton is None:
-        helton = 1.0 + 0j
-    else:
-        (a, a_exps), (b, b_exps) = parts.helton
-        ea, ea_inv = wiener_hopf_pair(a, window, a_exps)
-        eb, eb_inv = wiener_hopf_pair(b, window, b_exps)
-        helton = mult_commutator_det(ea, eb, strict=strict,
-                                     u_inv=ea_inv, v_inv=eb_inv)
-    return parts.sign * cross * helton
+        return parts.scalar
+    (a, a_exps), (b, b_exps) = parts.helton
+    ea, ea_inv = wiener_hopf_pair(a, window, a_exps)
+    eb, eb_inv = wiener_hopf_pair(b, window, b_exps)
+    return parts.scalar * mult_commutator_det(ea, eb, strict=strict,
+                                              u_inv=ea_inv, v_inv=eb_inv)
 
 
 def mult_character(sym: SteinbergSymbol) -> complex:

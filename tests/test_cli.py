@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fredk2 import cli, group_homology
+from fredk2 import cli, group_homology, invariants
 from fredk2._errors import InputError, NumericalError, read_json
 from fredk2.cli import main
 from fredk2.fourier_loops import FourierLoop, loop_to_json
@@ -261,6 +261,30 @@ class TestSymbolCommand:
         assert data["window"] == 4
         assert json.loads(res.output)["windows"] == {"helton_howe": None}
         assert "symbol" in data and "correction" in data
+
+    @pytest.mark.parametrize("window", ["2", "3"])
+    def test_window_below_the_shift_band(self, runner, tmp_path, window):
+        # the report's representative is sized by its own bands, not by
+        # --window, so {z, z} is not refused below the shift's 4
+        zf = z_file(tmp_path)
+        res = runner.invoke(main, ["symbol", zf, zf, "--window", window])
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        assert report["values"]["operator"] == [-1.0, 0.0]
+        assert report["tail_bounds"]["operator"] == 0.0
+
+    @pytest.mark.parametrize("command", [["symbol"], ["converge", "--windows", "16,32,64"]],
+                             ids=["symbol", "converge"])
+    def test_one_cross_check_per_command(self, runner, tmp_path, monkeypatch, command):
+        # symbol's doubling re-run and each converge window reuse it
+        checked = []
+        orig = invariants._cross_det
+        monkeypatch.setattr(invariants, "_cross_det",
+                            lambda exps: checked.append(exps) or orig(exps))
+        af, bf = exp_pair_files(tmp_path)
+        res = runner.invoke(main, [command[0], af, bf, *command[1:]])
+        assert res.exit_code == 0
+        assert len(checked) == 1
 
     def test_csv_and_text_formats(self, runner, tmp_path):
         zf = z_file(tmp_path)

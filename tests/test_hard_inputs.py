@@ -42,7 +42,7 @@ FAMILIES = {
         {f"n={n}": (FourierLoop({n: 1.0, n + 1: 0.2}),
                     FourierLoop({-n: 1.0, 1 - n: 0.3}))
          for n in (5, 10, 12, 15, 20)},
-        {"n=15": "4 not determinant class", "n=20": "4 not determinant class"}),
+        {}),
     # {u, 1 − u} = 1
     "steinberg": (
         {f"u={u}": _steinberg(FourierLoop({0: u0, 1: u1}))

@@ -630,14 +630,49 @@ class TestCrossDet:
         monkeypatch.setattr(invariants, "det1p", counted)
         monkeypatch.setattr(fredholm, "det1p", counted)
         for sym in ACCEPTANCE_CORPUS[:10]:
+            parts = invariants.RouteParts(sym)
             windows.clear()
             want = det_invariant_closed(sym)
             assert abs(det_invariant_operator(sym) - want) <= 1e-12 * abs(want)
             # the cross factor's one determinant is 2x2; a Helton–Howe
             # part adds its window section
-            parts = invariants.RouteParts(sym)
             assert windows == [2] + ([] if parts.helton is None
                                      else [invariants.route_window(parts, 256)])
+
+    def test_the_check_refuses_a_cross_factor_off_1(self, monkeypatch):
+        # c = 1e-6 + 0.3z, its constant left in: {z, e^c} = e^{−1e-6}, a
+        # unit symbol, so only the route's check against 1 can refuse it
+        dev = abs(invariants._cross_det(
+            toeplitz_calculus.split_exponentials(FourierLoop({0: 1e-6, 1: 0.3}))) - 1)
+        assert 0.9e-6 < dev < 1.1e-6
+        sym = SteinbergSymbol(LoopLog(0, FourierLoop({0: -1e-6, 1: -0.3})),
+                              LoopLog(1, zero_loop()))
+        monkeypatch.setattr(invariants, "_split_constants", lambda s: (1.0, s))
+        with pytest.raises(InvariantViolation, match="cross factor is not 1"):
+            invariants.RouteParts(sym)
+
+    @pytest.mark.parametrize("n", [15, 20])
+    def test_one_check_on_one_piece(self, n, monkeypatch):
+        # c = n·(log(1 + 0.2z) + log(1 + 0.3z)), ‖c‖₁ = 0.58n: the split
+        # exponentials of c itself were not unit symbols to 1e-9
+        sym = SteinbergSymbol.from_loops(FourierLoop({n: 1.0, n + 1: 0.2}),
+                                         FourierLoop({-n: 1.0, 1 - n: 0.3}))
+        checked = []
+        orig = invariants._cross_det
+        monkeypatch.setattr(invariants, "_cross_det",
+                            lambda exps: checked.append(exps) or orig(exps))
+        parts = invariants.RouteParts(sym)
+        _, bare = invariants._split_constants(sym)
+        n_u, a, n_v, b = invariants._parts(bare)
+        c = b.scalar_mul(n_u).sub(a.scalar_mul(n_v))
+        piece = parts.cross[0]
+        pieces = math.ceil(c.l1() / 2)
+        assert pieces > 1 and piece.l1() <= 2
+        assert piece.scalar_mul(pieces).sub(c).l1() <= 1e-14 * c.l1()
+        assert len(checked) == 1 and checked[0] is parts.cross[1]
+        want = det_invariant_closed(sym)
+        assert abs(invariants.operator_route_at(parts, 256, True) - want) <= 1e-12 * abs(want)
+        assert len(checked) == 1
 
 
 small_logs = st.dictionaries(

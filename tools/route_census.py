@@ -11,9 +11,9 @@ each outcome into one of three kinds, against the closed formula:
 
 Routes: ``closed``, ``integral``, ``operator`` (``det_invariant_operator``
 at its defaults: cap 256, strict) and ``h2`` (``h2_representative_det`` on
-the window that covers the cross log, the Helton–Howe logs, their split
-exponentials and the shift, at most 256).  A route's value on a
-symbol whose closed value was refused counts as ``unchecked``.
+the window that covers the shift, zⁿ, z^m, both logs and their split
+exponentials, at most 256).  A route's value on a symbol whose closed value
+was refused counts as ``unchecked``.
 
 Symbols (seed 1): windings in [-12, 12]; each log has 1-5 terms at distinct
 |k| <= 12 with uniform phases, scaled to an l1 norm uniform in [0.1, 3].
@@ -59,13 +59,12 @@ def rand_symbol(rng):
                              for _ in "uv"))
 
 
-def h2_at_operator_bands(sym):
+def h2_at_lift_bands(sym):
     from fredk2 import invariants as inv
 
-    parts = inv.RouteParts(sym)
     loops = [inv.z_loop(1)]
-    for f, exps in (parts.cross, *(parts.helton or ())):
-        loops += [f, *exps]
+    for ll in (sym.u, sym.v):
+        loops += [inv.z_loop(ll.winding), ll.log_part, *inv.split_exponentials(ll.log_part)]
     window = min(inv.DEFAULT_WINDOW, inv.needed_window(*loops))
     return inv.h2_representative_det(sym, window=window)
 
@@ -74,7 +73,7 @@ def routes():
     from fredk2 import invariants as inv
 
     return {"closed": inv.det_invariant_closed, "integral": inv.det_invariant_integral,
-            "operator": inv.det_invariant_operator, "h2": h2_at_operator_bands}
+            "operator": inv.det_invariant_operator, "h2": h2_at_lift_bands}
 
 
 def census():
