@@ -13,12 +13,19 @@ loops factor as
 and ``log_split`` produces that factorization.
 
 Sums, shifts and products work on the runs; ``exp``, ``inv``, the winding
-and ``log_split`` work on grids sized from the band (``_grids``), through
-one refinement loop, ``_refine``, which evaluates the loop once per grid.
-The ladder starts above 8·(band + 1) points, or above 4·(band + 1) for
-``log_split``, whose log is resolved there when it lies within the loop's
-band, and ends at the same top for both.  A grid is accepted once the top eighth
-of the spectrum of the values to be fitted lies below the fit's own cutoff,
+and ``log_split`` work on grids.  ``exp`` takes one grid, chosen before any
+evaluation from Cauchy's estimate of the coefficients of e^{f−f₀}
+(``_cauchy_grid``), and adds twice that estimate of the mass past the grid's
+Nyquist (aliased plus cut off) to its tail, which then bounds the fit's
+error up to roundoff; e^{h} and e^{−h} share the grid, one evaluation and
+one transform (``_exps``, behind ``exp`` and ``split_exponentials``).
+``inv``, the winding and ``log_split`` climb grids sized from the band
+(``_grids``), through one refinement loop, ``_refine``, which evaluates the
+loop once per grid.  The ladder starts above 8·(band + 1) points, or above
+4·(band + 1) for ``log_split``, whose log is resolved there when it lies
+within the loop's band, and ends at the same top for both, which also caps
+``exp``'s grid.  A grid is accepted once the top eighth of the spectrum of
+the values to be fitted lies below the fit's own cutoff,
 max(COEFF_CUTOFF, 8·eps·scale), so no kept coefficient can be aliased; a
 winding also needs every principal phase step below π/2.  ``log_split`` is
 one such pass: its log's phase sums those steps, it tests the log's
@@ -196,12 +203,7 @@ class FourierLoop:
     # -- grid-based transcendental ops ----------------------------------
 
     def exp(self) -> "FourierLoop":
-        if not self.run.size:
-            return FourierLoop({0: 1.0 + 0j})
-        out = _refine(self, _exp_values, phase=False)[2]
-        if self.tail:
-            out.tail += self.tail * (out.l1() + out.tail)
-        return out
+        return _exps(self)[0]
 
     def inv(self) -> "FourierLoop":
         out = _refine(self, _recip_values)[2]
@@ -210,12 +212,67 @@ class FourierLoop:
         return out
 
 
-def _exp_values(vals, *_):
+def _exp_values(vals):
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(vals)
     if not np.isfinite(out).all():
         raise NumericalError("exponential overflows")
     return out
+
+
+# Cauchy's estimate is weighed on the radii r = e^t, t = 0.01·2^{j/2}: r from
+# 1.01 (a log singular just past the circle, as log(1 + 0.9z)) to 168
+_LOG_RADII = 0.01 * 2.0 ** (np.arange(19) / 2)
+_LOG_GEOMETRIC = np.log(2 / -np.expm1(-_LOG_RADII))  # log(2r/(r − 1))
+_ALIAS_TARGET = 8 * np.finfo(float).eps  # mass left past n/2, relative to e^{Re f₀}
+
+
+def _cauchy_grid(f: FourierLoop):
+    """(n, log of a bound on the ℓ¹ mass of e^{f−f₀} at |k| ≥ n/2): the
+    grid of e^f, chosen before any evaluation.
+
+    With q = f − f₀ and any r > 1, |(e^q)_k| ≤ M(r)·r^{−|k|} for
+    M(r) = exp(Σ_{k≠0} |q_k|·r^{|k|}) (Cauchy's estimate), so the mass at
+    |k| ≥ K is at most 2·M(r)·r^{−K}·r/(r − 1).  n is the smallest power of
+    two whose n/2 puts that below _ALIAS_TARGET on one of the radii; as
+    max|e^f| ≥ e^{Re f₀}, it is then below the fit's cutoff, and e^{−f} gets
+    the same n.  A grid past the ladders' top is refused."""
+    ks = np.abs(np.arange(f.lo, f.lo + f.run.size))
+    mags = np.hypot(f.run.real, f.run.imag)
+    live = (mags > 0) & (ks > 0)  # a NaN is left to the evaluation
+    with np.errstate(over="ignore"):
+        log_mass = np.exp(np.multiply.outer(_LOG_RADII, ks[live])) @ mags[live] + _LOG_GEOMETRIC
+    half = ((log_mass - math.log(_ALIAS_TARGET)) / _LOG_RADII).min()
+    if not half < _grid_top(f.band) // 2:
+        raise NumericalError("grid too coarse")
+    n = 1 << (2 * int(half) + 1).bit_length()  # the smallest with n/2 > half
+    return n, float((log_mass - n // 2 * _LOG_RADII).min())
+
+
+def _exps(f: FourierLoop, inverse: bool = False) -> tuple[FourierLoop, ...]:
+    """(e^f,), or (e^f, e^{−f}) with ``inverse``: the one exp path.  The rows
+    share ``_cauchy_grid(f)``, one ifft, one np.exp and one fft; −f is
+    folded from its own run, so each row is bit for bit what it is alone.
+    The tail is the fit's dropped mass plus twice the Cauchy mass at n/2
+    (aliased into the fit and cut off by it), then f's tail carried through."""
+    loops = (f, f.neg()) if inverse else (f,)
+    if not f.run.size:
+        return (_ONE,) * len(loops)
+    n, log_mass = _cauchy_grid(f)
+    spec = np.zeros((len(loops), n), dtype=complex)
+    folds = (f.lo + np.arange(f.run.size)) % n  # −f has f's lo and length
+    for row, g in zip(spec, loops):
+        np.add.at(row, folds, g.run)  # as eval_grid, one addition at a time
+    values = _exp_values(np.fft.ifft(spec) * n)
+    re0, out = coeff_run(f, 0, 1)[0].real, []
+    for g, sign, scale, *spectrum in zip(loops, (1, -1), np.abs(values).max(axis=1),
+                                         *_spectrum(values)):
+        e = _fit_spectrum(*spectrum, scale)
+        e.tail += 2 * math.exp(log_mass + sign * re0)  # finite: e^{Re g₀} ≤ max|e^g|
+        if g.tail:
+            e.tail += g.tail * (e.l1() + e.tail)
+        out.append(e)
+    return tuple(out)
 
 
 def _recip_values(vals, winding, _steps):
@@ -248,23 +305,22 @@ def fit_grid_values(values: np.ndarray) -> FourierLoop:
     return _fit_spectrum(*_spectrum(values), scale)
 
 
+def _grid_top(band: int) -> int:
+    """The largest grid for a loop of this band, ``exp``'s too:
+    max(GRID_TOP, four times the power of two above 8·(band + 1))."""
+    return max(GRID_TOP, 4 << (8 * (band + 1)).bit_length())
+
+
 def _grids(band: int, start: int = 8):
     """Grid sizes for a loop of this band: the smallest power of two above
-    start·(band + 1), doubled up to max(GRID_TOP, four times the power above
-    8·(band + 1)), so the largest grid does not depend on ``start``.
-
-    ``exp`` and ``inv`` start at 8·(band + 1): their outputs are wider than
-    their inputs, and ``exp`` climbs even from there (on the 64
-    ``symbol-operator`` benchmark symbols of seed 41: 572 ladders, a mean of
-    2.5 rungs, 26 accepted on their first), so a start at 4·(band + 1) only
-    adds a rung (7 % slower on the operator route).  ``log_split`` starts at
-    4·(band + 1), twice the loop's Nyquist: a log whose content lies within
-    the loop's band is resolved there, and at 8·(band + 1) all 3,072
-    ladders of the ``symbol-ingest`` benchmark at seed 41 accepted their
-    first rung."""
+    start·(band + 1), doubled up to ``_grid_top(band)``.  ``inv`` starts at
+    8·(band + 1), as its output is wider than its input.  ``log_split``
+    starts at 4·(band + 1), twice the loop's Nyquist: a log whose content
+    lies within the loop's band is resolved there, and at 8·(band + 1) all
+    3,072 ladders of the ``symbol-ingest`` benchmark at seed 41 accepted
+    their first rung."""
     n = 1 << (start * (band + 1)).bit_length()
-    top = max(GRID_TOP, 4 << (8 * (band + 1)).bit_length())
-    while n <= top:
+    while n <= _grid_top(band):
         yield n
         n <<= 1
 
@@ -274,24 +330,23 @@ def _cutoff(scale: float) -> float:
     return max(COEFF_CUTOFF, 8 * np.finfo(float).eps * scale)
 
 
-def _refine(loop: FourierLoop, fn=None, floor: float = 0.0, phase: bool = True,
-            start: int = 8):
-    """The one refinement loop of every grid operation.
+def _refine(loop: FourierLoop, fn=None, floor: float = 0.0, start: int = 8):
+    """The one refinement loop of ``inv``, the winding and ``log_split``.
 
-    Evaluates ``loop`` once on each grid of ``_grids(loop.band, start)``.  With
-    ``phase`` the grid counts only once its phase steps are resolved, and
-    the winding is read from them.  ``fn(vals, winding, steps)`` gives the
-    values to fit; the grid is accepted when the top eighth of their
-    spectrum is below the fit's cutoff at scale max(floor, max|values|).
-    Returns (loop values, winding, fit); without ``fn`` there is nothing to
-    fit and the first grid with resolved phase is accepted.  ``start`` sets
-    the first grid (see ``_grids``): 4 for ``log_split``, 8 for the rest.
+    Evaluates ``loop`` once on each grid of ``_grids(loop.band, start)``.  A
+    grid counts only once its phase steps are resolved, and the winding is
+    read from them.  ``fn(vals, winding, steps)`` gives the values to fit;
+    the grid is accepted when the top eighth of their spectrum is below the
+    fit's cutoff at scale max(floor, max|values|).  Returns (loop values,
+    winding, fit); without ``fn`` there is nothing to fit and the first
+    grid with resolved phase is accepted.  ``start`` sets the first grid
+    (see ``_grids``): 4 for ``log_split``, 8 for the rest.
     """
     for n in _grids(loop.band, start):
         vals = loop.eval_grid(n)
-        steps = _phase_steps(vals) if phase else None
-        winding = _winding(steps) if phase else None
-        if phase and winding is None:
+        steps = _phase_steps(vals)
+        winding = _winding(steps)
+        if winding is None:
             continue
         if fn is None:
             return vals, winding, None
@@ -304,8 +359,9 @@ def _refine(loop: FourierLoop, fn=None, floor: float = 0.0, phase: bool = True,
 
 
 def _spectrum(values: np.ndarray):
-    """DFT / n and its magnitudes (``np.hypot`` rounds as abs(complex))."""
-    spec = np.fft.fft(values) / len(values)
+    """DFT / n along the last axis and its magnitudes (``np.hypot`` rounds
+    as abs(complex))."""
+    spec = np.fft.fft(values) / values.shape[-1]
     return spec, np.hypot(spec.real, spec.imag)
 
 
@@ -329,6 +385,9 @@ def _fit_spectrum(spec: np.ndarray, mags: np.ndarray, scale: float) -> FourierLo
     # fsum is exactly rounded, so the order of the dropped magnitudes does
     # not matter; a memoryview hands it floats without building a list
     return FourierLoop._of(-band, run, math.fsum(memoryview(mags[dropped])))
+
+
+_ONE = FourierLoop({0: 1.0})  # shared: no operation writes a loop it did not make
 
 
 def zero_loop() -> FourierLoop:

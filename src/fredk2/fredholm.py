@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.special
 
 from ._errors import InvariantViolation, NumericalError
-from .fourier_loops import FourierLoop, coeff_run
+from .fourier_loops import _ONE, FourierLoop, coeff_run
 from .toeplitz_calculus import ToeplitzOp
 
 UNIT_SYMBOL_TOL = 1e-9
@@ -42,6 +42,15 @@ def _unit_deviation_l1(dev: FourierLoop) -> float:
     return l1
 
 
+@functools.lru_cache(maxsize=None)
+def _section_weights(w: int) -> np.ndarray:
+    """min(|k|, 2w − |k|) for k = −2w … 2w: the number of entries δ_k has in
+    B (k < 0) or C (k > 0) of det1p's doubled window, read-only."""
+    weight = w - np.abs(np.abs(np.arange(-2 * w, 2 * w + 1)) - w)
+    weight.flags.writeable = False
+    return weight
+
+
 def det1p(x, strict: bool = True) -> complex:
     """Fredholm determinant of a determinant-class operator: a ToeplitzOp
     with unit symbol, or a square BlockOp of ToeplitzOps whose diagonal
@@ -55,21 +64,25 @@ def det1p(x, strict: bool = True) -> complex:
     F = D − 1 − C M_w⁻¹ B: tr(D − 1) = w Σᵢ δᵢᵢ,₀, ‖D − 1‖₁ ≤ w Σ (‖δ‖₁ + tail),
     ‖C M_w⁻¹ B‖₁ ≤ ‖C‖_F ‖B‖_F √n ‖M_w⁻ᵀ‖₁ (``gecon`` estimate), ‖B‖_F², ‖C‖_F²
     sum min(|k|, 2w − |k|)·|δ_k|² over k < 0, k > 0, and |log det(1 + F) − tr F|
-    ≤ ‖F‖₁²/(2(1 − ‖F‖₁)).  A singular M_w passes only with B or C zero."""
+    ≤ ‖F‖₁²/(2(1 − ‖F‖₁)).  A singular M_w passes only with B or C zero.
+    NumericalError too on a non-finite ``tail_bound``: the value would
+    stand for an operator it does not bound."""
     w = x.window
-    weight = w - np.abs(np.abs(np.arange(-2 * w, 2 * w + 1)) - w)
     trace = d_norm = b2 = c2 = 0.0
     # a ToeplitzOp is checked as its own 1x1 block matrix
     for i, row in enumerate(getattr(x, "rows", ((x,),))):
         for j, blk in enumerate(row):
-            dev = blk.symbol.sub(FourierLoop({0: 1.0})) if i == j else blk.symbol
+            dev = blk.symbol.sub(_ONE) if i == j else blk.symbol
             l1 = _unit_deviation_l1(dev)
             if not np.isfinite(blk.corner).all():
                 raise NumericalError("non-finite correction")
-            trace += dev[0] if i == j else 0
+            if not np.isfinite(blk.tail_bound):
+                raise NumericalError("non-finite tail bound")
             d_norm += l1 + dev.tail
-            mass = weight * np.abs(coeff_run(dev, -2 * w, 4 * w + 1)) ** 2
-            b2, c2 = b2 + mass[:2 * w].sum(), c2 + mass[2 * w + 1:].sum()
+            if dev.run.size:  # a zero deviation adds nothing below
+                trace += dev[0] if i == j else 0
+                mass = _section_weights(w) * np.abs(coeff_run(dev, -2 * w, 4 * w + 1)) ** 2
+                b2, c2 = b2 + mass[:2 * w].sum(), c2 + mass[2 * w + 1:].sum()
     section = x.dense_section(w)
     if not section.size:
         return 1 + 0j

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._errors import InputError, InvariantViolation, NumericalError
 from .fourier_loops import (
+    _ONE,
     FourierLoop,
     LoopLog,
     _trapezoid_grid,
@@ -215,7 +216,7 @@ def _cross_det(exps: tuple[FourierLoop, ...]) -> complex:
     factor is 1."""
     e_minus, e_plus, e_plus_inv, e_minus_inv = exps
     f = e_minus.mul(e_plus)
-    _unit_deviation_l1(f.mul(e_plus_inv.mul(e_minus_inv)).sub(FourierLoop({0: 1.0})))
+    _unit_deviation_l1(f.mul(e_plus_inv.mul(e_minus_inv)).sub(_ONE))
     size = max(1 - f.lo, f.lo + f.run.size)  # the longer of α and β
     alpha = -coeff_run(f, 1 - size, size)[::-1]
     alpha[0] += 1.0
@@ -225,7 +226,7 @@ def _cross_det(exps: tuple[FourierLoop, ...]) -> complex:
     for g in (e_minus_inv, e_plus_inv):  # a product by T(g) grows the support by g's top index
         cols = _toeplitz_times(g, cols, cols.shape[0] + max(g.lo + g.run.size - 1, 0))
     m = np.array([alpha @ cols[:size], cols[0]])
-    return det1p(ToeplitzOp(FourierLoop({0: 1.0}), m, 2))
+    return det1p(ToeplitzOp._of(_ONE, m, 2))
 
 
 def det_invariant_operator(sym: SteinbergSymbol, window: int = DEFAULT_WINDOW,

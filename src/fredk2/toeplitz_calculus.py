@@ -39,7 +39,8 @@ import numpy as np
 import scipy.linalg
 
 from ._errors import InputError, InvariantViolation, NumericalError, WindingError
-from .fourier_loops import FourierLoop, _is_index, _is_tail, coeff_run, pairing_integral, zero_loop
+from .fourier_loops import (_ONE, FourierLoop, _exps, _is_index, _is_tail, coeff_run,
+                            pairing_integral, zero_loop)
 
 DEFAULT_WINDOW = 256
 
@@ -367,7 +368,7 @@ def toeplitz(a: FourierLoop, window: int = DEFAULT_WINDOW) -> ToeplitzOp:
 
 
 def identity_op(window: int = DEFAULT_WINDOW) -> ToeplitzOp:
-    return ToeplitzOp(FourierLoop({0: 1.0}), None, window, 0.0)
+    return ToeplitzOp(_ONE, None, window, 0.0)
 
 
 def zero_op(window: int = DEFAULT_WINDOW) -> ToeplitzOp:
@@ -395,11 +396,12 @@ def exp_op(x: ToeplitzOp) -> ToeplitzOp:
 def split_exponentials(a: FourierLoop) -> tuple[FourierLoop, ...]:
     """(e^{a₋}, e^{a₊}, e^{−a₊}, e^{−a₋}) with a₋ the k < 0 and a₊ the
     k ≥ 0 part of the log a.  The log's tail bounds the ℓ¹ mass it lost
-    on either side of the split.  The halves share the log's run."""
+    on either side of the split.  The halves share the log's run, and each
+    half h gives e^{h} and e^{−h} from one grid (``_exps``)."""
     cut = min(max(-a.lo, 0), a.run.size)
-    minus = FourierLoop._of(a.lo, a.run[:cut], a.tail)
-    plus = FourierLoop._of(a.lo + cut, a.run[cut:], a.tail)
-    return minus.exp(), plus.exp(), plus.neg().exp(), minus.neg().exp()
+    e_minus, e_minus_inv = _exps(FourierLoop._of(a.lo, a.run[:cut], a.tail), inverse=True)
+    e_plus, e_plus_inv = _exps(FourierLoop._of(a.lo + cut, a.run[cut:], a.tail), inverse=True)
+    return e_minus, e_plus, e_plus_inv, e_minus_inv
 
 
 def wiener_hopf_pair(a: FourierLoop, window: int = DEFAULT_WINDOW,

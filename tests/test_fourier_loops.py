@@ -573,16 +573,16 @@ class TestGridPasses:
     """Each grid operation evaluates, transforms and fits its grid once."""
 
     def test_exp_transforms_once(self, monkeypatch):
-        # band 6 starts on 64 points, above 8·(6 + 1); the first grid whose
-        # top-eighth spectrum is below the fit's cutoff is 256
+        # the grid is chosen before any evaluation, by Cauchy's estimate: 256
+        # for band 6, the grid the ladder from 64 points used to accept
         calls, fits = [], []
         fft = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda v: calls.append(len(v)) or fft(v))
+        monkeypatch.setattr(np.fft, "fft", lambda v: calls.append(v.shape) or fft(v))
         fit = fourier_loops._fit_spectrum
         monkeypatch.setattr(fourier_loops, "_fit_spectrum",
                             lambda spec, *a: fits.append(len(spec)) or fit(spec, *a))
         FourierLoop({-6: 0.2, 1: 0.3j, 6: 0.1}).exp()
-        assert calls == [64, 128, 256]
+        assert calls == [(1, 256)]
         assert fits == [256]
 
     def test_log_split_evaluates_input_once(self, monkeypatch):
@@ -738,6 +738,48 @@ class TestGridPasses:
     def test_exp_overflow_rejected(self):
         with pytest.raises(NumericalError, match="exponential overflows"):
             FourierLoop({0: 800.0}).exp()
+
+    def test_exp_past_the_top_grid_refused_before_evaluating(self, monkeypatch):
+        # e^{z^500} has 1/j! at k = 500j: Cauchy's estimate needs n/2 above
+        # 8,192, and the top grid for band 500 is 16,384 points
+        calls = []
+        monkeypatch.setattr(np.fft, "ifft", lambda *a: calls.append(a))
+        with pytest.raises(NumericalError, match="grid too coarse"):
+            FourierLoop({500: 1.0}).exp()
+        assert calls == []
+
+
+EXP_TAIL_CASES = {
+    "one-sided": FourierLoop({1: 0.3, 2: 0.2j, 4: 0.1}),
+    "two-sided": FourierLoop({-3: 0.3, -1: 0.2j, 2: 0.25, 5: 0.1}),
+    # band 300: its Cauchy radii lie below the singularity at r = 1/0.9
+    "log(1+0.9z)": log_split(FourierLoop({0: 1.0, 1: 0.9})).log_part,
+    "log(1+0.5/z+0.4iz^2)": log_split(FourierLoop({-1: 0.5, 0: 1.0, 2: 0.4j})).log_part,
+    **{f"s={s}": FourierLoop({1: s, -1: s}) for s in range(2, 7)},
+}
+
+
+class TestExpTailBound:
+    """The tail of e^f bounds its ℓ¹ distance to the fit of e^f on a grid
+    16 times finer, up to roundoff, which no tail bounds: 16·eps·√n·max|e^f|
+    on n points (at most 5.5·eps·√n·max|e^f| on these cases and 400 random
+    loops of ℓ¹ up to 6).  On its own grid the Cauchy term is below roundoff;
+    with a coarser alias target the grid aliases and cuts off mass far above
+    roundoff, and only the Cauchy term covers it."""
+
+    @pytest.mark.parametrize("target", [None, 1e-4, 1.0])
+    @pytest.mark.parametrize("name", list(EXP_TAIL_CASES))
+    def test_tail_bounds_the_error(self, monkeypatch, name, target):
+        if target is not None:
+            monkeypatch.setattr(fourier_loops, "_ALIAS_TARGET", target)
+        for f in (EXP_TAIL_CASES[name], EXP_TAIL_CASES[name].neg()):
+            n = fourier_loops._cauchy_grid(f)[0]
+            got = f.exp()
+            values = np.exp(f.eval_grid(16 * n))
+            ref = fit_grid_values(values)
+            err = np.abs(coeff_run(got, -8 * n, 16 * n) - coeff_run(ref, -8 * n, 16 * n)).sum()
+            roundoff = 16 * np.finfo(float).eps * math.sqrt(n) * np.abs(values).max()
+            assert err <= got.tail + roundoff
 
 
 REF_GRID = 16384

@@ -92,6 +92,21 @@ class TestDet1p:
         with pytest.raises(NumericalError, match="window too small"):
             det1p(BlockOp.diagonal(one, one, x, 64))
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_finite_tail_bound_refused(self, strict):
+        x = ToeplitzOp(FourierLoop({0: 1.0}), None, 8, tail_bound=math.inf)
+        with pytest.raises(NumericalError, match="non-finite tail bound"):
+            det1p(x, strict=strict)
+        z = zero_op(8)
+        with pytest.raises(NumericalError, match="non-finite tail bound"):
+            det1p(BlockOp(((identity_op(8), z), (z, x))), strict=strict)
+
+    def test_finite_tail_bound_kept(self):
+        # the refusal reads the bound's finiteness, so the check can pass
+        x = ToeplitzOp(FourierLoop({0: 1.0}), None, 8, tail_bound=1e-3)
+        assert det1p(x) == 1
+        assert det1p(BlockOp(((identity_op(8), zero_op(8)), (zero_op(8), x)))) == 1
+
     def test_multiplicative(self):
         rng = np.random.default_rng(5)
         for _ in range(3):

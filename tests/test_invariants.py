@@ -540,17 +540,30 @@ class TestRouteWindows:
                               LoopLog(-2, FourierLoop({-1: 0.3, 0: 0.4})))
         parts = invariants.RouteParts(sym)
         assert not parts.cross[0].is_zero() and parts.helton is not None
-        calls = []
-        orig = FourierLoop.exp
+        taken = []
+        orig = fourier_loops._exps
 
-        def counted(self):
-            calls.append(self)
-            return orig(self)
+        def counted(f, *args, **kwargs):
+            out = orig(f, *args, **kwargs)
+            taken.extend(out)
+            return out
 
-        monkeypatch.setattr(FourierLoop, "exp", counted)
+        # FourierLoop.exp and split_exponentials share the one exp path,
+        # which gives one exponential per loop it is handed
+        monkeypatch.setattr(fourier_loops, "_exps", counted)
+        monkeypatch.setattr(toeplitz_calculus, "_exps", counted)
         want = det_invariant_closed(sym)
         assert abs(det_invariant_operator(sym) - want) <= 1e-12 * abs(want)
-        assert len(calls) == 12
+        assert len(taken) == 12
+
+    def test_route_parts_climb_no_grid_ladder(self, monkeypatch):
+        calls = []
+        refine = fourier_loops._refine
+        monkeypatch.setattr(fourier_loops, "_refine",
+                            lambda *args, **kwargs: calls.append(args) or refine(*args, **kwargs))
+        parts = [invariants.RouteParts(sym) for sym in ACCEPTANCE_CORPUS]
+        assert sum(p.helton is not None for p in parts) >= 25
+        assert calls == []
 
     def test_h2_route_keeps_its_window(self, monkeypatch):
         sym = SteinbergSymbol(LoopLog(2, FourierLoop({1: 0.2})),

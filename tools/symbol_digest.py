@@ -14,6 +14,9 @@ Sections:
            1-4 terms at distinct |k| <= 6 with |c| in [0.05, 0.3];
   ingest   ``log_split`` of the reconstructed loops zⁿ·e^{a} of the same
            symbols;
+  exps     ``split_exponentials``, coefficients and tails, of the same
+           symbols' logs a and b and of the cross piece c/N that
+           ``RouteParts`` checks;
   chains   on seeded inputs: ``gamma_log`` of a 2-simplex e^{t1 X} e^{t2 Y}
            and of its boundary ``dN`` (materialized), ``tilde_gamma`` of two
            curved paths, ``path_log_det`` of e^{tX} e^{tY},
@@ -126,6 +129,7 @@ def sections():
     """{section: list of output records}."""
     from fredk2 import invariants as inv
     from fredk2.fourier_loops import log_split
+    from fredk2.toeplitz_calculus import split_exponentials
 
     rng = np.random.default_rng(SEED)
     syms = [rand_symbol(rng) for _ in range(SYMBOLS)]
@@ -133,6 +137,8 @@ def sections():
         "routes": [(inv.det_invariant_closed(s), inv.det_invariant_integral(s),
                     inv.det_invariant_operator(s), inv.mult_character(s)) for s in syms],
         "ingest": [(log_split(s.u.reconstruct()), log_split(s.v.reconstruct())) for s in syms],
+        "exps": [(split_exponentials(s.u.log_part), split_exponentials(s.v.log_part),
+                  inv.RouteParts(s).cross[1]) for s in syms],
         "chains": chain_records(rng),
     }
 
